@@ -45,7 +45,7 @@ void run_platform(cli::RunContext& ctx, const harness::Platform& p,
               .add("schedule", ompsim::schedule_name(kind))
               .add("chunk", chunk),
           [&] {
-            return sb.run_protocol(kind, chunk, spec, ctx.jobs(),
+            return sb.run_protocol(kind, chunk, spec, ctx.executor(),
                                    ctx.checkpoint());
           });
       const double mean = m.grand_mean();

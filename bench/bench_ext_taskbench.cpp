@@ -28,7 +28,7 @@ RunMatrix run_tasking(cli::RunContext& ctx, const harness::Platform& p,
           .add("pattern", master ? "master" : "parallel"),
       [&] {
         return bench::run_protocol_sharded(
-            s, cfg, spec, ctx.jobs(),
+            s, cfg, spec, ctx.executor(),
             [](sim::Simulator&) { return NoBench{}; },
             [master](NoBench&, ompsim::SimTeam& team) {
               team.begin_rep();

@@ -40,7 +40,7 @@ void run_platform(cli::RunContext& ctx, const harness::Platform& p,
           harness::cell_key("babelstream", p, team)
               .add("kernel", bench::stream_kernel_name(k)),
           [&] {
-            return st.run_protocol(k, spec, ctx.jobs(), ctx.checkpoint());
+            return st.run_protocol(k, spec, ctx.executor(), ctx.checkpoint());
           });
       row.push_back(m.grand_mean());
       if (k == bench::StreamKernel::triad) {

@@ -380,7 +380,7 @@ int run_perf_hotpath(cli::RunContext& ctx) {
   // Trajectory destination: explicit override first; inside a campaign the
   // file belongs in the campaign directory with the other artifacts (a full
   // `omnivar --out DIR` run must not clobber the committed trajectory
-  // point); only a deliberate standalone run writes the CWD default — and a
+  // point); only a run without --out writes the CWD default — and a
   // scenario run gets a scenario-suffixed default, because its numbers are
   // calibrated to a different machine and must never overwrite the
   // committed default-platform trajectory.

@@ -101,8 +101,8 @@ inline FreqPanelGeometry freq_panel_geometry(const Platform& p) {
 template <typename MakeBench, typename Rep>
 [[nodiscard]] FreqPanelResult run_freq_panel(
     const sim::Simulator& base, const std::string& places,
-    std::size_t n_threads, const ExperimentSpec& spec, std::size_t n_jobs,
-    MakeBench make_bench, Rep rep,
+    std::size_t n_threads, const ExperimentSpec& spec,
+    core::Executor& executor, MakeBench make_bench, Rep rep,
     const snap::CheckpointPolicy* ckpt = nullptr) {
   ompsim::TeamConfig cfg;
   cfg.n_threads = n_threads;
@@ -117,7 +117,7 @@ template <typename MakeBench, typename Rep>
 
   FreqPanelResult out;
   out.matrix = bench::run_protocol_sharded(
-      base, cfg, spec, n_jobs,
+      base, cfg, spec, executor,
       [make_bench, cfg](sim::Simulator& sim) { return make_bench(sim, cfg); },
       rep,
       [trace_slots](auto& /*bench*/, ompsim::SimTeam& team,
@@ -148,7 +148,7 @@ template <typename MakeBench, typename Rep>
       label, spec, std::move(key),
       [&] {
         auto panel = run_freq_panel(base, places, n_threads, spec,
-                                    ctx.jobs(), make_bench, rep,
+                                    ctx.executor(), make_bench, rep,
                                     ctx.checkpoint());
         out.trace = std::move(panel.trace);
         return std::move(panel.matrix);

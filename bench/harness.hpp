@@ -2,19 +2,17 @@
 // Shared scaffolding for the paper-reproduction bench harnesses.
 //
 // Every harness reproduces one table or figure of the paper and registers
-// itself into the omnivar registry (cli/registry.hpp); the same source
-// builds a standalone binary and one entry of the unified campaign driver.
-// Harnesses run with no arguments using the paper's full protocol (10 runs
-// x 100 outer repetitions); set OMNIVAR_QUICK=1 to shrink the protocol for
-// smoke runs, or OMNIVAR_RUNS / OMNIVAR_REPS to override explicitly.
+// itself into the omnivar registry (cli/registry.hpp); `omnivar --only
+// <name>` runs it. Harnesses run with no arguments using the paper's full
+// protocol (10 runs x 100 outer repetitions); set OMNIVAR_QUICK=1 to
+// shrink the protocol for smoke runs, or OMNIVAR_RUNS / OMNIVAR_REPS to
+// override explicitly.
 //
-// Protocol execution is sharded across worker threads: pass --jobs=N (or
-// set OMNIVAR_JOBS=N; 0 = one worker per hardware thread) to run the R
-// independent runs of every configuration concurrently. Results are
-// bit-identical to the serial default (--jobs=1) because each run derives
-// its entire state from its run seed. With --out DIR, every protocol cell
-// persists through the spec-hash result cache and the harness emits a JSON
-// artifact (cli/campaign.hpp).
+// Protocol runs are sharded onto the campaign's executor (ctx.executor(),
+// --jobs N / OMNIVAR_JOBS). Results are bit-identical at every width
+// because each run derives its entire state from its run seed. With --out
+// DIR, every protocol cell persists through the spec-hash result cache and
+// the harness emits a JSON artifact (cli/campaign.hpp).
 
 #include <algorithm>
 #include <cstdio>
@@ -27,7 +25,6 @@
 #include "cli/options.hpp"
 #include "cli/registry.hpp"
 #include "core/experiment.hpp"
-#include "core/parallel_runner.hpp"
 #include "core/report.hpp"
 #include "core/spec_hash.hpp"
 #include "omp_model/team.hpp"
@@ -37,23 +34,6 @@
 
 namespace omv::harness {
 
-/// Mutable process-wide jobs override (kept for tests and ad-hoc callers;
-/// harness code should use RunContext::jobs()).
-inline std::size_t& jobs_override() {
-  static std::size_t value = 0;
-  return value;
-}
-
-/// Strict non-negative integer parse (see cli::parse_uint).
-inline bool parse_uint(const char* text, std::size_t& out) {
-  return cli::parse_uint(text, out);
-}
-
-/// Strict job-count parse ("0" = hardware concurrency).
-inline bool parse_job_count(const char* text, std::size_t& out) {
-  return cli::parse_job_count(text, out);
-}
-
 /// Applies a protocol-count override from the environment: a malformed or
 /// zero value warns and leaves `value` unchanged (a typo'd OMNIVAR_RUNS
 /// must not silently produce an empty RunMatrix and NaN statistics).
@@ -61,7 +41,7 @@ inline void apply_count_env(const char* name, std::size_t& value) {
   const char* text = std::getenv(name);
   if (text == nullptr) return;
   std::size_t v = 0;
-  if (parse_uint(text, v) && v > 0) {
+  if (cli::parse_uint(text, v) && v > 0) {
     value = v;
   } else {
     // Warn once per variable: paper_spec runs once per swept
@@ -74,39 +54,6 @@ inline void apply_count_env(const char* name, std::size_t& value) {
                    name, text);
     }
   }
-}
-
-/// Effective worker count honoring jobs_override() then OMNIVAR_JOBS
-/// (kept for tests; harness run functions receive the resolved count via
-/// RunContext::jobs()).
-inline std::size_t jobs() { return cli::effective_jobs(jobs_override()); }
-
-/// Parses the shared harness flags into jobs_override() (kept for tests
-/// and ad-hoc embedding; the binaries' real entry points are
-/// cli::run_standalone / cli::run_campaign).
-inline void parse_args(int argc, char** argv) {
-  const cli::Options o = cli::parse_options(argc, argv);
-  for (const auto& e : o.errors) {
-    std::fprintf(stderr, "harness: ignoring %s\n", e.c_str());
-  }
-  if (o.jobs != 0) jobs_override() = o.jobs;
-}
-
-/// Runs a spec through the ParallelRunner honoring the harness job count
-/// (jobs_override / OMNIVAR_JOBS); `make_kernel` builds one private kernel
-/// per run. Generic entry point for ad-hoc kernels that have no Sim*
-/// benchmark object.
-inline RunMatrix run_sharded(const ExperimentSpec& spec,
-                             const RunKernelFactory& make_kernel) {
-  return run_experiment_parallel(spec, make_kernel, jobs());
-}
-
-/// As above with an explicit worker count; 0 means one worker per
-/// hardware thread, consistent with --jobs / OMNIVAR_JOBS.
-inline RunMatrix run_sharded(const ExperimentSpec& spec,
-                             const RunKernelFactory& make_kernel,
-                             std::size_t n_jobs) {
-  return run_experiment_parallel(spec, make_kernel, resolve_jobs(n_jobs));
 }
 
 /// Protocol spec honoring the environment overrides.

@@ -23,7 +23,6 @@
 
 #include "core/deadline.hpp"
 #include "core/experiment.hpp"
-#include "core/parallel_runner.hpp"
 #include "core/snapshot.hpp"
 #include "omp_model/team.hpp"
 #include "sim/simulator.hpp"
@@ -128,7 +127,7 @@ template <typename MakeBench, typename Rep, typename OnRunEnd = NoRunEndHook>
   RunMatrix matrix(spec.name);
   for (std::size_t r = 0; r < spec.runs; ++r) {
     const std::uint64_t run_seed = derive_run_seed(spec.seed, r);
-    const RunSlot slot{0, r, run_seed};
+    const RunSlot slot{r, run_seed};
 
     if (r < done_times.size()) {
       // Completed before the checkpoint. Replay the end-of-run hook from

@@ -14,14 +14,15 @@
 #include <utility>
 
 #include "bench_suite/checkpoint.hpp"
-#include "core/parallel_runner.hpp"
+#include "core/executor.hpp"
+#include "core/experiment.hpp"
 #include "omp_model/team.hpp"
 #include "sim/simulator.hpp"
 
 namespace omv::bench {
 
-/// Shards spec.runs across `jobs` worker threads (0 = hardware
-/// concurrency; 1 = inline). Each run builds a private Simulator clone of
+/// Shards spec.runs onto `executor`, one task per run (inline at one
+/// worker). Each run builds a private Simulator clone of
 /// `base`, a benchmark instance via `make_bench(sim)`, and a SimTeam on
 /// `team_cfg`; begin_run(run_seed) then resets every model. Repetitions
 /// execute `rep(bench, team)`; after a run's last timed repetition,
@@ -35,7 +36,7 @@ namespace omv::bench {
 template <typename MakeBench, typename Rep, typename OnRunEnd = NoRunEndHook>
 [[nodiscard]] RunMatrix run_protocol_sharded(
     const sim::Simulator& base, const ompsim::TeamConfig& team_cfg,
-    const ExperimentSpec& spec, std::size_t jobs, MakeBench make_bench,
+    const ExperimentSpec& spec, core::Executor& executor, MakeBench make_bench,
     Rep rep, OnRunEnd on_run_end = {},
     const snap::CheckpointPolicy* ckpt = nullptr) {
   if (ckpt != nullptr && ckpt->engaged()) {
@@ -66,7 +67,7 @@ template <typename MakeBench, typename Rep, typename OnRunEnd = NoRunEndHook>
           return t;
         };
       },
-      jobs);
+      executor);
 }
 
 }  // namespace omv::bench

@@ -46,10 +46,10 @@ RunMatrix SimSchedBench::run_protocol(ompsim::Schedule kind, std::size_t chunk,
 
 RunMatrix SimSchedBench::run_protocol(ompsim::Schedule kind, std::size_t chunk,
                                       const ExperimentSpec& spec,
-                                      std::size_t jobs,
+                                      core::Executor& executor,
                                       const snap::CheckpointPolicy* ckpt) {
   return run_protocol_sharded(
-      *sim_, team_cfg_, spec, jobs,
+      *sim_, team_cfg_, spec, executor,
       [team_cfg = team_cfg_, params = params_,
        max_grabs = max_grabs_](sim::Simulator& sim) {
         return SimSchedBench(sim, team_cfg, params, max_grabs);

@@ -38,13 +38,14 @@ class SimSchedBench {
                                        std::size_t chunk,
                                        const ExperimentSpec& spec);
 
-  /// As run_protocol, but shards the spec's runs across `jobs` worker
-  /// threads (0 = hardware concurrency; 1 = inline); bit-identical to the
-  /// serial overload. `ckpt` optionally routes the cell through the
+  /// As run_protocol, but shards the spec's runs onto `executor` (one
+  /// task per run; inline at one worker); bit-identical to the serial
+  /// overload. `ckpt` optionally routes the cell through the
   /// checkpointed (serial, snapshot-writing) protocol loop.
   [[nodiscard]] RunMatrix run_protocol(
       ompsim::Schedule kind, std::size_t chunk, const ExperimentSpec& spec,
-      std::size_t jobs, const snap::CheckpointPolicy* ckpt = nullptr);
+      core::Executor& executor,
+      const snap::CheckpointPolicy* ckpt = nullptr);
 
   /// The coarsening factor used for a given chunk size (1 = exact).
   [[nodiscard]] std::size_t coarsen_for(std::size_t chunk) const;

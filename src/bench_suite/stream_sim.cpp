@@ -135,10 +135,10 @@ RunMatrix SimStream::run_protocol(StreamKernel k, const ExperimentSpec& spec) {
 }
 
 RunMatrix SimStream::run_protocol(StreamKernel k, const ExperimentSpec& spec,
-                                  std::size_t jobs,
+                                  core::Executor& executor,
                                   const snap::CheckpointPolicy* ckpt) {
   return run_protocol_sharded(
-      *sim_, team_cfg_, spec, jobs,
+      *sim_, team_cfg_, spec, executor,
       [team_cfg = team_cfg_, elems = array_elems_,
        smt_penalty = smt_penalty_](sim::Simulator& sim) {
         return SimStream(sim, team_cfg, elems, smt_penalty);

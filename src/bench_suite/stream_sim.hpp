@@ -67,12 +67,12 @@ class SimStream {
   [[nodiscard]] RunMatrix run_protocol(StreamKernel k,
                                        const ExperimentSpec& spec);
 
-  /// As run_protocol, but shards the spec's runs across `jobs` worker
-  /// threads (0 = hardware concurrency; 1 = inline); bit-identical to the
-  /// serial overload. `ckpt` optionally routes the cell through the
+  /// As run_protocol, but shards the spec's runs onto `executor` (one
+  /// task per run; inline at one worker); bit-identical to the serial
+  /// overload. `ckpt` optionally routes the cell through the
   /// checkpointed (serial, snapshot-writing) protocol loop.
   [[nodiscard]] RunMatrix run_protocol(
-      StreamKernel k, const ExperimentSpec& spec, std::size_t jobs,
+      StreamKernel k, const ExperimentSpec& spec, core::Executor& executor,
       const snap::CheckpointPolicy* ckpt = nullptr);
 
   [[nodiscard]] std::size_t array_elems() const noexcept {

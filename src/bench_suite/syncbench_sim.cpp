@@ -144,10 +144,10 @@ RunMatrix SimSyncBench::run_protocol(SyncConstruct c,
 
 RunMatrix SimSyncBench::run_protocol(SyncConstruct c,
                                      const ExperimentSpec& spec,
-                                     std::size_t jobs,
+                                     core::Executor& executor,
                                      const snap::CheckpointPolicy* ckpt) {
   return run_protocol_sharded(
-      *sim_, team_cfg_, spec, jobs,
+      *sim_, team_cfg_, spec, executor,
       [team_cfg = team_cfg_, params = params_,
        groups = groups_](sim::Simulator& sim) {
         return SimSyncBench(sim, team_cfg, params, groups);

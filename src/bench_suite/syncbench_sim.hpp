@@ -49,14 +49,14 @@ class SimSyncBench {
   [[nodiscard]] RunMatrix run_protocol(SyncConstruct c,
                                        const ExperimentSpec& spec);
 
-  /// As run_protocol, but shards the spec's runs across `jobs` worker
-  /// threads (0 = hardware concurrency; 1 = inline). Each run executes on
+  /// As run_protocol, but shards the spec's runs onto `executor` (one
+  /// task per run; inline at one worker). Each run executes on
   /// a private Simulator + team whose state begin_run re-derives entirely
   /// from the run seed, so the RunMatrix is bit-identical to the serial
   /// overload. When `ckpt` names an engaged checkpoint policy, the cell
   /// executes serially with snapshot checkpoints (still bit-identical).
   [[nodiscard]] RunMatrix run_protocol(
-      SyncConstruct c, const ExperimentSpec& spec, std::size_t jobs,
+      SyncConstruct c, const ExperimentSpec& spec, core::Executor& executor,
       const snap::CheckpointPolicy* ckpt = nullptr);
 
   [[nodiscard]] const EpccParams& params() const noexcept { return params_; }

@@ -1,5 +1,6 @@
 #include "cli/campaign.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
@@ -7,17 +8,15 @@
 #include <exception>
 #include <filesystem>
 #include <mutex>
+#include <numeric>
 #include <stdexcept>
-#include <thread>
 
-#include "cli/campaign_bench.hpp"
 #include "cli/options.hpp"
 #include "cli/registry.hpp"
 #include "core/atomic_file.hpp"
 #include "core/faultinject.hpp"
 #include "core/json_writer.hpp"
 #include "core/lockfile.hpp"
-#include "core/parallel_runner.hpp"
 #include "core/trace_io.hpp"
 #include "scenario/registry.hpp"
 #include "sim/isa.hpp"
@@ -33,12 +32,12 @@ void ensure_dir(const std::string& dir) {
   }
 }
 
-RunContext::RunContext(std::string harness, std::size_t jobs,
+RunContext::RunContext(std::string harness, core::Executor& executor,
                        std::string out_dir,
                        std::optional<scenario::ScenarioSpec> scenario,
                        ContextMode mode)
     : harness_(std::move(harness)),
-      jobs_(jobs == 0 ? 1 : jobs),
+      executor_(executor),
       out_dir_(std::move(out_dir)),
       scenario_(std::move(scenario)),
       mode_(mode) {
@@ -72,51 +71,6 @@ void RunContext::print(const char* fmt, ...) {
   }
   va_end(args2);
   emit(text);
-}
-
-struct CellScheduler::Impl {
-  Impl(std::size_t cell_jobs, std::vector<double> unit_costs)
-      : pool(cell_jobs), remaining(std::move(unit_costs)) {}
-  CellPool pool;
-  std::mutex mutex;
-  std::vector<double> remaining;  ///< enumerated cost not yet completed.
-};
-
-CellScheduler::CellScheduler(std::size_t cell_jobs,
-                             std::vector<double> unit_costs)
-    : impl_(std::make_shared<Impl>(cell_jobs, std::move(unit_costs))) {}
-
-std::size_t CellScheduler::workers() const noexcept {
-  return impl_->pool.workers();
-}
-
-void CellScheduler::run_cell(std::size_t unit, double cost,
-                             const std::function<void()>& fn) {
-  if (stopping()) {
-    throw snap::CheckpointStop(
-        "campaign checkpoint stop: cell dispatch halted before this cell "
-        "started");
-  }
-  double priority = 0.0;
-  {
-    std::lock_guard lock(impl_->mutex);
-    if (unit < impl_->remaining.size()) priority = impl_->remaining[unit];
-  }
-  // The cell's cost leaves the unit's remaining work whether it succeeds,
-  // quarantines, or stops — priority must keep draining either way.
-  struct Drain {
-    Impl* impl;
-    std::size_t unit;
-    double cost;
-    ~Drain() {
-      std::lock_guard lock(impl->mutex);
-      if (unit < impl->remaining.size()) {
-        impl->remaining[unit] =
-            impl->remaining[unit] > cost ? impl->remaining[unit] - cost : 0.0;
-      }
-    }
-  } drain{impl_.get(), unit, cost};
-  impl_->pool.run(priority, fn);
 }
 
 std::string_view engine_version() {
@@ -342,20 +296,15 @@ RunMatrix RunContext::protocol(const std::string& label,
       return computed;
     });
   };
+  // A checkpoint stop elsewhere in the campaign halts cell dispatch:
+  // cells already computing drain, this one never starts.
+  if (stop_ != nullptr && stop_->load()) {
+    throw snap::CheckpointStop(
+        "campaign checkpoint stop: cell dispatch halted before this cell "
+        "started");
+  }
   RunMatrix m = [&] {
     try {
-      if (sched_ != nullptr) {
-        // Campaign scheduler path: the supervised compute-and-commit runs
-        // on a pool worker (the supervisor arms the worker's own deadline
-        // slot; shard threads it spawns inherit it) while this unit
-        // thread blocks — cells within a unit stay sequential, units
-        // overlap through the shared pool.
-        const double cost = static_cast<double>(spec.runs) *
-                            static_cast<double>(spec.warmup + spec.reps);
-        RunMatrix result;
-        sched_->run_cell(unit_, cost, [&] { result = supervised(); });
-        return result;
-      }
       return supervised();
     } catch (const CellQuarantined& q) {
       // Record + announce here (stdout: the failure is part of the
@@ -544,33 +493,32 @@ std::string RunContext::artifact_json(const std::string& description) const {
 
 namespace {
 
-void print_usage(const char* argv0, bool campaign) {
+void print_usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--list] [--scenarios] [--isa-report] [--version] "
-               "[--jobs N] [--cell-jobs N] [--scenario S]... "
+               "[--only GLOB]... [--jobs N] [--scenario S]... "
                "[--scenario-set FILE] [--plan] [--out DIR] "
                "[--checkpoint-every N] [--resume SRC] [--retry-cells N] "
-               "[--cell-timeout MS] [--fault-spec SPEC]%s\n"
+               "[--cell-timeout MS] [--fault-spec SPEC]\n"
                "  --list       list registered harnesses\n"
                "  --scenarios  list the scenario catalog\n"
                "  --isa-report list dispatchable batched-kernel ISA levels\n"
                "  --version    print engine version, snapshot format and "
                "dispatched ISA\n"
-               "%s"
-               "  --jobs N     shard each protocol's runs over N workers\n"
-               "               (0 = one per hardware thread; default: "
-               "OMNIVAR_JOBS, else serial)\n"
-               "  --cell-jobs N\n"
-               "               run up to N protocol cells concurrently "
-               "across all\n"
-               "               selected harnesses and scenarios (0 = one "
-               "per hardware\n"
-               "               thread; default: OMNIVAR_CELL_JOBS, else 1 "
-               "— serial);\n"
+               "  --only GLOB  run only harnesses matching the glob "
+               "(repeatable)\n"
+               "  --jobs N     run units and protocol runs on N workers "
+               "(0 = one per\n"
+               "               hardware thread; default: OMNIVAR_JOBS, else "
+               "1 — serial);\n"
                "               output is replayed in registry x scenario "
                "order, so\n"
                "               stdout/artifacts/cache are byte-identical "
                "at any N\n"
+               "  --cell-jobs N\n"
+               "               deprecated alias: the width is the larger of "
+               "--jobs and\n"
+               "               --cell-jobs (default: OMNIVAR_CELL_JOBS)\n"
                "  --scenario S run on scenario S: a catalog name or a "
                "scenario-file\n"
                "               path (repeatable: the campaign fans out "
@@ -617,11 +565,7 @@ void print_usage(const char* argv0, bool campaign) {
                "exit codes: 0 ok, 2 usage, 3 checkpoint stop, 4 cell(s) "
                "quarantined,\n"
                "            1 other failure\n",
-               argv0, campaign ? " [--only GLOB]..." : "",
-               campaign
-                   ? "  --only GLOB  run only harnesses matching the glob "
-                     "(repeatable)\n"
-                   : "");
+               argv0);
 }
 
 /// --version: the identity triple a snapshot stamp is checked against plus
@@ -713,39 +657,50 @@ struct Supervision {
   std::chrono::milliseconds timeout{0};
 };
 
+/// What every unit of one campaign shares.
+struct CampaignSettings {
+  core::Executor* executor = nullptr;
+  std::string out_dir;
+  std::size_t ckpt_every = 0;
+  std::string resume;
+  Supervision sup;
+  std::atomic<bool>* stop = nullptr;  ///< set once a checkpoint stop trips.
+};
+
+/// One (harness, scenario) execution unit of the campaign fan-out, in
+/// registry x scenario order.
+struct Unit {
+  const HarnessInfo* h = nullptr;
+  const std::optional<scenario::ScenarioSpec>* scn = nullptr;
+  std::string artifact;  ///< per-unit artifact file name.
+};
+
 /// "name" or "name @ scenario" for stderr chrome.
-std::string unit_display(const HarnessOutcome& o) {
-  return o.scenario.empty() ? o.name : o.name + " @ " + o.scenario;
+std::string unit_display(const std::string& name,
+                         const std::string& scenario) {
+  return scenario.empty() ? name : name + " @ " + scenario;
 }
 
-/// Runs one (harness, scenario) unit under a fresh context; writes its
-/// artifact (as `artifact`) when an out dir is configured. Under the
-/// campaign scheduler (`sched` non-null) the unit's science stdout lands
-/// in `capture` for ordered replay and cold cells are routed through the
-/// shared pool as unit `unit`.
-HarnessOutcome run_one(const HarnessInfo& h, std::size_t jobs,
-                       const std::string& out_dir,
-                       const std::optional<scenario::ScenarioSpec>& scn,
-                       std::size_t ckpt_every = 0,
-                       const std::string& resume = {},
-                       const Supervision& sup = {},
-                       const std::string& artifact = {},
-                       std::string* capture = nullptr,
-                       CellScheduler* sched = nullptr, std::size_t unit = 0) {
+/// Runs one unit under a fresh context, its science stdout captured into
+/// `capture` for ordered replay; writes its artifact when an out dir is
+/// configured.
+HarnessOutcome run_one(const Unit& unit, const CampaignSettings& c,
+                       std::string* capture) {
+  const HarnessInfo& h = *unit.h;
   HarnessOutcome out;
   out.name = h.name;
-  out.scenario = scn ? scn->name : "";
-  out.artifact = artifact.empty() ? h.name + ".json" : artifact;
+  out.scenario = *unit.scn ? (*unit.scn)->name : "";
+  out.artifact = unit.artifact;
   const auto t0 = std::chrono::steady_clock::now();
   // Everything that can throw is inside this block — a bad --out path
   // (RunContext's ensure_dir), a failing harness, or an artifact write
   // error must mark this harness FAILED, not std::terminate the campaign.
   try {
-    RunContext ctx(h.name, jobs, out_dir, scn);
-    ctx.configure_checkpoints(ckpt_every, resume);
-    ctx.configure_supervision(sup.retries, sup.timeout);
+    RunContext ctx(h.name, *c.executor, c.out_dir, *unit.scn);
+    ctx.configure_checkpoints(c.ckpt_every, c.resume);
+    ctx.configure_supervision(c.sup.retries, c.sup.timeout);
     ctx.set_output_capture(capture);
-    if (sched != nullptr) ctx.configure_scheduler(sched, unit);
+    ctx.set_stop_flag(c.stop);
     try {
       out.exit_code = h.run(ctx);
     } catch (const CellQuarantined&) {
@@ -761,24 +716,24 @@ HarnessOutcome run_one(const HarnessInfo& h, std::size_t jobs,
     out.cached = ctx.cache_hits();
     out.computed = ctx.cache_misses();
     out.failures = ctx.failures();
-    if (!out_dir.empty() && out.exit_code == kExitOk) {
-      core::atomic_write_file(out_dir + "/" + out.artifact,
+    if (!c.out_dir.empty() && out.exit_code == kExitOk) {
+      core::atomic_write_file(c.out_dir + "/" + out.artifact,
                               ctx.artifact_json(h.description), "artifact");
       out.artifact_written = true;
     }
   } catch (const snap::CheckpointStop& e) {
     // The configured stop-after limit tripped right after a checkpoint
     // landed: a deliberate mid-protocol exit, distinguishable from failure
-    // so the CI round-trip lane can assert on it before resuming. Under
-    // the scheduler, the stop also halts every other unit's cell dispatch
-    // — in-flight cells drain, queued ones never start.
-    if (sched != nullptr) sched->note_stop();
+    // so the CI round-trip lane can assert on it before resuming. The stop
+    // halts the whole campaign: cells already computing drain, no new
+    // cell or unit starts.
+    c.stop->store(true);
     std::fprintf(stderr, "[omnivar] %s stopped: %s\n",
-                 unit_display(out).c_str(), e.what());
+                 unit_display(out.name, out.scenario).c_str(), e.what());
     out.exit_code = kExitCheckpointStop;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "[omnivar] %s failed: %s\n",
-                 unit_display(out).c_str(), e.what());
+                 unit_display(out.name, out.scenario).c_str(), e.what());
     out.exit_code = kExitHarnessFailed;
   }
   const auto t1 = std::chrono::steady_clock::now();
@@ -787,14 +742,13 @@ HarnessOutcome run_one(const HarnessInfo& h, std::size_t jobs,
 }
 
 void write_campaign_json(
-    const std::string& out_dir, std::size_t jobs, std::size_t cell_jobs,
+    const std::string& out_dir, std::size_t jobs,
     const std::vector<std::optional<scenario::ScenarioSpec>>& scns,
     const std::vector<HarnessOutcome>& outcomes) {
   json::JsonWriter w;
   w.begin_object();
-  w.key("schema").value("omnivar-campaign-v3");
+  w.key("schema").value("omnivar-campaign-v4");
   w.key("jobs").value(jobs);
-  w.key("cell_jobs").value(cell_jobs);
   // v2 compatibility: "scenario" stays the (single) active selection;
   // multi-scenario campaigns list every selection under "scenarios" and
   // tag each outcome.
@@ -865,8 +819,9 @@ void report_outcome(const HarnessOutcome& o) {
   std::fprintf(stderr,
                "[omnivar] %s: %s — %zu/%zu shape checks ok, cells: %zu "
                "cached + %zu computed (%.1fs)\n",
-               unit_display(o).c_str(), status, o.verdicts_ok,
-               o.verdicts_total, o.cached, o.computed, o.seconds);
+               unit_display(o.name, o.scenario).c_str(), status,
+               o.verdicts_ok, o.verdicts_total, o.cached, o.computed,
+               o.seconds);
 }
 
 /// Resolves and arms the fault-injection plan (--fault-spec /
@@ -888,10 +843,25 @@ bool resolve_fault_spec(const Options& o) {
   return true;
 }
 
+/// The tag a scenario contributes to multi-scenario artifact names: its
+/// name, sanitized for file-based selectors whose names may carry path
+/// characters.
+std::string artifact_tag(const scenario::ScenarioSpec& s) {
+  std::string tag = s.name;
+  for (char& c : tag) {
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                    (c >= '0' && c <= '9') || c == '-' || c == '_' ||
+                    c == '.';
+    if (!ok) c = '_';
+  }
+  return tag;
+}
+
 /// Resolves every effective scenario selector. Paper mode (no selection)
 /// yields one disengaged entry so the unit fan-out always has at least one
-/// scenario axis. Duplicate selections are a usage error: two units would
-/// race to compute identical cell hashes for identical artifacts.
+/// scenario axis. Two selections with the same artifact tag are a usage
+/// error: their units would write — and race for — the same artifact
+/// files (this also rejects a scenario selected twice).
 bool resolve_scenario_list(
     const Options& o,
     std::vector<std::optional<scenario::ScenarioSpec>>& out) {
@@ -906,16 +876,18 @@ bool resolve_scenario_list(
     out.emplace_back(std::nullopt);
     return true;
   }
-  for (const auto& sel : sels) {
+  for (std::size_t i = 0; i < sels.size(); ++i) {
     std::optional<scenario::ScenarioSpec> s;
-    if (!resolve_scenario(sel, s)) return false;
-    for (const auto& prev : out) {
-      if (prev && prev->name == s->name &&
-          prev->fingerprint() == s->fingerprint()) {
+    if (!resolve_scenario(sels[i], s)) return false;
+    const std::string tag = artifact_tag(*s);
+    for (std::size_t j = 0; j < out.size(); ++j) {
+      if (artifact_tag(*out[j]) == tag) {
         std::fprintf(stderr,
-                     "[omnivar] duplicate scenario '%s' in the --scenario "
-                     "list\n",
-                     s->name.c_str());
+                     "[omnivar] scenario selections '%s' and '%s' share the "
+                     "artifact tag '%s' (scenario names '%s' and '%s'); "
+                     "give each scenario a distinct name\n",
+                     sels[j].c_str(), sels[i].c_str(), tag.c_str(),
+                     out[j]->name.c_str(), s->name.c_str());
         return false;
       }
     }
@@ -924,32 +896,9 @@ bool resolve_scenario_list(
   return true;
 }
 
-/// One (harness, scenario) execution unit of the campaign fan-out, in
-/// registry x scenario order.
-struct Unit {
-  const HarnessInfo* h = nullptr;
-  const std::optional<scenario::ScenarioSpec>* scn = nullptr;
-  std::string artifact;  ///< per-unit artifact file name.
-};
-
 /// Artifact file names stay "<harness>.json" for single-scenario runs
 /// (byte-compatible with every prior release); a multi-scenario fan-out
-/// suffixes the scenario name ("<harness>.<scenario>.json"), sanitized for
-/// file-based scenario selectors whose names may carry path characters.
-std::string artifact_name(const HarnessInfo& h,
-                          const std::optional<scenario::ScenarioSpec>& scn,
-                          bool multi) {
-  if (!multi || !scn) return h.name + ".json";
-  std::string tag = scn->name;
-  for (char& c : tag) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '-' || c == '_' ||
-                    c == '.';
-    if (!ok) c = '_';
-  }
-  return h.name + "." + tag + ".json";
-}
-
+/// suffixes the scenario's artifact tag ("<harness>.<tag>.json").
 std::vector<Unit> build_units(
     const std::vector<const HarnessInfo*>& selected,
     const std::vector<std::optional<scenario::ScenarioSpec>>& scns) {
@@ -958,7 +907,9 @@ std::vector<Unit> build_units(
   units.reserve(selected.size() * scns.size());
   for (const HarnessInfo* h : selected) {
     for (const auto& s : scns) {
-      units.push_back({h, &s, artifact_name(*h, s, multi)});
+      units.push_back({h, &s,
+                       multi && s ? h->name + "." + artifact_tag(*s) + ".json"
+                                  : h->name + ".json"});
     }
   }
   return units;
@@ -967,7 +918,9 @@ std::vector<Unit> build_units(
 /// Runs one unit's harness in enumeration mode; returns its cell plan
 /// (empty — and unprioritized — when the harness cannot enumerate).
 std::vector<CellPlan> enumerate_unit(const Unit& unit) {
-  RunContext ctx(unit.h->name, 1, "", *unit.scn, ContextMode::kEnumerate);
+  core::Executor inert(1);  // an enumeration pass computes nothing
+  RunContext ctx(unit.h->name, inert, "", *unit.scn,
+                 ContextMode::kEnumerate);
   try {
     (void)unit.h->run(ctx);
   } catch (const std::exception& e) {
@@ -993,19 +946,30 @@ int print_plan(const std::vector<Unit>& units) {
   return kExitOk;
 }
 
-/// Cell parallelism is incompatible with an armed fault plan: occurrence
+/// Parallelism is incompatible with an armed fault plan: occurrence
 /// counters (`@N`) fire in process-wide arrival order, which only replays
-/// deterministically when cells execute one at a time. Forcing the serial
-/// loop keeps every --fault-spec campaign bit-reproducible at any
-/// requested --cell-jobs.
-std::size_t force_serial_when_faults_armed(std::size_t cell_jobs) {
-  if (cell_jobs > 1 && fault::active_plan().armed()) {
+/// deterministically when cells execute one at a time. Forcing one worker
+/// keeps every --fault-spec campaign bit-reproducible at any requested
+/// --jobs.
+std::size_t force_serial_when_faults_armed(std::size_t width) {
+  if (width > 1 && fault::active_plan().armed()) {
     std::fprintf(stderr,
-                 "[omnivar] fault injection is armed; forcing --cell-jobs 1 "
+                 "[omnivar] fault injection is armed; forcing --jobs 1 "
                  "so @N occurrence counters replay deterministically\n");
     return 1;
   }
-  return cell_jobs;
+  return width;
+}
+
+/// The executor width: --jobs / OMNIVAR_JOBS, raised by the deprecated
+/// --cell-jobs / OMNIVAR_CELL_JOBS alias.
+std::size_t resolve_width(const Options& o) {
+  if (o.cell_jobs != 0 || std::getenv("OMNIVAR_CELL_JOBS") != nullptr) {
+    std::fprintf(stderr,
+                 "[omnivar] --cell-jobs / OMNIVAR_CELL_JOBS is deprecated; "
+                 "use --jobs (the width is the larger of the two)\n");
+  }
+  return effective_width(o);
 }
 
 /// Aggregates per-harness exit codes into the driver's exit code:
@@ -1026,91 +990,96 @@ int aggregate_rc(const std::vector<HarnessOutcome>& outcomes) {
   return any_failed ? kExitHarnessFailed : kExitOk;
 }
 
-}  // namespace
-
-int run_standalone(int argc, char** argv) {
-  const Options o = parse_options(argc, argv);
-  report_option_errors(o);
-  if (o.help) {
-    print_usage(argv[0], /*campaign=*/false);
-    return 0;
-  }
-  if (o.list_scenarios) {
-    print_scenarios();
-    return 0;
-  }
-  if (o.isa_report) {
-    print_isa_report();
-    return 0;
-  }
-  if (o.version) {
-    print_version();
-    return 0;
-  }
-  std::vector<std::optional<scenario::ScenarioSpec>> scns;
-  if (!resolve_scenario_list(o, scns)) return kExitUsage;
-  if (!resolve_fault_spec(o)) return kExitUsage;
-  std::size_t ckpt_every = 0;
-  std::string resume;
-  resolve_checkpoints(o, ckpt_every, resume);
-  const Supervision sup{
-      effective_retry_cells(o.retry_cells),
-      std::chrono::milliseconds(effective_cell_timeout_ms(o.cell_timeout_ms))};
-  const auto& all = Registry::instance().all();
-  if (all.size() != 1) {
-    std::fprintf(stderr,
-                 "[omnivar] standalone binary expects exactly one "
-                 "registered harness, found %zu\n",
-                 all.size());
-    return kExitUsage;
-  }
-  const HarnessInfo& h = all.front();
-  if (o.list) {
-    std::printf("%-16s %s\n", h.name.c_str(), h.description.c_str());
-    return 0;
-  }
-  if (!o.only.empty()) {
-    std::fprintf(stderr,
-                 "[omnivar] --only has no effect on a standalone binary "
-                 "(it always runs '%s'); use the omnivar driver to select "
-                 "harnesses\n",
-                 h.name.c_str());
-  }
-  const std::vector<const HarnessInfo*> selected{&h};
-  const std::vector<Unit> units = build_units(selected, scns);
-  if (o.plan) return print_plan(units);
-  if (effective_cell_jobs(o.cell_jobs) > 1) {
-    std::fprintf(stderr,
-                 "[omnivar] --cell-jobs applies to the omnivar campaign "
-                 "driver; a standalone binary runs its cells serially\n");
-  }
-  std::vector<HarnessOutcome> outcomes;
-  for (const Unit& unit : units) {
-    outcomes.push_back(run_one(*unit.h, effective_jobs(o.jobs), o.out_dir,
-                               *unit.scn, ckpt_every, resume, sup,
-                               unit.artifact));
-    if (outcomes.back().exit_code == kExitCheckpointStop) break;
-  }
-  const int rc = aggregate_rc(outcomes);
-  if (!o.out_dir.empty()) {
-    for (const auto& out : outcomes) report_outcome(out);
-    try {
-      write_campaign_json(o.out_dir, effective_jobs(o.jobs), 1, scns,
-                          outcomes);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "[omnivar] cannot write campaign.json: %s\n",
-                   e.what());
-      return rc != kExitOk ? rc : kExitHarnessFailed;
+/// Submission order of the units: registry x scenario order at one
+/// worker; otherwise longest enumerated cost first (ties keep registry
+/// order), so the longest units start before the pool fills up.
+std::vector<std::size_t> submission_order(const std::vector<Unit>& units,
+                                          std::size_t workers) {
+  std::vector<std::size_t> order(units.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  if (workers <= 1 || units.size() <= 1) return order;
+  std::vector<double> cost(units.size(), 0.0);
+  std::size_t cells = 0;
+  for (std::size_t u = 0; u < units.size(); ++u) {
+    for (const CellPlan& c : enumerate_unit(units[u])) {
+      cost[u] += c.cost;
+      ++cells;
     }
   }
-  return rc;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return cost[a] > cost[b];
+                   });
+  std::fprintf(stderr,
+               "[omnivar] executor: %zu cells across %zu units, %zu "
+               "workers\n",
+               cells, units.size(), workers);
+  return order;
 }
+
+/// Runs every unit as one executor task and replays each unit's captured
+/// stdout (and its stderr outcome line) in registry x scenario order as
+/// soon as it and every unit before it are done. Units that find the
+/// campaign stopped never start and leave no outcome. Returns the
+/// outcomes in registry x scenario order.
+std::vector<HarnessOutcome> run_units(const std::vector<Unit>& units,
+                                      const CampaignSettings& settings) {
+  std::mutex mutex;  // guards everything below that tasks share
+  std::vector<std::string> captures(units.size());
+  std::vector<std::optional<HarnessOutcome>> slots(units.size());
+  std::vector<bool> done(units.size(), false);
+  std::size_t replayed = 0;
+  std::size_t started = 0;
+  std::vector<HarnessOutcome> outcomes;
+  const auto finish = [&](std::size_t u) {
+    std::lock_guard lock(mutex);
+    done[u] = true;
+    for (; replayed < units.size() && done[replayed]; ++replayed) {
+      if (!slots[replayed]) continue;
+      const std::string& text = captures[replayed];
+      // omvlint: allow(atomic-writes) ordered stdout replay of captured unit output, not a file commit
+      std::fwrite(text.data(), 1, text.size(), stdout);
+      std::fflush(stdout);
+      report_outcome(*slots[replayed]);
+      outcomes.push_back(std::move(*slots[replayed]));
+      captures[replayed] = std::string();
+    }
+  };
+
+  core::TaskGroup group(*settings.executor, core::TaskKind::kUnit);
+  for (const std::size_t u : submission_order(units,
+                                              settings.executor->workers())) {
+    group.run([&, u] {
+      if (!settings.stop->load()) {
+        std::size_t n = 0;
+        {
+          std::lock_guard lock(mutex);
+          n = ++started;
+        }
+        const Unit& unit = units[u];
+        std::fprintf(stderr, "[omnivar] running %s (%zu of %zu)\n",
+                     unit_display(unit.h->name,
+                                  *unit.scn ? (*unit.scn)->name : "")
+                         .c_str(),
+                     n, units.size());
+        HarnessOutcome outcome = run_one(unit, settings, &captures[u]);
+        std::lock_guard lock(mutex);
+        slots[u] = std::move(outcome);
+      }
+      finish(u);
+    });
+  }
+  group.wait();
+  return outcomes;
+}
+
+}  // namespace
 
 int run_campaign(int argc, char** argv) {
   const Options o = parse_options(argc, argv);
   report_option_errors(o);
   if (o.help) {
-    print_usage(argv[0], /*campaign=*/true);
+    print_usage(argv[0]);
     return 0;
   }
   const auto& reg = Registry::instance();
@@ -1132,16 +1101,9 @@ int run_campaign(int argc, char** argv) {
     print_version();
     return 0;
   }
-  if (o.bench_campaign) return run_campaign_bench(o);
   std::vector<std::optional<scenario::ScenarioSpec>> scns;
   if (!resolve_scenario_list(o, scns)) return kExitUsage;
   if (!resolve_fault_spec(o)) return kExitUsage;
-  std::size_t ckpt_every = 0;
-  std::string resume;
-  resolve_checkpoints(o, ckpt_every, resume);
-  const Supervision sup{
-      effective_retry_cells(o.retry_cells),
-      std::chrono::milliseconds(effective_cell_timeout_ms(o.cell_timeout_ms))};
   const auto selected = reg.match(o.only);
   if (selected.empty()) {
     std::fprintf(stderr, "[omnivar] no harness matches");
@@ -1153,10 +1115,16 @@ int run_campaign(int argc, char** argv) {
   const std::vector<Unit> units = build_units(selected, scns);
   if (o.plan) return print_plan(units);
 
-  const std::size_t jobs = effective_jobs(o.jobs);
-  const std::size_t cell_jobs =
-      force_serial_when_faults_armed(effective_cell_jobs(o.cell_jobs));
-  std::vector<HarnessOutcome> outcomes;
+  core::Executor executor(force_serial_when_faults_armed(resolve_width(o)));
+  std::atomic<bool> stop{false};
+  CampaignSettings settings;
+  settings.executor = &executor;
+  settings.out_dir = o.out_dir;
+  resolve_checkpoints(o, settings.ckpt_every, settings.resume);
+  settings.sup = {effective_retry_cells(o.retry_cells),
+                  std::chrono::milliseconds(
+                      effective_cell_timeout_ms(o.cell_timeout_ms))};
+  settings.stop = &stop;
   report_isa();
   for (const auto& scn : scns) {
     if (scn) {
@@ -1166,67 +1134,11 @@ int run_campaign(int argc, char** argv) {
     }
   }
 
-  if (cell_jobs <= 1 || units.size() <= 1) {
-    // Serial loop: units execute one after another on this thread, stdout
-    // streaming directly — exactly the historical campaign execution.
-    for (const Unit& unit : units) {
-      std::fprintf(stderr, "[omnivar] running %s (%zu of %zu)\n",
-                   (*unit.scn ? unit.h->name + " @ " + (*unit.scn)->name
-                              : unit.h->name)
-                       .c_str(),
-                   outcomes.size() + 1, units.size());
-      outcomes.push_back(run_one(*unit.h, jobs, o.out_dir, *unit.scn,
-                                 ckpt_every, resume, sup, unit.artifact));
-      report_outcome(outcomes.back());
-      // A deliberate checkpoint stop ends the campaign immediately: later
-      // harnesses would burn the budget the stop was meant to save. A
-      // quarantined harness does NOT stop the campaign — that is the whole
-      // point of quarantine.
-      if (outcomes.back().exit_code == kExitCheckpointStop) break;
-    }
-  } else {
-    // Campaign cell scheduler: enumerate every unit's cells (cost hints),
-    // then run each unit on its own thread with its science stdout
-    // captured, cold cells draining through one shared pool longest-
-    // expected-unit-first. Buffers are replayed in unit (registry x
-    // scenario) order as units finish, so stdout is byte-identical to the
-    // serial loop above.
-    std::vector<double> unit_costs(units.size(), 0.0);
-    std::size_t n_cells = 0;
-    for (std::size_t u = 0; u < units.size(); ++u) {
-      const std::vector<CellPlan> plan = enumerate_unit(units[u]);
-      for (const CellPlan& c : plan) unit_costs[u] += c.cost;
-      n_cells += plan.size();
-    }
-    CellScheduler sched(cell_jobs, std::move(unit_costs));
-    std::fprintf(stderr,
-                 "[omnivar] cell scheduler: %zu cells across %zu units, "
-                 "%zu cell workers\n",
-                 n_cells, units.size(), sched.workers());
-    std::vector<std::string> captures(units.size());
-    std::vector<HarnessOutcome> slots(units.size());
-    std::vector<std::thread> threads;
-    threads.reserve(units.size());
-    for (std::size_t u = 0; u < units.size(); ++u) {
-      threads.emplace_back([&, u] {
-        slots[u] = run_one(*units[u].h, jobs, o.out_dir, *units[u].scn,
-                           ckpt_every, resume, sup, units[u].artifact,
-                           &captures[u], &sched, u);
-      });
-    }
-    for (std::size_t u = 0; u < units.size(); ++u) {
-      threads[u].join();
-      // omvlint: allow(atomic-writes) ordered stdout replay of captured cell output, not a file commit
-      std::fwrite(captures[u].data(), 1, captures[u].size(), stdout);
-      std::fflush(stdout);
-      report_outcome(slots[u]);
-      outcomes.push_back(std::move(slots[u]));
-    }
-  }
+  const std::vector<HarnessOutcome> outcomes = run_units(units, settings);
   int rc = aggregate_rc(outcomes);
   if (!o.out_dir.empty()) {
     try {
-      write_campaign_json(o.out_dir, jobs, cell_jobs, scns, outcomes);
+      write_campaign_json(o.out_dir, executor.workers(), scns, outcomes);
       std::fprintf(stderr, "[omnivar] campaign summary: %s/campaign.json\n",
                    o.out_dir.c_str());
     } catch (const std::exception& e) {

@@ -3,7 +3,8 @@
 // harness.
 //
 // A RunContext is handed to each harness's run function. It provides:
-//   * jobs() — the sharding knob (--jobs / OMNIVAR_JOBS);
+//   * executor() — the process's one worker pool (--jobs / OMNIVAR_JOBS),
+//     onto which protocol runs are sharded;
 //   * protocol() — cached protocol execution: each run_protocol invocation
 //     is keyed by a canonical spec fingerprint (harness, label, seed, runs,
 //     reps, warmup, benchmark config); its RunMatrix persists as
@@ -37,23 +38,21 @@
 // folded into every cell key (via harness::cell_key), so cached cells can
 // never be served across platforms.
 //
-// Campaign cell scheduling: at --cell-jobs N > 1 the driver runs every
-// (harness, scenario) unit on its own thread, each unit's science stdout
-// captured into a private buffer (set_output_capture) and replayed in
-// registry x scenario order once the unit finishes — stdout, artifacts and
-// cache contents are byte-identical to the serial loop at any concurrency.
-// Cold cells are routed through one shared CellPool (configure_scheduler):
-// warm cache loads proceed on the unit threads while cold compute drains
-// through the pool, longest-expected-unit first. An enumeration pass
+// Campaign scheduling: every (harness, scenario) unit is one task on the
+// executor, and the protocol runs of its cells are tasks on the same pool.
+// Each unit's science stdout is captured into a private buffer
+// (set_output_capture) and replayed in registry x scenario order once the
+// unit and all units before it finish — stdout, artifacts and cache
+// contents are byte-identical at every --jobs width. At --jobs > 1 units
+// are submitted longest enumerated cost first: an enumeration pass
 // (ContextMode::kEnumerate) discovers every cell's spec hash and cost
-// without computing: protocol() records the plan and returns a placeholder
-// matrix, and all output is discarded.
+// without computing — protocol() records the plan and returns a
+// placeholder matrix, and all output is discarded.
 
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -62,6 +61,7 @@
 
 #include "cli/exit_codes.hpp"
 #include "cli/supervisor.hpp"
+#include "core/executor.hpp"
 #include "core/experiment.hpp"
 #include "core/report.hpp"
 #include "core/run_matrix.hpp"
@@ -125,7 +125,7 @@ struct MetricRecord {
 
 /// One protocol cell declared during an enumeration pass: the exact spec
 /// hash a serial execution would compute under, plus a cost hint
-/// (runs x (warmup + reps)) driving longest-expected-first dispatch.
+/// (runs x (warmup + reps)) ordering units longest first at --jobs > 1.
 struct CellPlan {
   std::string label;
   std::string hash;
@@ -138,47 +138,21 @@ enum class ContextMode {
   kEnumerate,  ///< declare-only: record CellPlan, return a placeholder.
 };
 
-/// Campaign-wide cell scheduler: one pool of --cell-jobs workers shared by
-/// every (harness, scenario) unit. RunContext routes each cold cell's
-/// supervised compute-and-commit through run_cell(); the submitting unit
-/// thread blocks until its cell finishes (cells within a unit are data-
-/// dependent), so campaign concurrency comes from units overlapping.
-/// Priority is the unit's remaining enumerated work, so the units with the
-/// most compute left dispatch first and the makespan tail shrinks.
-class CellScheduler {
- public:
-  /// `unit_costs[u]` = total enumerated cost of unit u (0 when the unit's
-  /// enumeration failed — its cells then dispatch at priority 0).
-  CellScheduler(std::size_t cell_jobs, std::vector<double> unit_costs);
-
-  /// Runs `fn` (one cold cell of `unit`, enumerated cost `cost`) on a pool
-  /// worker and blocks until it finishes, rethrowing its exception. After
-  /// note_stop() this throws snap::CheckpointStop instead of dispatching —
-  /// in-flight cells drain, new ones never start.
-  void run_cell(std::size_t unit, double cost,
-                const std::function<void()>& fn);
-
-  /// Halts new cell dispatch (a checkpoint stop tripped in some unit).
-  void note_stop() noexcept { stopping_.store(true); }
-  [[nodiscard]] bool stopping() const noexcept { return stopping_.load(); }
-  [[nodiscard]] std::size_t workers() const noexcept;
-
- private:
-  struct Impl;
-  std::shared_ptr<Impl> impl_;
-  std::atomic<bool> stopping_{false};
-};
-
 class RunContext {
  public:
-  /// `out_dir` empty disables artifacts and caching (standalone default).
-  /// `scenario` engaged = run on that platform instead of the paper's
-  /// Dardel+Vera default (harnesses read it via scenario()).
-  RunContext(std::string harness, std::size_t jobs, std::string out_dir,
+  /// `executor` runs the harness's protocol runs and must outlive the
+  /// context. `out_dir` empty disables artifacts and caching. `scenario`
+  /// engaged = run on that platform instead of the paper's Dardel+Vera
+  /// default (harnesses read it via scenario()).
+  RunContext(std::string harness, core::Executor& executor,
+             std::string out_dir,
              std::optional<scenario::ScenarioSpec> scenario = std::nullopt,
              ContextMode mode = ContextMode::kExecute);
 
-  [[nodiscard]] std::size_t jobs() const noexcept { return jobs_; }
+  /// The worker pool protocol runs are sharded onto.
+  [[nodiscard]] core::Executor& executor() const noexcept {
+    return executor_;
+  }
 
   /// True on an enumeration pass: protocol() records cells without
   /// computing and every print is discarded. Harnesses whose cells are
@@ -201,15 +175,15 @@ class RunContext {
     capture_ = buffer;
   }
 
-  /// Routes this context's cold cells through the campaign-wide scheduler
-  /// as unit `unit`; null (the default) computes inline on this thread.
-  void configure_scheduler(CellScheduler* sched, std::size_t unit) noexcept {
-    sched_ = sched;
-    unit_ = unit;
+  /// Halts this context's cold cells once `*stop` is set (a checkpoint
+  /// stop tripped elsewhere in the campaign): a cell that has not started
+  /// throws snap::CheckpointStop instead. Null (the default) never halts.
+  void set_stop_flag(const std::atomic<bool>* stop) noexcept {
+    stop_ = stop;
   }
 
   /// printf into the harness's science stdout stream: direct stdout by
-  /// default, the capture buffer under the campaign scheduler, discarded
+  /// default, the capture buffer under the campaign driver, discarded
   /// while enumerating. All harness report output must go through the
   /// context (print/series/table/verdict) so replay keeps byte order.
 #if defined(__GNUC__) || defined(__clang__)
@@ -319,14 +293,13 @@ class RunContext {
   void emit(std::string_view text);
 
   std::string harness_;
-  std::size_t jobs_ = 1;
+  core::Executor& executor_;
   std::string out_dir_;
   std::optional<scenario::ScenarioSpec> scenario_;
   ContextMode mode_ = ContextMode::kExecute;
   std::vector<CellPlan> plan_;      ///< enumeration-pass cell declarations.
   std::string* capture_ = nullptr;  ///< science-stdout sink; null = stdout.
-  CellScheduler* sched_ = nullptr;  ///< campaign cell pool; null = inline.
-  std::size_t unit_ = 0;            ///< this context's scheduler unit id.
+  const std::atomic<bool>* stop_ = nullptr;  ///< campaign halt flag.
   std::size_t ckpt_every_ = 0;   ///< configure_checkpoints cadence.
   std::string resume_sel_;       ///< "auto", a snapshot path, or "".
   snap::CheckpointPolicy ckpt_policy_;  ///< policy of the computing cell.
@@ -345,11 +318,6 @@ class RunContext {
 
 /// Creates `dir` (and parents). Throws std::runtime_error on failure.
 void ensure_dir(const std::string& dir);
-
-/// main() body for a standalone harness binary: parses the shared flags
-/// and runs the binary's single registered harness (writing its artifact
-/// when --out is given).
-[[nodiscard]] int run_standalone(int argc, char** argv);
 
 /// main() body for the omnivar driver: --list / --only / --jobs / --out
 /// over every registered harness; writes per-harness artifacts plus

@@ -7,9 +7,9 @@
 //   omnivar --only 'fig*' --jobs 0 --out campaign/
 //   omnivar --only fig3 --out campaign/     # re-run: served from cache
 //
-// Harness reports go to stdout (byte-identical to the standalone
-// binaries); driver progress and cache statistics go to stderr; JSON
-// artifacts and the spec-hash result cache land under --out.
+// Harness reports go to stdout in registry order at every --jobs width;
+// driver progress and cache statistics go to stderr; JSON artifacts and
+// the spec-hash result cache land under --out.
 
 #include "cli/campaign.hpp"
 

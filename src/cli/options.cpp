@@ -1,5 +1,6 @@
 #include "cli/options.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -7,7 +8,7 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "core/parallel_runner.hpp"
+#include "core/executor.hpp"
 
 namespace omv::cli {
 
@@ -27,7 +28,7 @@ bool parse_uint(const char* text, std::size_t& out) {
 bool parse_job_count(const char* text, std::size_t& out) {
   std::size_t v = 0;
   if (!parse_uint(text, v)) return false;
-  out = resolve_jobs(v);
+  out = core::resolve_jobs(v);
   return true;
 }
 
@@ -77,10 +78,6 @@ Options parse_options(int argc, char** argv) {
     }
     if (std::strcmp(arg, "--plan") == 0) {
       o.plan = true;
-      continue;
-    }
-    if (std::strcmp(arg, "--bench-campaign") == 0) {
-      o.bench_campaign = true;
       continue;
     }
     if (const char* v = flag_value("--only", argc, argv, i, o.errors)) {
@@ -239,14 +236,17 @@ std::size_t effective_cell_jobs(std::size_t cli_cell_jobs) {
     static bool warned = [&] {
       std::fprintf(stderr,
                    "omnivar: ignoring malformed OMNIVAR_CELL_JOBS='%s' "
-                   "(expected a non-negative integer); running cells "
-                   "serially\n",
+                   "(expected a non-negative integer)\n",
                    j);
       return true;
     }();
     (void)warned;
   }
   return 1;
+}
+
+std::size_t effective_width(const Options& o) {
+  return std::max(effective_jobs(o.jobs), effective_cell_jobs(o.cell_jobs));
 }
 
 std::size_t effective_checkpoint_every(std::size_t cli_every) {

@@ -1,15 +1,15 @@
 #pragma once
-// Shared command-line / environment handling for the campaign driver and
-// the standalone harness binaries.
+// Command-line / environment handling for the omnivar campaign driver.
 //
-// Every binary accepts the same flags:
+// Flags:
 //   --list            list registered harnesses and exit
 //   --scenarios       list the scenario catalog and exit
 //   --isa-report      list the batched-kernel ISA levels this host can
 //                     dispatch to (one per line, best last) and exit
-//   --only <glob>     select harnesses by name glob (repeatable; omnivar)
-//   --jobs[=]N        shard each protocol's runs over N workers (0 = one
-//                     per hardware thread); falls back to OMNIVAR_JOBS
+//   --only <glob>     select harnesses by name glob (repeatable)
+//   --jobs[=]N        the executor width: campaign units and protocol runs
+//                     share N workers (0 = one per hardware thread); falls
+//                     back to OMNIVAR_JOBS, else 1 — serial
 //   --scenario[=]S    run on scenario S: a catalog name or a scenario-file
 //                     path; repeatable — the omnivar driver fans the
 //                     selected harnesses out over every listed scenario in
@@ -20,16 +20,11 @@
 //                     append the scenario selectors listed in FILE (one
 //                     per line; '#' comments and blank lines skipped) to
 //                     the --scenario list
-//   --cell-jobs[=]N   run up to N protocol cells concurrently across all
-//                     selected harnesses and scenarios (0 = one per
-//                     hardware thread); falls back to OMNIVAR_CELL_JOBS,
-//                     else 1 — the serial harness-by-harness loop
+//   --cell-jobs[=]N   deprecated alias of --jobs (OMNIVAR_CELL_JOBS): the
+//                     width is the larger of the two
 //   --plan            enumerate every protocol cell the selection would
 //                     run (harness, scenario, label, spec hash, cost) and
 //                     exit without computing anything
-//   --bench-campaign  time a fixed multi-harness multi-scenario campaign
-//                     serial vs scheduled vs warm and write
-//                     BENCH_campaign.json (omnivar driver only)
 //   --out[=]DIR       campaign directory: JSON artifacts + result cache
 //   --checkpoint-every[=]N
 //                     checkpoint each protocol cell every N timed reps to
@@ -71,7 +66,7 @@ namespace omv::cli {
 /// Strictly parses a job count ("0" = hardware concurrency).
 [[nodiscard]] bool parse_job_count(const char* text, std::size_t& out);
 
-/// Parsed options shared by omnivar and the standalone binaries.
+/// Parsed omnivar options.
 struct Options {
   bool list = false;
   bool list_scenarios = false;  ///< --scenarios catalog listing.
@@ -79,10 +74,9 @@ struct Options {
   bool version = false;         ///< --version identity report.
   bool help = false;
   bool plan = false;              ///< --plan cell enumeration listing.
-  bool bench_campaign = false;    ///< --bench-campaign scheduler benchmark.
   std::vector<std::string> only;  ///< --only name globs (empty = all).
   std::size_t jobs = 0;           ///< resolved worker count; 0 = unset.
-  std::size_t cell_jobs = 0;      ///< resolved cell concurrency; 0 = unset.
+  std::size_t cell_jobs = 0;      ///< deprecated --cell-jobs; 0 = unset.
   std::vector<std::string> scenarios;  ///< --scenario selectors, in order.
   std::string scenario_set;       ///< --scenario-set file; empty = none.
   std::string out_dir;            ///< --out campaign dir; empty = none.
@@ -117,11 +111,14 @@ struct Options {
 /// default scenario).
 [[nodiscard]] std::vector<std::string> effective_scenarios(const Options& o);
 
-/// Effective cell concurrency: `cli_cell_jobs` when set (non-zero), else
-/// OMNIVAR_CELL_JOBS (0 there = hardware concurrency; malformed values
-/// reported once to stderr and ignored), else 1 — the serial
-/// harness-by-harness campaign loop.
+/// The deprecated --cell-jobs alias: `cli_cell_jobs` when set (non-zero),
+/// else OMNIVAR_CELL_JOBS (0 there = hardware concurrency; malformed
+/// values reported once to stderr and ignored), else 1.
 [[nodiscard]] std::size_t effective_cell_jobs(std::size_t cli_cell_jobs);
+
+/// The executor width: the larger of effective_jobs(o.jobs) and the
+/// deprecated alias effective_cell_jobs(o.cell_jobs).
+[[nodiscard]] std::size_t effective_width(const Options& o);
 
 /// Effective checkpoint cadence: `cli_every` when set (non-zero), else the
 /// OMNIVAR_CHECKPOINT_EVERY environment variable (malformed values are

@@ -3,11 +3,9 @@
 //
 // Every bench/bench_*.cpp defines one harness: a run function plus a static
 // Registration object that files it here under a short name ("fig3",
-// "table2", ...). The same translation unit serves two link targets:
-//   * its standalone binary (bench_fig3_...) — src/cli/standalone_main.cpp
-//     runs the single registered harness;
-//   * the omnivar driver — src/cli/omnivar_main.cpp links all harnesses and
-//     runs the selected subset as one resumable campaign.
+// "table2", ...). The omnivar driver (src/cli/omnivar_main.cpp) links all
+// harnesses and runs the selected subset as one resumable campaign;
+// `omnivar --only fig3` runs one.
 
 #include <functional>
 #include <string>

@@ -12,8 +12,9 @@
 // handling").
 //
 // Deadlines are task-scoped, not process-wide: each thread observes one
-// active slot (thread-local pointer), and worker threads spawned on behalf
-// of a cell adopt the spawning thread's slot. The campaign cell scheduler
+// active slot (thread-local pointer). Every executor task carries the slot
+// its submitter observed, and the executor installs it around the task
+// (core/executor.hpp) — the one caller of adopt_cell_deadline. A campaign
 // runs many cells concurrently in one process, so a process-wide slot
 // would let cell A's --cell-timeout trip or disarm cell B's — with the
 // per-task slot each concurrent cell carries its own budget.
@@ -39,8 +40,8 @@ struct CellDeadline {
 };
 
 /// The slot this thread currently observes (null = no deadline scope).
-/// Worker pools capture this on the submitting thread and adopt it on
-/// their workers so shard threads poll the owning cell's budget.
+/// The executor captures it with every submitted task and adopts it on
+/// whichever thread runs the task, so runs poll their own cell's budget.
 [[nodiscard]] CellDeadline* current_cell_deadline() noexcept;
 
 /// Installs `slot` as this thread's active deadline (null detaches);

@@ -1,6 +1,7 @@
 #include "core/experiment.hpp"
 
 #include "core/deadline.hpp"
+#include "core/executor.hpp"
 #include "core/rng.hpp"
 
 namespace omv {
@@ -17,9 +18,9 @@ std::vector<double> execute_run(const ExperimentSpec& spec,
   ctx.run_seed = run_seed;
 
   // Cooperative cell-timeout poll at repetition granularity: whichever
-  // worker thread runs this repetition observes the process-wide deadline
-  // and throws CellTimeout — cancellation without signals, at the cost of
-  // one repetition of latency.
+  // thread runs this repetition observes its cell's deadline (the executor
+  // installs it around every task) and throws CellTimeout — cancellation
+  // without signals, at the cost of one repetition of latency.
   for (std::size_t w = 0; w < spec.warmup; ++w) {
     core::check_cell_deadline();
     ctx.rep = w;
@@ -47,6 +48,25 @@ RunMatrix run_experiment(const ExperimentSpec& spec, const RepKernel& kernel,
     matrix.add_run(execute_run(spec, kernel, r, run_seed));
     if (hooks.after_run) hooks.after_run(r);
   }
+  return matrix;
+}
+
+RunMatrix run_experiment_parallel(const ExperimentSpec& spec,
+                                  const RunKernelFactory& make_kernel,
+                                  core::Executor& executor) {
+  // Each task writes only its own pre-sized row, so assembly in protocol
+  // order needs no synchronization beyond the group's wait.
+  std::vector<std::vector<double>> rows(spec.runs);
+  core::TaskGroup runs(executor, core::TaskKind::kRun);
+  for (std::size_t r = 0; r < spec.runs; ++r) {
+    runs.run([&, r] {
+      const RunSlot slot{r, derive_run_seed(spec.seed, r)};
+      rows[r] = execute_run(spec, make_kernel(slot), r, slot.run_seed);
+    });
+  }
+  runs.wait();
+  RunMatrix matrix(spec.name);
+  for (auto& row : rows) matrix.add_run(std::move(row));
   return matrix;
 }
 

@@ -7,6 +7,12 @@
 // arbitrary callable returning the measured time of one repetition (the EPCC
 // benchmarks measure internally; wall-clock helpers are provided for ad-hoc
 // kernels).
+//
+// Every run derives its entire state from derive_run_seed(spec.seed, run),
+// so the runs of one configuration are independent: run_experiment_parallel
+// shards them onto the process's executor (core/executor.hpp), one task per
+// run, and reassembles the rows in protocol order — bit-identical to the
+// serial run_experiment loop for deterministic kernels, at any width.
 
 #include <chrono>
 #include <cstdint>
@@ -51,12 +57,35 @@ struct RunHooks {
 
 /// Executes the warmup + timed repetitions of run `run` and returns its
 /// repetition times. This is the single arithmetic shared by the serial
-/// run_experiment loop and the ParallelRunner shards, which is what makes
-/// parallel results bit-identical to serial ones.
+/// run_experiment loop and the sharded runs of run_experiment_parallel,
+/// which is what makes parallel results bit-identical to serial ones.
 [[nodiscard]] std::vector<double> execute_run(const ExperimentSpec& spec,
                                               const RepKernel& kernel,
                                               std::size_t run,
                                               std::uint64_t run_seed);
+
+namespace core {
+class Executor;
+}
+
+/// Identifies one run of a protocol.
+struct RunSlot {
+  std::size_t run = 0;         ///< run index within the spec.
+  std::uint64_t run_seed = 0;  ///< derive_run_seed(spec.seed, run).
+};
+
+/// Builds the kernel executing every repetition (warmup + timed) of one
+/// run. Invoked once per run, possibly concurrently with other runs, so
+/// each run gets a private kernel that may own mutable state (simulators,
+/// thread teams) without synchronization. RunHooks have no sharded form:
+/// their sequential shared-state semantics is what the factory replaces.
+using RunKernelFactory = std::function<RepKernel(const RunSlot&)>;
+
+/// run_experiment with one `executor` task per run. The first exception a
+/// factory or kernel throws is rethrown once the started runs finish.
+[[nodiscard]] RunMatrix run_experiment_parallel(
+    const ExperimentSpec& spec, const RunKernelFactory& make_kernel,
+    core::Executor& executor);
 
 /// Wall-clock helper: runs `fn` once and returns elapsed seconds.
 template <typename F>

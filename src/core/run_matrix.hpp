@@ -34,9 +34,9 @@ class RunMatrix {
 
   /// Appends every run of `other` after this matrix's runs. Public merge
   /// surface for external harnesses that split one configuration's runs
-  /// across pools or processes; the in-process ParallelRunner does not
-  /// need it (workers write into pre-sized row slots instead). The label
-  /// of `other` is ignored.
+  /// across pools or processes; run_experiment_parallel does not need it
+  /// (its tasks write into pre-sized row slots instead). The label of
+  /// `other` is ignored.
   void append_runs(const RunMatrix& other);
 
   /// Number of runs recorded.

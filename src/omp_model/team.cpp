@@ -237,9 +237,4 @@ void SimTeam::restore(snap::SnapshotReader& r) {
   }
 }
 
-void SimTeam::fork_streams(std::uint64_t salt) {
-  sim_.fork_streams(salt);
-  placement_model_.fork_streams(salt);
-}
-
 }  // namespace omv::ompsim

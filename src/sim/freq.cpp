@@ -347,11 +347,6 @@ void FreqModel::elapsed_for_work_batch(std::span<const std::size_t> core,
   }
 }
 
-void FreqModel::fork_streams(std::uint64_t salt) {
-  episode_rng_ = episode_rng_.fork(salt);
-  jitter_rng_ = jitter_rng_.fork(salt);
-}
-
 void FreqModel::after_restore(snap::Restore& v) {
   auto& r = v.reader();
   if (index_.size() != machine_.n_numa() ||

@@ -349,13 +349,6 @@ void NoiseModel::preemption_delay_batch(std::span<const std::size_t> h,
   }
 }
 
-void NoiseModel::fork_streams(std::uint64_t salt) {
-  daemon_rng_ = daemon_rng_.fork(salt);
-  kworker_rng_ = kworker_rng_.fork(salt);
-  irq_rng_ = irq_rng_.fork(salt);
-  placement_rng_ = placement_rng_.fork(salt);
-}
-
 void NoiseModel::after_restore(snap::Restore& v) {
   auto& r = v.reader();
   if (times_.size() != machine_.n_threads() ||

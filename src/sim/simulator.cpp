@@ -202,10 +202,4 @@ void Simulator::restore(snap::SnapshotReader& r) {
   v.object("sim", *this);
 }
 
-void Simulator::fork_streams(std::uint64_t salt) {
-  misc_rng_ = misc_rng_.fork(salt);
-  noise_->fork_streams(salt);
-  freq_->fork_streams(salt);
-}
-
 }  // namespace omv::sim

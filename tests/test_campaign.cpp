@@ -21,6 +21,12 @@
 namespace omv::cli {
 namespace {
 
+/// The one-worker executor every context here runs on.
+core::Executor& serial() {
+  static core::Executor executor(1);
+  return executor;
+}
+
 // ---------------------------------------------------------------- options
 
 std::vector<char*> argv_of(std::vector<std::string>& args) {
@@ -201,13 +207,13 @@ TEST_F(CampaignCacheTest, SecondInvocationIsServedFromCache) {
   SpecKey key;
   key.add("bench", "fake");
 
-  RunContext ctx1("testh", 1, dir_);
+  RunContext ctx1("testh", serial(), dir_);
   const auto m1 = ctx1.protocol("cell", small_spec(), key, compute);
   EXPECT_EQ(computes, 1);
   EXPECT_EQ(ctx1.cache_misses(), 1u);
   EXPECT_EQ(ctx1.cache_hits(), 0u);
 
-  RunContext ctx2("testh", 1, dir_);
+  RunContext ctx2("testh", serial(), dir_);
   const auto m2 = ctx2.protocol("cell", small_spec(), key, compute);
   EXPECT_EQ(computes, 1);  // not recomputed
   EXPECT_EQ(ctx2.cache_hits(), 1u);
@@ -228,23 +234,23 @@ TEST_F(CampaignCacheTest, DifferentKeyOrHarnessOrSpecMisses) {
   SpecKey key;
   key.add("bench", "fake");
   {
-    RunContext ctx("testh", 1, dir_);
+    RunContext ctx("testh", serial(), dir_);
     (void)ctx.protocol("cell", small_spec(), key, compute);
   }
   {
     SpecKey other;
     other.add("bench", "other");  // different config
-    RunContext ctx("testh", 1, dir_);
+    RunContext ctx("testh", serial(), dir_);
     (void)ctx.protocol("cell", small_spec(), other, compute);
   }
   {
-    RunContext ctx("otherh", 1, dir_);  // different harness
+    RunContext ctx("otherh", serial(), dir_);  // different harness
     (void)ctx.protocol("cell", small_spec(), key, compute);
   }
   {
     auto spec = small_spec();
     spec.seed = 12;  // different seed
-    RunContext ctx("testh", 1, dir_);
+    RunContext ctx("testh", serial(), dir_);
     (void)ctx.protocol("cell", spec, key, compute);
   }
   EXPECT_EQ(computes, 4);
@@ -258,7 +264,7 @@ TEST_F(CampaignCacheTest, CorruptCsvOrKeyMismatchRecomputes) {
   };
   SpecKey key;
   key.add("bench", "fake");
-  RunContext ctx1("testh", 1, dir_);
+  RunContext ctx1("testh", serial(), dir_);
   (void)ctx1.protocol("cell", small_spec(), key, compute);
   ASSERT_EQ(computes, 1);
 
@@ -270,13 +276,13 @@ TEST_F(CampaignCacheTest, CorruptCsvOrKeyMismatchRecomputes) {
       f << "run,rep,time\n0,0,1.0,garbage\n";
     }
   }
-  RunContext ctx2("testh", 1, dir_);
+  RunContext ctx2("testh", serial(), dir_);
   (void)ctx2.protocol("cell", small_spec(), key, compute);
   EXPECT_EQ(computes, 2);
   EXPECT_EQ(ctx2.cache_hits(), 0u);
 
   // Healthy again after the recompute rewrote it.
-  RunContext ctx3("testh", 1, dir_);
+  RunContext ctx3("testh", serial(), dir_);
   (void)ctx3.protocol("cell", small_spec(), key, compute);
   EXPECT_EQ(computes, 2);
 
@@ -287,7 +293,7 @@ TEST_F(CampaignCacheTest, CorruptCsvOrKeyMismatchRecomputes) {
       f << "not-the-canonical-key";
     }
   }
-  RunContext ctx4("testh", 1, dir_);
+  RunContext ctx4("testh", serial(), dir_);
   (void)ctx4.protocol("cell", small_spec(), key, compute);
   EXPECT_EQ(computes, 3);
 }
@@ -300,7 +306,7 @@ TEST_F(CampaignCacheTest, TruncatedButParseableCacheCsvRecomputes) {
   };
   SpecKey key;
   key.add("bench", "fake");
-  RunContext ctx1("testh", 1, dir_);
+  RunContext ctx1("testh", serial(), dir_);
   (void)ctx1.protocol("cell", small_spec(), key, compute);
   ASSERT_EQ(computes, 1);
 
@@ -313,7 +319,7 @@ TEST_F(CampaignCacheTest, TruncatedButParseableCacheCsvRecomputes) {
       f << "run,rep,time\n# runs=2\n0,0,1.0\n0,1,2.0\n0,2,3.0\n1,0,4.0\n";
     }
   }
-  RunContext ctx2("testh", 1, dir_);
+  RunContext ctx2("testh", serial(), dir_);
   (void)ctx2.protocol("cell", small_spec(), key, compute);
   EXPECT_EQ(computes, 2);
   EXPECT_EQ(ctx2.cache_hits(), 0u);
@@ -322,11 +328,11 @@ TEST_F(CampaignCacheTest, TruncatedButParseableCacheCsvRecomputes) {
 TEST_F(CampaignCacheTest, ColdAndWarmMatricesHaveTheSameLabel) {
   SpecKey key;
   key.add("bench", "fake");
-  RunContext ctx1("testh", 1, dir_);
+  RunContext ctx1("testh", serial(), dir_);
   const auto cold =
       ctx1.protocol("cell", small_spec(), key, [] { return make_matrix(); });
   EXPECT_EQ(cold.label(), "cell");  // not make_matrix's internal label
-  RunContext ctx2("testh", 1, dir_);
+  RunContext ctx2("testh", serial(), dir_);
   const auto warm =
       ctx2.protocol("cell", small_spec(), key, [] { return make_matrix(); });
   EXPECT_EQ(warm.label(), cold.label());
@@ -349,17 +355,17 @@ TEST_F(CampaignCacheTest, SidecarVetoForcesRecompute) {
     std::ifstream f(stem + ".extra");
     return sidecar_ok && f.good();
   };
-  RunContext ctx1("testh", 1, dir_);
+  RunContext ctx1("testh", serial(), dir_);
   (void)ctx1.protocol("cell", small_spec(), key, compute, save, load);
   EXPECT_EQ(computes, 1);
 
   // load_extra returning false vetoes the hit.
-  RunContext ctx2("testh", 1, dir_);
+  RunContext ctx2("testh", serial(), dir_);
   (void)ctx2.protocol("cell", small_spec(), key, compute, save, load);
   EXPECT_EQ(computes, 2);
 
   sidecar_ok = true;
-  RunContext ctx3("testh", 1, dir_);
+  RunContext ctx3("testh", serial(), dir_);
   (void)ctx3.protocol("cell", small_spec(), key, compute, save, load);
   EXPECT_EQ(computes, 2);  // sidecar accepted: cache hit
   EXPECT_EQ(ctx3.cache_hits(), 1u);
@@ -373,7 +379,7 @@ TEST_F(CampaignCacheTest, NoOutDirDisablesCaching) {
   };
   SpecKey key;
   key.add("bench", "fake");
-  RunContext ctx("testh", 1, "");
+  RunContext ctx("testh", serial(), "");
   (void)ctx.protocol("cell", small_spec(), key, compute);
   (void)ctx.protocol("cell", small_spec(), key, compute);
   EXPECT_EQ(computes, 2);
@@ -397,11 +403,11 @@ TEST_F(CampaignCacheTest, ArtifactJsonIsDeterministicAndComplete) {
     ctx.metric("speed", 2.5);
     ctx.verdict(true, "shape holds");
   };
-  RunContext ctx1("testh", 1, dir_);
+  RunContext ctx1("testh", serial(), dir_);
   build(ctx1);
   const auto a1 = ctx1.artifact_json("desc");
 
-  RunContext ctx2("testh", 1, dir_);  // second pass: cells from cache
+  RunContext ctx2("testh", serial(), dir_);  // second pass: cells from cache
   build(ctx2);
   const auto a2 = ctx2.artifact_json("desc");
   EXPECT_EQ(a1, a2);  // byte-stable across cached re-runs
@@ -427,7 +433,7 @@ TEST_F(CampaignCacheTest, PreStampCacheKeyIsRejected) {
   };
   SpecKey key;
   key.add("bench", "fake");
-  RunContext ctx1("testh", 1, dir_);
+  RunContext ctx1("testh", serial(), dir_);
   (void)ctx1.protocol("cell", small_spec(), key, compute);
   ASSERT_EQ(computes, 1);
 
@@ -456,7 +462,7 @@ TEST_F(CampaignCacheTest, PreStampCacheKeyIsRejected) {
       f << full.canonical();
     }
   }
-  RunContext ctx2("testh", 1, dir_);
+  RunContext ctx2("testh", serial(), dir_);
   (void)ctx2.protocol("cell", small_spec(), key, compute);
   EXPECT_EQ(computes, 2);
   EXPECT_EQ(ctx2.cache_hits(), 0u);
@@ -469,7 +475,7 @@ TEST_F(CampaignCacheTest, PreStampCacheKeyIsRejected) {
       f << "omnivar-cache-v1\n" << full.canonical();
     }
   }
-  RunContext ctx3("testh", 1, dir_);
+  RunContext ctx3("testh", serial(), dir_);
   (void)ctx3.protocol("cell", small_spec(), key, compute);
   EXPECT_EQ(computes, 3);
 }
@@ -485,12 +491,12 @@ TEST_F(CampaignCacheTest, EngineVersionStampInvalidatesPreBumpCaches) {
   ::unsetenv("OMNIVAR_ENGINE_VERSION");
   EXPECT_EQ(engine_version(), kEngineVersion);
 
-  RunContext ctx1("testh", 1, dir_);
+  RunContext ctx1("testh", serial(), dir_);
   (void)ctx1.protocol("cell", small_spec(), key, compute);
   ASSERT_EQ(computes, 1);
 
   // Same engine generation: served from cache.
-  RunContext ctx2("testh", 1, dir_);
+  RunContext ctx2("testh", serial(), dir_);
   (void)ctx2.protocol("cell", small_spec(), key, compute);
   EXPECT_EQ(computes, 1);
   EXPECT_EQ(ctx2.cache_hits(), 1u);
@@ -500,18 +506,18 @@ TEST_F(CampaignCacheTest, EngineVersionStampInvalidatesPreBumpCaches) {
   // hashes apart, so the pre-bump dir degrades to a recompute wholesale.
   ::setenv("OMNIVAR_ENGINE_VERSION", "test-engine-next", 1);
   EXPECT_EQ(engine_version(), "test-engine-next");
-  RunContext ctx3("testh", 1, dir_);
+  RunContext ctx3("testh", serial(), dir_);
   (void)ctx3.protocol("cell", small_spec(), key, compute);
   EXPECT_EQ(computes, 2);
   EXPECT_EQ(ctx3.cache_hits(), 0u);
 
   // Each generation's entries stay valid under that generation.
-  RunContext ctx4("testh", 1, dir_);
+  RunContext ctx4("testh", serial(), dir_);
   (void)ctx4.protocol("cell", small_spec(), key, compute);
   EXPECT_EQ(computes, 2);
   EXPECT_EQ(ctx4.cache_hits(), 1u);
   ::unsetenv("OMNIVAR_ENGINE_VERSION");
-  RunContext ctx5("testh", 1, dir_);
+  RunContext ctx5("testh", serial(), dir_);
   (void)ctx5.protocol("cell", small_spec(), key, compute);
   EXPECT_EQ(computes, 2);
   EXPECT_EQ(ctx5.cache_hits(), 1u);
@@ -519,7 +525,7 @@ TEST_F(CampaignCacheTest, EngineVersionStampInvalidatesPreBumpCaches) {
 
 TEST_F(CampaignCacheTest, AsymmetricScenarioArtifactCarriesGroupBlock) {
   const auto scn = scenario::ScenarioRegistry::instance().get("biglittle");
-  RunContext ctx("testh", 1, "", scn);
+  RunContext ctx("testh", serial(), "", scn);
   const auto a = ctx.artifact_json("desc");
   EXPECT_NE(a.find("\"name\": \"biglittle\""), std::string::npos);
   EXPECT_NE(a.find("\"groups\""), std::string::npos);
@@ -533,7 +539,7 @@ TEST_F(CampaignCacheTest, AsymmetricScenarioArtifactCarriesGroupBlock) {
 
 TEST_F(CampaignCacheTest, ScenarioRidesOnContextAndArtifact) {
   const auto scn = scenario::ScenarioRegistry::instance().get("epyc-like");
-  RunContext ctx("testh", 1, "", scn);
+  RunContext ctx("testh", serial(), "", scn);
   ASSERT_NE(ctx.scenario(), nullptr);
   EXPECT_EQ(ctx.scenario()->name, "epyc-like");
   ctx.note_platform("EpycLike", scn.fingerprint());
@@ -551,7 +557,7 @@ TEST_F(CampaignCacheTest, ScenarioRidesOnContextAndArtifact) {
 }
 
 TEST_F(CampaignCacheTest, VerdictTracksFailures) {
-  RunContext ctx("testh", 1, "");
+  RunContext ctx("testh", serial(), "");
   ctx.verdict(true, "good");
   EXPECT_TRUE(ctx.all_ok());
   ctx.verdict(false, "bad");
@@ -576,7 +582,7 @@ class CampaignFaultTest : public CampaignCacheTest {
 TEST_F(CampaignFaultTest, ThrowingCellIsQuarantinedWithFailureRecord) {
   SpecKey key;
   key.add("bench", "fake");
-  RunContext ctx("testh", 1, dir_);
+  RunContext ctx("testh", serial(), dir_);
   ctx.configure_supervision(0, std::chrono::milliseconds(0));
   try {
     (void)ctx.protocol("cell", small_spec(), key, []() -> RunMatrix {
@@ -610,14 +616,14 @@ TEST_F(CampaignFaultTest, TornCacheWriteIsRetriedToACleanCommit) {
     ++computes;
     return make_matrix();
   };
-  RunContext ctx("testh", 1, dir_);
+  RunContext ctx("testh", serial(), dir_);
   ctx.configure_supervision(1, std::chrono::milliseconds(0));
   const auto m = ctx.protocol("cell", small_spec(), key, compute);
   EXPECT_EQ(computes, 2);  // attempt 1 tore, attempt 2 committed
   EXPECT_EQ(m.runs(), 2u);
   EXPECT_TRUE(ctx.failures().empty());
 
-  RunContext ctx2("testh", 1, dir_);
+  RunContext ctx2("testh", serial(), dir_);
   (void)ctx2.protocol("cell", small_spec(), key, compute);
   EXPECT_EQ(computes, 2);
   EXPECT_EQ(ctx2.cache_hits(), 1u);
@@ -636,7 +642,7 @@ TEST_F(CampaignFaultTest, TornKeyWriteDegradesToAPlainMissNextRun) {
     return make_matrix();
   };
   {
-    RunContext ctx("testh", 1, dir_);
+    RunContext ctx("testh", serial(), dir_);
     ctx.configure_supervision(0, std::chrono::milliseconds(0));
     EXPECT_THROW((void)ctx.protocol("cell", small_spec(), key, compute),
                  CellQuarantined);
@@ -644,7 +650,7 @@ TEST_F(CampaignFaultTest, TornKeyWriteDegradesToAPlainMissNextRun) {
     EXPECT_EQ(ctx.failures()[0].taxonomy, "io");
   }
   fault::clear_active_plan();
-  RunContext ctx2("testh", 1, dir_);
+  RunContext ctx2("testh", serial(), dir_);
   (void)ctx2.protocol("cell", small_spec(), key, compute);
   EXPECT_EQ(computes, 2);  // torn marker = miss, recomputed
   EXPECT_EQ(ctx2.cache_hits(), 0u);
@@ -659,7 +665,7 @@ TEST_F(CampaignFaultTest, InvalidatedEntryDropsItsSnapSidecar) {
     return make_matrix();
   };
   {
-    RunContext ctx("testh", 1, dir_);
+    RunContext ctx("testh", serial(), dir_);
     (void)ctx.protocol("cell", small_spec(), key, compute);
   }
   // Corrupt the committed CSV and plant a .snap sidecar next to it (a
@@ -679,7 +685,7 @@ TEST_F(CampaignFaultTest, InvalidatedEntryDropsItsSnapSidecar) {
     std::ofstream s(snap_path, std::ios::binary);
     s << "stale checkpoint bytes";
   }
-  RunContext ctx2("testh", 1, dir_);
+  RunContext ctx2("testh", serial(), dir_);
   (void)ctx2.protocol("cell", small_spec(), key, compute);
   EXPECT_EQ(computes, 2);  // degraded to recompute
   // The orphaned sidecar went with the invalidated entry: --resume auto
@@ -700,7 +706,7 @@ TEST_F(CampaignFaultTest, SurvivingCellsAreByteIdenticalAfterAFaultRun) {
   const std::string dir_healthy = dir_ + "_healthy";
   std::filesystem::remove_all(dir_healthy);
   {
-    RunContext ctx("testh", 1, dir_healthy);
+    RunContext ctx("testh", serial(), dir_healthy);
     (void)ctx.protocol("cell_a", small_spec(), key_a, compute);
     (void)ctx.protocol("cell_b", small_spec(), key_b, compute);
   }
@@ -708,7 +714,7 @@ TEST_F(CampaignFaultTest, SurvivingCellsAreByteIdenticalAfterAFaultRun) {
   // Faulted campaign into dir B: cell_a quarantines, cell_b survives.
   fault::set_active_spec("cell_throw:cell_a");
   {
-    RunContext ctx("testh", 1, dir_);
+    RunContext ctx("testh", serial(), dir_);
     ctx.configure_supervision(0, std::chrono::milliseconds(0));
     EXPECT_THROW((void)ctx.protocol("cell_a", small_spec(), key_a, compute),
                  CellQuarantined);
@@ -717,7 +723,7 @@ TEST_F(CampaignFaultTest, SurvivingCellsAreByteIdenticalAfterAFaultRun) {
   {
     // The harness re-runs (the campaign driver reruns it or a dependent
     // cell-only harness runs next); cell_b computes cleanly.
-    RunContext ctx("testh", 1, dir_);
+    RunContext ctx("testh", serial(), dir_);
     (void)ctx.protocol("cell_b", small_spec(), key_b, compute);
   }
 

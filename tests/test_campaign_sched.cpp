@@ -1,14 +1,17 @@
-// Campaign cell-scheduler byte-identity: fork/exec the REAL omnivar driver
-// and assert the scheduler's determinism contract —
-//   * a multi-harness, multi-scenario campaign at --cell-jobs 4 produces
-//     byte-identical stdout, per-harness JSON artifacts, and cache
-//     contents to the serial --cell-jobs 1 run (campaign.json is exempt:
-//     it records wall-clock seconds and the cell_jobs setting);
+// Campaign scheduling byte-identity: fork/exec the REAL omnivar driver and
+// assert the executor's determinism contract —
+//   * a multi-harness, multi-scenario campaign at --jobs 4, and through
+//     the deprecated alias --cell-jobs 4 --jobs 1, produces byte-identical
+//     stdout, per-harness JSON artifacts, and cache contents to the serial
+//     --jobs 1 run (campaign.json is exempt: it records wall-clock seconds
+//     and the width);
 //   * the same identity holds under an injected cell_throw quarantine
 //     (the driver forces serial dispatch while a fault plan is armed and
 //     still exits 4 with the FAILED line in the right stdout position);
 //   * enumeration matches execution: the --plan listing's spec hashes are
-//     exactly the cells a serial campaign commits to the cache.
+//     exactly the cells a serial campaign commits to the cache;
+//   * two scenario selections that would write the same artifact file are
+//     a usage error naming both selectors.
 //
 // The driver binary path arrives via OMNIVAR_BIN (set by the CMake test
 // harness to $<TARGET_FILE:omnivar>); the suite skips when it is absent so
@@ -27,6 +30,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -42,16 +46,21 @@ const std::vector<std::string> kScenarios = {"vera", "epyc-like",
                                              "quiet-hpc"};
 
 /// fork/execs the driver with the standard multi-harness multi-scenario
-/// selection plus `extra_args`, stdout > `stdout_path`. OMNIVAR_QUICK=1
-/// and serial run-sharding keep the workload CI-sized; `fault_spec`
-/// non-empty arms the deterministic fault plan in the child.
+/// selection plus `extra_args`, stdout > `stdout_path` (and stderr >
+/// `stderr_path` when given). OMNIVAR_QUICK=1 keeps the workload CI-sized
+/// and OMNIVAR_JOBS=1 makes the width come from the flags alone;
+/// `fault_spec` non-empty arms the deterministic fault plan in the child.
 pid_t spawn_campaign(const std::string& bin,
                      const std::vector<std::string>& extra_args,
                      const std::string& stdout_path,
-                     const std::string& fault_spec = {}) {
+                     const std::string& fault_spec = {},
+                     const std::string& stderr_path = {}) {
   const pid_t pid = ::fork();
   if (pid != 0) return pid;
   if (!::freopen(stdout_path.c_str(), "w", stdout)) ::_exit(97);
+  if (!stderr_path.empty() && !::freopen(stderr_path.c_str(), "w", stderr)) {
+    ::_exit(97);
+  }
   ::setenv("OMNIVAR_QUICK", "1", 1);
   ::setenv("OMNIVAR_JOBS", "1", 1);
   if (!fault_spec.empty()) {
@@ -88,7 +97,7 @@ std::string slurp(const fs::path& p) {
 }
 
 /// Maps out-dir-relative path -> bytes for everything a campaign writes,
-/// campaign.json excluded (it records wall-clock seconds and cell_jobs).
+/// campaign.json excluded (it records wall-clock seconds and the width).
 std::map<std::string, std::string> artifact_contents(const fs::path& out) {
   std::map<std::string, std::string> m;
   for (const auto& e : fs::recursive_directory_iterator(out)) {
@@ -109,7 +118,7 @@ void expect_identical_trees(const fs::path& serial, const fs::path& par) {
   for (const auto& [rel, bytes] : expected) {
     const auto it = got.find(rel);
     if (it == got.end()) {
-      ADD_FAILURE() << "missing from cell-parallel run: " << rel;
+      ADD_FAILURE() << "missing from parallel run: " << rel;
       continue;
     }
     EXPECT_EQ(it->second, bytes) << "artifact differs: " << rel;
@@ -121,7 +130,7 @@ class CampaignSchedTest : public ::testing::Test {
   void SetUp() override {
     if (omnivar_bin() == nullptr || !fs::exists(omnivar_bin())) {
       GTEST_SKIP() << "OMNIVAR_BIN not set / not built; skipping the "
-                      "campaign scheduler end-to-end test";
+                      "campaign scheduling end-to-end test";
     }
     dir_ = fs::temp_directory_path() /
            ("omnivar_sched_" +
@@ -144,28 +153,39 @@ TEST_F(CampaignSchedTest, CellParallelCampaignBytesMatchSerial) {
 
   const fs::path serial_out = dir_ / "serial";
   const pid_t serial = spawn_campaign(
-      bin, {"--out", serial_out.string(), "--cell-jobs", "1"},
+      bin, {"--out", serial_out.string(), "--jobs", "1"},
       (dir_ / "serial.log").string());
   ASSERT_EQ(wait_exit_code(serial), 0);
-
-  const fs::path par_out = dir_ / "par4";
-  const pid_t par = spawn_campaign(
-      bin, {"--out", par_out.string(), "--cell-jobs", "4"},
-      (dir_ / "par4.log").string());
-  ASSERT_EQ(wait_exit_code(par), 0);
-
-  // Science stdout is replayed in registry x scenario order: byte-equal.
   const std::string serial_log = slurp(dir_ / "serial.log");
   ASSERT_FALSE(serial_log.empty());
-  EXPECT_EQ(slurp(dir_ / "par4.log"), serial_log);
 
-  // Per-unit JSON artifacts and every cache entry byte-equal.
-  expect_identical_trees(serial_out, par_out);
+  // --jobs 4, and the deprecated alias spelling of the same width.
+  const std::vector<std::pair<std::string, std::vector<std::string>>> runs = {
+      {"par4", {"--jobs", "4"}},
+      {"alias4", {"--cell-jobs", "4", "--jobs", "1"}},
+  };
+  for (const auto& [tag, flags] : runs) {
+    const fs::path out = dir_ / tag;
+    std::vector<std::string> args{"--out", out.string()};
+    args.insert(args.end(), flags.begin(), flags.end());
+    const pid_t par =
+        spawn_campaign(bin, args, (dir_ / (tag + ".log")).string(), {},
+                       (dir_ / (tag + ".err")).string());
+    ASSERT_EQ(wait_exit_code(par), 0) << tag;
+    // Units ran on four workers, ordered by their enumerated cost.
+    EXPECT_NE(slurp(dir_ / (tag + ".err")).find("4 workers"),
+              std::string::npos)
+        << tag;
+    // Science stdout is replayed in registry x scenario order: byte-equal.
+    EXPECT_EQ(slurp(dir_ / (tag + ".log")), serial_log) << tag;
+    // Per-unit JSON artifacts and every cache entry byte-equal.
+    expect_identical_trees(serial_out, out);
+  }
 
-  // A warm re-run through the scheduler serves everything from cache and
-  // stays byte-identical.
+  // A warm re-run at --jobs 4 serves everything from cache and stays
+  // byte-identical.
   const pid_t warm = spawn_campaign(
-      bin, {"--out", par_out.string(), "--cell-jobs", "4"},
+      bin, {"--out", (dir_ / "par4").string(), "--jobs", "4"},
       (dir_ / "warm.log").string());
   ASSERT_EQ(wait_exit_code(warm), 0);
   EXPECT_EQ(slurp(dir_ / "warm.log"), serial_log);
@@ -181,15 +201,17 @@ TEST_F(CampaignSchedTest, QuarantineUnderCellParallelMatchesSerial) {
 
   const fs::path serial_out = dir_ / "serial";
   const pid_t serial = spawn_campaign(
-      bin, {"--out", serial_out.string(), "--cell-jobs", "1"},
+      bin, {"--out", serial_out.string(), "--jobs", "1"},
       (dir_ / "serial.log").string(), spec);
   ASSERT_EQ(wait_exit_code(serial), 4);  // kExitQuarantined
 
   const fs::path par_out = dir_ / "par4";
   const pid_t par = spawn_campaign(
-      bin, {"--out", par_out.string(), "--cell-jobs", "4"},
-      (dir_ / "par4.log").string(), spec);
+      bin, {"--out", par_out.string(), "--jobs", "4"},
+      (dir_ / "par4.log").string(), spec, (dir_ / "par4.err").string());
   ASSERT_EQ(wait_exit_code(par), 4);
+  EXPECT_NE(slurp(dir_ / "par4.err").find("forcing --jobs 1"),
+            std::string::npos);
 
   // Identical stdout (the FAILED lines land in the same replayed
   // positions) and identical surviving artifacts/cache.
@@ -227,7 +249,7 @@ TEST_F(CampaignSchedTest, EnumerationMatchesExecution) {
   // .key marker set is the planned hash set.
   const fs::path out = dir_ / "serial";
   const pid_t run = spawn_campaign(
-      bin, {"--out", out.string(), "--cell-jobs", "1"},
+      bin, {"--out", out.string(), "--jobs", "1"},
       (dir_ / "serial.log").string());
   ASSERT_EQ(wait_exit_code(run), 0);
   std::set<std::string> computed;
@@ -238,6 +260,36 @@ TEST_F(CampaignSchedTest, EnumerationMatchesExecution) {
     }
   }
   EXPECT_EQ(computed, planned);
+}
+
+// Two scenario files inheriting one catalog name would write the same
+// <harness>.<scenario>.json — the second unit silently overwriting the
+// first, or both racing for the path on two workers. The driver rejects
+// the selection up front: usage exit 2, both selectors named, nothing run.
+TEST_F(CampaignSchedTest, SameNamedScenariosAreRejected) {
+  const std::string bin = omnivar_bin();
+  const fs::path a = dir_ / "a.scenario";
+  const fs::path b = dir_ / "b.scenario";
+  std::ofstream(a) << "base = noisy-cloud\nnoise.irq_rate = 100\n";
+  std::ofstream(b) << "base = noisy-cloud\nnoise.irq_rate = 200\n";
+  const fs::path out = dir_ / "out";
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    if (!::freopen((dir_ / "run.log").c_str(), "w", stdout)) ::_exit(97);
+    if (!::freopen((dir_ / "run.err").c_str(), "w", stderr)) ::_exit(97);
+    ::setenv("OMNIVAR_QUICK", "1", 1);
+    ::execl(bin.c_str(), bin.c_str(), "--only", "table1", "--scenario",
+            a.c_str(), "--scenario", b.c_str(), "--out", out.c_str(),
+            static_cast<char*>(nullptr));
+    ::_exit(98);
+  }
+  ASSERT_EQ(wait_exit_code(pid), 2);  // kExitUsage
+  const std::string err = slurp(dir_ / "run.err");
+  EXPECT_NE(err.find(a.string()), std::string::npos) << err;
+  EXPECT_NE(err.find(b.string()), std::string::npos) << err;
+  EXPECT_NE(err.find("noisy-cloud"), std::string::npos) << err;
+  EXPECT_TRUE(slurp(dir_ / "run.log").empty());
+  EXPECT_FALSE(fs::exists(out / "campaign.json"));
 }
 
 }  // namespace

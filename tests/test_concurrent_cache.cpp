@@ -183,7 +183,7 @@ TEST_F(ConcurrentCacheTest, FaultInjectedCampaignExitsQuarantinedThenHeals) {
 
   // campaign.json records the failure block with its taxonomy.
   const std::string campaign = slurp(out / "campaign.json");
-  EXPECT_NE(campaign.find("\"schema\": \"omnivar-campaign-v3\""),
+  EXPECT_NE(campaign.find("\"schema\": \"omnivar-campaign-v4\""),
             std::string::npos);
   EXPECT_NE(campaign.find("\"failures\""), std::string::npos);
   EXPECT_NE(campaign.find("\"taxonomy\": \"exception\""),

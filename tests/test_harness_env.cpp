@@ -1,18 +1,24 @@
-// Tests for the bench-harness environment handling: the OMNIVAR_QUICK /
-// OMNIVAR_RUNS / OMNIVAR_REPS protocol overrides and the --jobs /
-// OMNIVAR_JOBS sharding knob in bench/harness.hpp.
+// Tests for the harness environment handling: the OMNIVAR_QUICK /
+// OMNIVAR_RUNS / OMNIVAR_REPS protocol overrides in bench/harness.hpp, and
+// the --jobs / OMNIVAR_JOBS executor width (cli::parse_options +
+// cli::effective_jobs) that harnesses shard their runs over.
 
 #include "bench/harness.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <vector>
+
+#include "core/executor.hpp"
 
 namespace omv::harness {
 namespace {
 
-/// Clears every OMNIVAR_* variable and the --jobs override around each
-/// test so cases cannot leak protocol settings into each other.
+using cli::effective_jobs;
+
+/// Clears every OMNIVAR_* variable the cases touch around each test so
+/// cases cannot leak protocol settings into each other.
 class HarnessEnvTest : public ::testing::Test {
  protected:
   void SetUp() override { clear(); }
@@ -23,7 +29,15 @@ class HarnessEnvTest : public ::testing::Test {
     ::unsetenv("OMNIVAR_RUNS");
     ::unsetenv("OMNIVAR_REPS");
     ::unsetenv("OMNIVAR_JOBS");
-    jobs_override() = 0;
+    ::unsetenv("OMNIVAR_CELL_JOBS");
+  }
+
+  /// The executor width an omnivar invocation with `args` resolves.
+  static std::size_t width_of(std::vector<const char*> args) {
+    args.insert(args.begin(), "omnivar");
+    const cli::Options o = cli::parse_options(
+        static_cast<int>(args.size()), const_cast<char**>(args.data()));
+    return cli::effective_width(o);
   }
 };
 
@@ -92,102 +106,100 @@ TEST_F(HarnessEnvTest, ExplicitOverridesBeatQuick) {
   EXPECT_EQ(spec.reps, 10u);  // quick clamp still applies to reps
 }
 
-TEST_F(HarnessEnvTest, JobsDefaultsToSerial) { EXPECT_EQ(jobs(), 1u); }
+TEST_F(HarnessEnvTest, JobsDefaultsToSerial) {
+  EXPECT_EQ(effective_jobs(0), 1u);
+  EXPECT_EQ(width_of({}), 1u);
+}
 
 TEST_F(HarnessEnvTest, JobsReadsEnvironment) {
   ::setenv("OMNIVAR_JOBS", "3", 1);
-  EXPECT_EQ(jobs(), 3u);
+  EXPECT_EQ(effective_jobs(0), 3u);
+  EXPECT_EQ(width_of({}), 3u);
 }
 
 TEST_F(HarnessEnvTest, JobsZeroMeansHardwareConcurrency) {
   ::setenv("OMNIVAR_JOBS", "0", 1);
-  EXPECT_GE(jobs(), 1u);
-  EXPECT_EQ(jobs(), resolve_jobs(0));
+  EXPECT_GE(effective_jobs(0), 1u);
+  EXPECT_EQ(effective_jobs(0), core::resolve_jobs(0));
 }
 
 TEST_F(HarnessEnvTest, ParseArgsEqualsForm) {
-  const char* argv[] = {"bench", "--jobs=5"};
-  parse_args(2, const_cast<char**>(argv));
-  EXPECT_EQ(jobs(), 5u);
+  EXPECT_EQ(width_of({"--jobs=5"}), 5u);
 }
 
 TEST_F(HarnessEnvTest, ParseArgsSeparateForm) {
-  const char* argv[] = {"bench", "--jobs", "7"};
-  parse_args(3, const_cast<char**>(argv));
-  EXPECT_EQ(jobs(), 7u);
+  EXPECT_EQ(width_of({"--jobs", "7"}), 7u);
 }
 
 TEST_F(HarnessEnvTest, ParseArgsOverridesEnvironment) {
   ::setenv("OMNIVAR_JOBS", "2", 1);
-  const char* argv[] = {"bench", "--jobs=9"};
-  parse_args(2, const_cast<char**>(argv));
-  EXPECT_EQ(jobs(), 9u);
+  EXPECT_EQ(width_of({"--jobs=9"}), 9u);
 }
 
 TEST_F(HarnessEnvTest, ParseJobCountStrict) {
   std::size_t n = 0;
-  EXPECT_TRUE(parse_job_count("5", n));
+  EXPECT_TRUE(cli::parse_job_count("5", n));
   EXPECT_EQ(n, 5u);
-  EXPECT_TRUE(parse_job_count("0", n));
-  EXPECT_EQ(n, resolve_jobs(0));
-  EXPECT_FALSE(parse_job_count("", n));
-  EXPECT_FALSE(parse_job_count("abc", n));
-  EXPECT_FALSE(parse_job_count("1O", n));  // letter O typo
-  EXPECT_FALSE(parse_job_count("4 ", n));
-  EXPECT_FALSE(parse_job_count(nullptr, n));
-  EXPECT_FALSE(parse_job_count("-4", n));  // strtoul would wrap this
-  EXPECT_FALSE(parse_job_count("+4", n));
-  EXPECT_FALSE(parse_job_count("99999999999999999999999", n));  // ERANGE
+  EXPECT_TRUE(cli::parse_job_count("0", n));
+  EXPECT_EQ(n, core::resolve_jobs(0));
+  EXPECT_FALSE(cli::parse_job_count("", n));
+  EXPECT_FALSE(cli::parse_job_count("abc", n));
+  EXPECT_FALSE(cli::parse_job_count("1O", n));  // letter O typo
+  EXPECT_FALSE(cli::parse_job_count("4 ", n));
+  EXPECT_FALSE(cli::parse_job_count(nullptr, n));
+  EXPECT_FALSE(cli::parse_job_count("-4", n));  // strtoul would wrap this
+  EXPECT_FALSE(cli::parse_job_count("+4", n));
+  EXPECT_FALSE(cli::parse_job_count("99999999999999999999999", n));  // ERANGE
 }
 
 TEST_F(HarnessEnvTest, MalformedJobsFlagIsIgnoredNotExpanded) {
-  const char* argv[] = {"bench", "--jobs=1O"};
-  parse_args(2, const_cast<char**>(argv));
-  EXPECT_EQ(jobs(), 1u);  // stays serial, does not become all cores
+  EXPECT_EQ(width_of({"--jobs=1O"}), 1u);  // stays serial, not all cores
 }
 
 TEST_F(HarnessEnvTest, MalformedJobsEnvFallsBackToSerial) {
   ::setenv("OMNIVAR_JOBS", "abc", 1);
-  EXPECT_EQ(jobs(), 1u);
+  EXPECT_EQ(effective_jobs(0), 1u);
 }
 
 TEST_F(HarnessEnvTest, NegativeJobsIsRejectedNotWrapped) {
-  const char* argv[] = {"bench", "--jobs=-4"};
-  parse_args(2, const_cast<char**>(argv));
-  EXPECT_EQ(jobs(), 1u);  // not ULONG_MAX-3 workers
+  EXPECT_EQ(width_of({"--jobs=-4"}), 1u);  // not ULONG_MAX-3 workers
   ::setenv("OMNIVAR_JOBS", "-4", 1);
-  EXPECT_EQ(jobs(), 1u);
+  EXPECT_EQ(effective_jobs(0), 1u);
 }
 
 TEST_F(HarnessEnvTest, TrailingJobsFlagWithoutValueIsIgnored) {
-  const char* argv[] = {"bench", "--jobs"};
-  parse_args(2, const_cast<char**>(argv));
-  EXPECT_EQ(jobs(), 1u);
+  EXPECT_EQ(width_of({"--jobs"}), 1u);
 }
 
 TEST_F(HarnessEnvTest, ParseArgsIgnoresUnknownArguments) {
-  const char* argv[] = {"bench", "--frobnicate", "--jobs=4", "positional"};
-  parse_args(4, const_cast<char**>(argv));
-  EXPECT_EQ(jobs(), 4u);
+  EXPECT_EQ(width_of({"--frobnicate", "--jobs=4", "positional"}), 4u);
+}
+
+// --cell-jobs / OMNIVAR_CELL_JOBS survive only as a deprecated alias: the
+// width is the larger of the two settings.
+TEST_F(HarnessEnvTest, CellJobsAliasTakesTheLargerWidth) {
+  EXPECT_EQ(width_of({"--cell-jobs", "4", "--jobs", "1"}), 4u);
+  EXPECT_EQ(width_of({"--jobs", "4", "--cell-jobs", "1"}), 4u);
+  EXPECT_EQ(width_of({"--jobs", "3", "--cell-jobs", "2"}), 3u);
+  ::setenv("OMNIVAR_CELL_JOBS", "5", 1);
+  EXPECT_EQ(width_of({"--jobs", "2"}), 5u);
 }
 
 TEST_F(HarnessEnvTest, RunShardedHonorsJobsKnob) {
   ::setenv("OMNIVAR_JOBS", "4", 1);
+  core::Executor executor(effective_jobs(0));
+  EXPECT_EQ(executor.workers(), 4u);
   ExperimentSpec spec;
   spec.runs = 5;
   spec.reps = 3;
   spec.seed = 11;
-  const auto factory = [](const RunSlot&) -> RepKernel {
-    return [](const RepContext& c) {
-      return static_cast<double>(c.run_seed % 1000) +
-             static_cast<double>(c.rep);
-    };
-  };
-  const auto sharded = run_sharded(spec, factory);
-  const auto serial = run_experiment(spec, [](const RepContext& c) {
+  const auto kernel = [](const RepContext& c) {
     return static_cast<double>(c.run_seed % 1000) +
            static_cast<double>(c.rep);
-  });
+  };
+  const auto sharded = run_experiment_parallel(
+      spec, [&](const RunSlot&) -> RepKernel { return kernel; }, executor);
+  const auto serial = run_experiment(spec, kernel);
   ASSERT_EQ(sharded.runs(), serial.runs());
   for (std::size_t r = 0; r < serial.runs(); ++r) {
     for (std::size_t k = 0; k < serial.run(r).size(); ++k) {

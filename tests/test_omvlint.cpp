@@ -164,8 +164,6 @@ TEST(OmvlintScoping, RulesDoNotFireOutsideTheirPaths) {
 TEST(OmvlintScoping, HarnessAllowlistCoversTheNamedFilesOnly) {
   const std::string body = read_fixture("bench/stdout_violation.cpp");
   EXPECT_TRUE(lint_source("bench/harness.hpp", body).diagnostics.empty());
-  EXPECT_TRUE(lint_source("src/cli/standalone_main.cpp", body)
-                  .diagnostics.empty());
   EXPECT_FALSE(lint_source("bench/harness_util.hpp", body)
                    .diagnostics.empty());
 }

@@ -25,6 +25,16 @@
 namespace omv::bench {
 namespace {
 
+core::Executor& one_worker() {
+  static core::Executor executor(1);
+  return executor;
+}
+
+core::Executor& two_workers() {
+  static core::Executor executor(2);
+  return executor;
+}
+
 /// RAII pin of the batched-kernel dispatch for one test scope.
 class IsaGuard {
  public:
@@ -105,9 +115,9 @@ void expect_checkpoint_roundtrip(const scenario::ScenarioSpec& scn,
   };
 
   const RunMatrix serial =
-      run_protocol_sharded(base, cfg, spec, 1, make_bench, rep);
+      run_protocol_sharded(base, cfg, spec, one_worker(), make_bench, rep);
   const RunMatrix sharded =
-      run_protocol_sharded(base, cfg, spec, 2, make_bench, rep);
+      run_protocol_sharded(base, cfg, spec, two_workers(), make_bench, rep);
   expect_matrices_identical(sharded, serial, context + " [jobs 1 vs 2]");
 
   SnapDir dir;
@@ -123,7 +133,7 @@ void expect_checkpoint_roundtrip(const scenario::ScenarioSpec& scn,
   pol.stop_after = 3;
   bool stopped = false;
   try {
-    (void)run_protocol_sharded(base, cfg, spec, 1, make_bench, rep,
+    (void)run_protocol_sharded(base, cfg, spec, one_worker(), make_bench, rep,
                                NoRunEndHook{}, &pol);
   } catch (const snap::CheckpointStop&) {
     stopped = true;
@@ -136,7 +146,7 @@ void expect_checkpoint_roundtrip(const scenario::ScenarioSpec& scn,
   resume.stop_after = 0;
   resume.resume_from = pol.path;
   const RunMatrix resumed = run_protocol_sharded(
-      base, cfg, spec, 1, make_bench, rep, NoRunEndHook{}, &resume);
+      base, cfg, spec, one_worker(), make_bench, rep, NoRunEndHook{}, &resume);
   expect_matrices_identical(resumed, serial, context + " [resume]");
   // The completed cell must clear its own checkpoint.
   EXPECT_FALSE(std::filesystem::exists(pol.path)) << context;
@@ -186,7 +196,7 @@ TEST(SnapshotProtocol, ScalarOracleMatchesBestIsaOnResume) {
 
   RunMatrix scalar_straight = [&] {
     IsaGuard guard(sim::Isa::scalar);
-    return run_protocol_sharded(base, cfg, spec, 1, make_bench, rep);
+    return run_protocol_sharded(base, cfg, spec, one_worker(), make_bench, rep);
   }();
   RunMatrix best_resumed = [&] {
     IsaGuard guard(sim::available_isas().back());
@@ -197,7 +207,7 @@ TEST(SnapshotProtocol, ScalarOracleMatchesBestIsaOnResume) {
     snap::reset_checkpoint_writes();
     pol.stop_after = 2;
     try {
-      (void)run_protocol_sharded(base, cfg, spec, 1, make_bench, rep,
+      (void)run_protocol_sharded(base, cfg, spec, one_worker(), make_bench, rep,
                                  NoRunEndHook{}, &pol);
     } catch (const snap::CheckpointStop&) {
     }
@@ -205,7 +215,7 @@ TEST(SnapshotProtocol, ScalarOracleMatchesBestIsaOnResume) {
     snap::CheckpointPolicy resume = pol;
     resume.stop_after = 0;
     resume.resume_from = pol.path;
-    return run_protocol_sharded(base, cfg, spec, 1, make_bench, rep,
+    return run_protocol_sharded(base, cfg, spec, one_worker(), make_bench, rep,
                                 NoRunEndHook{}, &resume);
   }();
   expect_matrices_identical(best_resumed, scalar_straight,
@@ -234,7 +244,7 @@ TEST(SnapshotProtocol, HookReplayRebuildsIdenticalTraces) {
     traces.assign(spec.runs, freqlog::FreqTrace{});
     freqlog::FreqTrace* slots = traces.data();
     return run_protocol_sharded(
-        base, cfg, spec, 1, make_bench, rep,
+        base, cfg, spec, one_worker(), make_bench, rep,
         [slots](SimSyncBench&, ompsim::SimTeam& team, sim::Simulator& sim,
                 const RunSlot& slot) {
           freqlog::SimFreqReader reader(sim.freq(), sim.machine().n_cores());
@@ -298,8 +308,8 @@ TEST(SnapshotProtocol, ResumeRejectsChangedSpec) {
   snap::reset_checkpoint_writes();
   pol.stop_after = 1;
   try {
-    (void)run_protocol_sharded(base, cfg, small_spec(), 1, make_bench, rep,
-                               NoRunEndHook{}, &pol);
+    (void)run_protocol_sharded(base, cfg, small_spec(), one_worker(),
+                               make_bench, rep, NoRunEndHook{}, &pol);
   } catch (const snap::CheckpointStop&) {
   }
 
@@ -311,8 +321,9 @@ TEST(SnapshotProtocol, ResumeRejectsChangedSpec) {
   resume.stop_after = 0;
   resume.resume_from = pol.path;
   snap::reset_checkpoint_writes();
-  EXPECT_THROW((void)run_protocol_sharded(base, cfg, shrunk, 1, make_bench,
-                                          rep, NoRunEndHook{}, &resume),
+  EXPECT_THROW((void)run_protocol_sharded(base, cfg, shrunk, one_worker(),
+                                          make_bench, rep, NoRunEndHook{},
+                                          &resume),
                snap::SnapshotError);
 }
 

@@ -277,10 +277,9 @@ bool starts_with(std::string_view s, std::string_view prefix) {
 }
 
 bool is_harness_allowlisted(std::string_view p) {
-  // The two files the contract names as legitimate direct-stdout sites:
-  // the harness scaffolding's ad-hoc helpers and the standalone driver
-  // that owns the process's stdout.
-  return p == "bench/harness.hpp" || p == "src/cli/standalone_main.cpp";
+  // The one file the contract names as a legitimate direct-stdout site:
+  // the harness scaffolding's ad-hoc helpers.
+  return p == "bench/harness.hpp";
 }
 
 bool in_stdout_scope(std::string_view p) {
