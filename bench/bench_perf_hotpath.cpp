@@ -26,7 +26,6 @@
 
 #include "bench/harness.hpp"
 #include "cli/hotpath_report.hpp"
-#include "sim/isa.hpp"
 #include "sim/reference.hpp"
 
 using namespace omv;
@@ -56,7 +55,7 @@ double time_ns_per_call(const std::function<double()>& fn,
 /// Interference from the host — interrupts, other processes — only ever
 /// adds time, so the minimum is the robust estimator of true kernel cost;
 /// medians still wander by ~10% on a single-CPU box, enough to flip the
-/// near-1.0 batched-vs-per-call speedup cells run to run.
+/// near-1.0 low-density speedup cells run to run.
 double best_ns(const std::function<double()>& fn, double min_seconds,
                std::size_t reps) {
   double best = time_ns_per_call(fn, min_seconds);
@@ -161,8 +160,6 @@ int run_perf_hotpath(cli::RunContext& ctx) {
   cli::HotpathReport report;
   report.quick = quick;
   report.sim_machine = machine.name();
-  report.isa = sim::isa_name(sim::active_isa());
-  report.isa_overridden = sim::isa_overridden();
   report.noise_scan_cutover = sim::NoiseModel::kScanCutover;
   report.freq_scan_cutover = sim::FreqModel::kScanCutover;
   report::Table table(
@@ -171,10 +168,8 @@ int run_perf_hotpath(cli::RunContext& ctx) {
   bool all_measured = true;
 
   const auto record = [&](const char* kernel, const char* density,
-                          std::size_t events, double opt_ns, double base_ns,
-                          const char* baseline_kind = "reference_scan") {
-    report.kernels.push_back(
-        {kernel, density, events, opt_ns, base_ns, baseline_kind});
+                          std::size_t events, double opt_ns, double base_ns) {
+    report.kernels.push_back({kernel, density, events, opt_ns, base_ns});
     table.add_row({kernel, density, std::to_string(events),
                    report::fmt_fixed(opt_ns, 1),
                    base_ns > 0.0 ? report::fmt_fixed(base_ns, 1) : "-",
@@ -182,8 +177,8 @@ int run_perf_hotpath(cli::RunContext& ctx) {
                                  : "-"});
     all_measured &= opt_ns > 0.0;
     if (report.kernels.back().regression()) {
-      ctx.print("[PERF-REGRESSION] %s/%s speedup=%.3f (vs %s)\n", kernel,
-                density, base_ns / opt_ns, baseline_kind);
+      ctx.print("[PERF-REGRESSION] %s/%s speedup=%.3f (vs reference_scan)\n",
+                kernel, density, base_ns / opt_ns);
     }
     const std::string stem =
         std::string("ns_per_op/") + kernel + "/" + density;
@@ -220,31 +215,6 @@ int run_perf_hotpath(cli::RunContext& ctx) {
         budget, reps);
     record("preemption_delay", d.name, n_events, noise_opt, noise_base);
 
-    // Batched variant: one call answers the whole window set. Baseline is
-    // the per-call indexed loop over the same arrays (NOT the reference
-    // scan), so this row isolates the batching + ISA gain.
-    {
-      std::vector<double> out(nw.t0.size());
-      const double n_win = static_cast<double>(nw.t0.size());
-      const auto [batch_ns, percall_ns] = best_pair_ns(
-          [&] {
-            noise.preemption_delay_batch(nw.where, nw.t0, nw.t1, out);
-            // Touch, don't reduce: a full sum pass would bill the
-            // batch ~1 extra ns/op the per-call loop never pays.
-            return out.front() + out[out.size() / 2] + out.back();
-          },
-          [&] {
-            double s = 0.0;
-            for (std::size_t k = 0; k < nw.t0.size(); ++k) {
-              s += noise.preemption_delay(nw.where[k], nw.t0[k], nw.t1[k]);
-            }
-            return s;
-          },
-          budget, reps);
-      record("preemption_delay_batch", d.name, n_events, batch_ns / n_win,
-             percall_ns / n_win, "indexed_per_call");
-    }
-
     // --- FreqModel::mean_factor / elapsed_for_work -------------------
     sim::FreqConfig fcfg = platform.freq_session;
     fcfg.episode_rate = d.episode_rate;
@@ -271,26 +241,6 @@ int run_perf_hotpath(cli::RunContext& ctx) {
         budget, reps);
     record("mean_factor", d.name, n_eps, mf_opt, mf_base);
 
-    {
-      std::vector<double> out(fw.t0.size());
-      const double n_win = static_cast<double>(fw.t0.size());
-      const auto [batch_ns, percall_ns] = best_pair_ns(
-          [&] {
-            freq.mean_factor_batch(fw.where, fw.t0, fw.t1, out);
-            return out.front() + out[out.size() / 2] + out.back();
-          },
-          [&] {
-            double s = 0.0;
-            for (std::size_t k = 0; k < fw.t0.size(); ++k) {
-              s += freq.mean_factor(fw.where[k], fw.t0[k], fw.t1[k]);
-            }
-            return s;
-          },
-          budget, reps);
-      record("mean_factor_batch", d.name, n_eps, batch_ns / n_win,
-             percall_ns / n_win, "indexed_per_call");
-    }
-
     // elapsed_for_work: work sized so every fixed-point window stays
     // inside the materialized horizon (factors are clamped >= 0.1).
     Windows ww(horizon * 0.5, machine.n_cores(), 13);
@@ -306,54 +256,6 @@ int run_perf_hotpath(cli::RunContext& ctx) {
         },
         budget, reps);
     record("elapsed_for_work", d.name, n_eps, ew_opt, ew_base);
-
-    {
-      std::vector<double> out(ww.t0.size());
-      const std::vector<double> work_vec(ww.t0.size(), 1e-3);
-      const double n_win = static_cast<double>(ww.t0.size());
-      const auto [batch_ns, percall_ns] = best_pair_ns(
-          [&] {
-            freq.elapsed_for_work_batch(ww.where, ww.t0, work_vec, out);
-            return out.front() + out[out.size() / 2] + out.back();
-          },
-          [&] {
-            double s = 0.0;
-            for (std::size_t k = 0; k < ww.t0.size(); ++k) {
-              s += freq.elapsed_for_work(ww.where[k], ww.t0[k], 1e-3);
-            }
-            return s;
-          },
-          budget, reps);
-      record("elapsed_for_work_batch", d.name, n_eps, batch_ns / n_win,
-             percall_ns / n_win, "indexed_per_call");
-    }
-  }
-
-  // --- Batched SimTeam compute phase vs the per-thread loop -----------
-  // Two identically seeded teams on separate simulators so the two timed
-  // paths never perturb each other's RNG streams or horizons.
-  {
-    const std::size_t t_full = harness::full_team(machine);
-    sim::Simulator sim_batched(machine, platform.config);
-    ompsim::SimTeam team_batched(sim_batched, harness::pinned_team(t_full),
-                                 1);
-    team_batched.begin_run(1);
-    sim::Simulator sim_loop(machine, platform.config);
-    ompsim::SimTeam team_loop(sim_loop, harness::pinned_team(t_full), 1);
-    team_loop.begin_run(1);
-    const auto [batched_ns, loop_ns] = best_pair_ns(
-        [&] {
-          team_batched.compute(1e-5);
-          return team_batched.now();
-        },
-        [&] {
-          team_loop.compute_loop(1e-5);
-          return team_loop.now();
-        },
-        budget, reps);
-    record("team_compute_phase",
-           (machine.name() + std::to_string(t_full)).c_str(), t_full,
-           batched_ns, loop_ns, "per_thread_loop");
   }
 
   // --- Full SimTeam barrier phase (absolute, no scan baseline) --------

@@ -19,7 +19,6 @@
 #include "core/lockfile.hpp"
 #include "core/trace_io.hpp"
 #include "scenario/registry.hpp"
-#include "sim/isa.hpp"
 
 namespace omv::cli {
 
@@ -495,22 +494,21 @@ namespace {
 
 void print_usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--list] [--scenarios] [--isa-report] [--version] "
+               "usage: %s [--list] [--scenarios] [--version] "
                "[--only GLOB]... [--jobs N] [--scenario S]... "
                "[--scenario-set FILE] [--plan] [--out DIR] "
                "[--checkpoint-every N] [--resume SRC] [--retry-cells N] "
                "[--cell-timeout MS] [--fault-spec SPEC]\n"
                "  --list       list registered harnesses\n"
                "  --scenarios  list the scenario catalog\n"
-               "  --isa-report list dispatchable batched-kernel ISA levels\n"
-               "  --version    print engine version, snapshot format and "
-               "dispatched ISA\n"
+               "  --version    print engine version and snapshot format\n"
                "  --only GLOB  run only harnesses matching the glob "
                "(repeatable)\n"
                "  --jobs N     run units and protocol runs on N workers "
                "(0 = one per\n"
-               "               hardware thread; default: OMNIVAR_JOBS, else "
-               "1 — serial);\n"
+               "               hardware thread, at most %zu; default: "
+               "OMNIVAR_JOBS,\n"
+               "               else 1 — serial);\n"
                "               output is replayed in registry x scenario "
                "order, so\n"
                "               stdout/artifacts/cache are byte-identical "
@@ -565,32 +563,14 @@ void print_usage(const char* argv0) {
                "exit codes: 0 ok, 2 usage, 3 checkpoint stop, 4 cell(s) "
                "quarantined,\n"
                "            1 other failure\n",
-               argv0);
+               argv0, kMaxJobs);
 }
 
-/// --version: the identity triple a snapshot stamp is checked against plus
-/// the batched-kernel dispatch, one "key: value" per line on stdout.
+/// --version: the identity pair a snapshot stamp is checked against, one
+/// "key: value" per line on stdout.
 void print_version() {
   std::printf("engine: %s\n", std::string(kEngineVersion).c_str());
   std::printf("snapshot-format: %s\n", snap::kSnapshotFormat);
-  std::printf("isa: %s\n", sim::isa_name(sim::active_isa()));
-}
-
-/// Lists the batched-kernel ISA levels this host+build can dispatch to,
-/// one per line in ascending order (best last) — the contract CI's
-/// dispatch-matrix lane iterates over.
-void print_isa_report() {
-  for (const sim::Isa isa : sim::available_isas()) {
-    std::printf("%s\n", sim::isa_name(isa));
-  }
-}
-
-/// One-line stderr note of the resolved batched-kernel dispatch, so every
-/// campaign log records which ISA produced its numbers.
-void report_isa() {
-  std::fprintf(stderr, "[omnivar] isa: %s%s\n",
-               sim::isa_name(sim::active_isa()),
-               sim::isa_overridden() ? " (OMNIVAR_ISA override)" : "");
 }
 
 void print_scenarios() {
@@ -1093,10 +1073,6 @@ int run_campaign(int argc, char** argv) {
     print_scenarios();
     return 0;
   }
-  if (o.isa_report) {
-    print_isa_report();
-    return 0;
-  }
   if (o.version) {
     print_version();
     return 0;
@@ -1125,7 +1101,6 @@ int run_campaign(int argc, char** argv) {
                   std::chrono::milliseconds(
                       effective_cell_timeout_ms(o.cell_timeout_ms))};
   settings.stop = &stop;
-  report_isa();
   for (const auto& scn : scns) {
     if (scn) {
       std::fprintf(stderr, "[omnivar] scenario %s (%s, %s)\n",

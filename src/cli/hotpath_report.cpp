@@ -36,7 +36,7 @@ std::string hotpath_report_json(const HotpathReport& report) {
   }
   json::JsonWriter w;
   w.begin_object();
-  w.key("schema").value("omnivar-bench-hotpath-v2");
+  w.key("schema").value("omnivar-bench-hotpath-v3");
   w.key("quick").value(report.quick);
   w.key("machine").begin_object();
   w.key("sim_machine").value(report.sim_machine);
@@ -44,19 +44,15 @@ std::string hotpath_report_json(const HotpathReport& report) {
       .value(static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
   w.key("compiler").value(compiler_id());
   w.key("build").value(build_flavor());
-  // Batched-kernel dispatch state: which ISA build answered the batched
-  // variants, and the density-adaptive scan/index cutovers in effect —
-  // without these a trajectory point from another host/build would not be
-  // comparable.
-  w.key("isa").value(report.isa);
-  w.key("isa_override").value(report.isa_overridden);
+  // The density-adaptive scan/index cutovers in effect — without these a
+  // trajectory point from another build would not be comparable.
   w.key("adaptive_cutover").begin_object();
   w.key("noise_scan_window").value(report.noise_scan_cutover);
   w.key("freq_scan_episodes").value(report.freq_scan_cutover);
   w.end_object();
   w.key("baseline_definition")
-      .value("per kernel (baseline_kind): brute-force reference scan, "
-             "per-call indexed queries, or the per-thread team loop");
+      .value("brute-force reference scan (sim/reference.hpp) over the same "
+             "stream and query sequence");
   w.end_object();
   bool any_regression = false;
   w.key("kernels").begin_array();
@@ -68,7 +64,6 @@ std::string hotpath_report_json(const HotpathReport& report) {
     w.key("optimized_ns_per_op").value(k.optimized_ns);
     if (k.baseline_ns > 0.0) {
       w.key("baseline_ns_per_op").value(k.baseline_ns);
-      w.key("baseline_kind").value(k.baseline_kind);
       w.key("speedup").value(k.optimized_ns > 0.0
                                  ? k.baseline_ns / k.optimized_ns
                                  : 0.0);

@@ -15,21 +15,16 @@
 
 namespace omv::cli {
 
-/// One (kernel, density) measurement. `baseline_ns` is the median ns/op of
-/// this kernel's baseline implementation over the same stream and query
-/// sequence (what `baseline_kind` names); 0 means the kernel has no
-/// baseline (e.g. the barrier phase, which is reported absolute).
+/// One (kernel, density) measurement. `baseline_ns` is the best ns/op of
+/// the brute-force reference query (sim/reference.hpp) over the same
+/// stream and query sequence; 0 means the kernel has no baseline (the
+/// barrier phase, which is reported absolute).
 struct HotpathKernelResult {
   std::string kernel;
   std::string density;
   std::size_t stream_events = 0;  ///< events/episodes materialized.
-  double optimized_ns = 0.0;      ///< median ns/op, optimized implementation.
-  double baseline_ns = 0.0;       ///< median ns/op, baseline implementation.
-  /// What baseline_ns measures: "reference_scan" (brute-force
-  /// sim/reference.hpp queries), "indexed_per_call" (per-call indexed
-  /// queries, baselining the batched variants), or "per_thread_loop"
-  /// (SimTeam::compute_loop, baselining the batched team phase).
-  std::string baseline_kind = "reference_scan";
+  double optimized_ns = 0.0;      ///< best ns/op, indexed implementation.
+  double baseline_ns = 0.0;       ///< best ns/op, reference scan.
 
   /// True when a baseline exists and the optimized path is slower than it
   /// (speedup < 1.0) — the condition perf_hotpath flags as
@@ -42,8 +37,6 @@ struct HotpathKernelResult {
 struct HotpathReport {
   bool quick = false;          ///< OMNIVAR_QUICK measurement (reduced budget).
   std::string sim_machine;     ///< simulated topology preset name.
-  std::string isa;             ///< dispatched batched-kernel ISA level.
-  bool isa_overridden = false; ///< OMNIVAR_ISA forced the level.
   /// Adaptive scan/index cutovers in effect (events per window / episodes
   /// per domain) — the thresholds the density-adaptive dispatch switches
   /// at, recorded so trajectory points remain comparable across commits.
@@ -52,9 +45,9 @@ struct HotpathReport {
   std::vector<HotpathKernelResult> kernels;
 };
 
-/// Renders the report as schema "omnivar-bench-hotpath-v2" JSON (includes
-/// host metadata: hardware concurrency, compiler, build flavor, dispatched
-/// ISA, adaptive cutovers; per-kernel regression booleans plus a top-level
+/// Renders the report as schema "omnivar-bench-hotpath-v3" JSON (includes
+/// host metadata: hardware concurrency, compiler, build flavor, adaptive
+/// cutovers; per-kernel regression booleans plus a top-level
 /// any_regression). Throws std::invalid_argument when the report holds no
 /// kernels — an empty perf file must fail loudly, not accumulate silently.
 [[nodiscard]] std::string hotpath_report_json(const HotpathReport& report);

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 
 #include "core/executor.hpp"
 
@@ -27,7 +28,7 @@ bool parse_uint(const char* text, std::size_t& out) {
 
 bool parse_job_count(const char* text, std::size_t& out) {
   std::size_t v = 0;
-  if (!parse_uint(text, v)) return false;
+  if (!parse_uint(text, v) || v > kMaxJobs) return false;
   out = core::resolve_jobs(v);
   return true;
 }
@@ -64,10 +65,6 @@ Options parse_options(int argc, char** argv) {
       o.list_scenarios = true;
       continue;
     }
-    if (std::strcmp(arg, "--isa-report") == 0) {
-      o.isa_report = true;
-      continue;
-    }
     if (std::strcmp(arg, "--version") == 0) {
       o.version = true;
       continue;
@@ -90,7 +87,8 @@ Options parse_options(int argc, char** argv) {
         o.jobs = n;
       } else {
         o.errors.push_back("malformed --jobs value '" + std::string(v) +
-                           "' (expected a non-negative integer)");
+                           "' (expected a job count from 0 to " +
+                           std::to_string(kMaxJobs) + ")");
       }
       continue;
     }
@@ -100,7 +98,8 @@ Options parse_options(int argc, char** argv) {
         o.cell_jobs = n;
       } else {
         o.errors.push_back("malformed --cell-jobs value '" + std::string(v) +
-                           "' (expected a non-negative integer)");
+                           "' (expected a job count from 0 to " +
+                           std::to_string(kMaxJobs) + ")");
       }
       continue;
     }
@@ -187,8 +186,8 @@ std::size_t effective_jobs(std::size_t cli_jobs) {
     static bool warned = [&] {
       std::fprintf(stderr,
                    "omnivar: ignoring malformed OMNIVAR_JOBS='%s' "
-                   "(expected a non-negative integer); running serial\n",
-                   j);
+                   "(expected a job count from 0 to %zu); running serial\n",
+                   j, kMaxJobs);
       return true;
     }();
     (void)warned;
@@ -236,8 +235,8 @@ std::size_t effective_cell_jobs(std::size_t cli_cell_jobs) {
     static bool warned = [&] {
       std::fprintf(stderr,
                    "omnivar: ignoring malformed OMNIVAR_CELL_JOBS='%s' "
-                   "(expected a non-negative integer)\n",
-                   j);
+                   "(expected a job count from 0 to %zu)\n",
+                   j, kMaxJobs);
       return true;
     }();
     (void)warned;

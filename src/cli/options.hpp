@@ -4,12 +4,11 @@
 // Flags:
 //   --list            list registered harnesses and exit
 //   --scenarios       list the scenario catalog and exit
-//   --isa-report      list the batched-kernel ISA levels this host can
-//                     dispatch to (one per line, best last) and exit
 //   --only <glob>     select harnesses by name glob (repeatable)
 //   --jobs[=]N        the executor width: campaign units and protocol runs
-//                     share N workers (0 = one per hardware thread); falls
-//                     back to OMNIVAR_JOBS, else 1 — serial
+//                     share N workers (0 = one per hardware thread, at
+//                     most kMaxJobs); falls back to OMNIVAR_JOBS, else 1 —
+//                     serial
 //   --scenario[=]S    run on scenario S: a catalog name or a scenario-file
 //                     path; repeatable — the omnivar driver fans the
 //                     selected harnesses out over every listed scenario in
@@ -45,8 +44,8 @@
 //                     core/faultinject.hpp for the grammar); falls back to
 //                     OMNIVAR_FAULT_SPEC; a malformed spec is a usage
 //                     error (exit 2), never silently ignored
-//   --version         print engine version, snapshot format and dispatched
-//                     ISA on stdout and exit
+//   --version         print engine version and snapshot format on stdout
+//                     and exit
 //   --help            usage
 // Parsing is strict: a typo'd jobs value must not silently become
 // "saturate every core" on a measurement harness, so malformed values are
@@ -63,14 +62,19 @@ namespace omv::cli {
 /// wrap "-4").
 [[nodiscard]] bool parse_uint(const char* text, std::size_t& out);
 
-/// Strictly parses a job count ("0" = hardware concurrency).
+/// Widest executor a job count may ask for. Each worker is an OS thread,
+/// so a typo'd width (or an env var holding garbage) must not reach the
+/// thread pool and abort the process when thread creation fails.
+inline constexpr std::size_t kMaxJobs = 1024;
+
+/// Strictly parses a job count ("0" = hardware concurrency). Returns false
+/// on malformed input and on counts above kMaxJobs.
 [[nodiscard]] bool parse_job_count(const char* text, std::size_t& out);
 
 /// Parsed omnivar options.
 struct Options {
   bool list = false;
   bool list_scenarios = false;  ///< --scenarios catalog listing.
-  bool isa_report = false;      ///< --isa-report dispatchable-ISA listing.
   bool version = false;         ///< --version identity report.
   bool help = false;
   bool plan = false;              ///< --plan cell enumeration listing.

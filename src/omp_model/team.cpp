@@ -192,24 +192,12 @@ void SimTeam::compute_one(std::size_t i, double work) {
 }
 
 void SimTeam::compute(double work) {
-  sim_.exec_batch(placement_model_.current(), work, clocks_);
+  for (std::size_t i = 0; i < clocks_.size(); ++i) compute_one(i, work);
 }
 
 void SimTeam::compute(std::span<const double> work) {
   if (work.size() != clocks_.size()) {
     throw std::invalid_argument("SimTeam::compute: work span size mismatch");
-  }
-  sim_.exec_batch(placement_model_.current(), work, clocks_);
-}
-
-void SimTeam::compute_loop(double work) {
-  for (std::size_t i = 0; i < clocks_.size(); ++i) compute_one(i, work);
-}
-
-void SimTeam::compute_loop(std::span<const double> work) {
-  if (work.size() != clocks_.size()) {
-    throw std::invalid_argument(
-        "SimTeam::compute_loop: work span size mismatch");
   }
   for (std::size_t i = 0; i < clocks_.size(); ++i) compute_one(i, work[i]);
 }

@@ -73,22 +73,15 @@ class SimTeam {
   /// Parallel-region join: implicit barrier.
   void join();
 
-  /// Every thread computes `work` nominal seconds (heterogeneity via span).
-  /// Advances all thread clocks through one batched simulator call
-  /// (Simulator::exec_batch) — bit-identical to the per-thread loop below
-  /// on every ISA.
+  /// Every thread computes `work` nominal seconds (heterogeneity via span):
+  /// one Simulator::exec per thread, in thread order. Threads with no work
+  /// still take their exec call, so the SMT-throughput draws stay in
+  /// sequence.
   void compute(double work);
   void compute(std::span<const double> work);
   void compute(std::initializer_list<double> work) {
     compute(std::span<const double>(work.begin(), work.size()));
   }
-
-  /// Per-thread reference implementation of compute() — one exec() call per
-  /// thread. Retained as the differential baseline the batched phase is
-  /// pinned against (tests/test_team_batch.cpp) and timed against
-  /// (perf_hotpath's team_compute_phase kernel).
-  void compute_loop(double work);
-  void compute_loop(std::span<const double> work);
 
   /// Explicit barrier.
   void barrier();

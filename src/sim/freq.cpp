@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 
 #include "core/snapshot.hpp"
-#include "sim/batch_kernels.hpp"
 
 namespace omv::sim {
 
@@ -228,8 +226,7 @@ double FreqModel::window_reduction(std::size_t numa, double t0, double t1,
 }
 
 double FreqModel::mean_factor_impl(std::size_t core, double t0, double t1,
-                                   bool* flat_out,
-                                   const batch::Kernels* kern) {
+                                   bool* flat_out) {
   if (flat_out != nullptr) *flat_out = false;
   if (t1 <= t0) return factor(core, t0);
   if (t1 > horizon_) ensure_horizon(t1);
@@ -252,24 +249,14 @@ double FreqModel::mean_factor_impl(std::size_t core, double t0, double t1,
   }
   bool overlapped = false;
   if (n_eps <= kScanCutover) {
-    // Domains holding fewer episodes than one vector (batch::kVecMin) stay
-    // on the inline scan — the wide kernels' call/setup overhead beats
-    // their lane parallelism there (perf_hotpath, low density).
-    if (kern != nullptr && n_eps >= batch::kVecMin) {
-      integral = kern->scan_episodes(integral, idx.starts.data(),
-                                     idx.ends.data(), idx.depths.data(),
-                                     n_eps, t0, t1, base, &overlapped);
-    } else {
-      // Historical accumulation order — bit-identical to the pre-index
-      // scan.
-      for (std::size_t k = 0; k < n_eps; ++k) {
-        const double lo = std::max(t0, idx.starts[k]);
-        const double hi = std::min(t1, idx.ends[k]);
-        if (hi > lo) {
-          overlapped = true;
-          const double depth = std::min(base, idx.depths[k]);
-          integral -= (base - depth) * (hi - lo);
-        }
+    // Historical accumulation order — bit-identical to the pre-index scan.
+    for (std::size_t k = 0; k < n_eps; ++k) {
+      const double lo = std::max(t0, idx.starts[k]);
+      const double hi = std::min(t1, idx.ends[k]);
+      if (hi > lo) {
+        overlapped = true;
+        const double depth = std::min(base, idx.depths[k]);
+        integral -= (base - depth) * (hi - lo);
       }
     }
   } else {
@@ -282,26 +269,10 @@ double FreqModel::mean_factor_impl(std::size_t core, double t0, double t1,
 }
 
 double FreqModel::mean_factor(std::size_t core, double t0, double t1) {
-  return mean_factor_impl(core, t0, t1, nullptr, nullptr);
+  return mean_factor_impl(core, t0, t1, nullptr);
 }
 
-void FreqModel::mean_factor_batch(std::span<const std::size_t> core,
-                                  std::span<const double> t0,
-                                  std::span<const double> t1,
-                                  std::span<double> out) {
-  const std::size_t n = out.size();
-  if (core.size() != n || t0.size() != n || t1.size() != n) {
-    throw std::invalid_argument(
-        "FreqModel::mean_factor_batch: span sizes differ");
-  }
-  const batch::Kernels& kern = batch::kernels();
-  for (std::size_t k = 0; k < n; ++k) {
-    out[k] = mean_factor_impl(core[k], t0[k], t1[k], nullptr, &kern);
-  }
-}
-
-double FreqModel::elapsed_impl(std::size_t core, double t0, double work,
-                               const batch::Kernels* kern) {
+double FreqModel::elapsed_for_work(std::size_t core, double t0, double work) {
   if (work <= 0.0) return 0.0;
   double d = work;  // initial guess: full speed
   // Episode-boundary-aware early exit: once a window is verified
@@ -318,7 +289,7 @@ double FreqModel::elapsed_impl(std::size_t core, double t0, double work,
       m = std::max(0.1, integral / (t1 - t0));
     } else {
       bool flat = false;
-      m = mean_factor_impl(core, t0, t1, &flat, kern);
+      m = mean_factor_impl(core, t0, t1, &flat);
       if (flat && t1 > flat_hi) flat_hi = t1;
     }
     const double nd = work / m;
@@ -326,25 +297,6 @@ double FreqModel::elapsed_impl(std::size_t core, double t0, double work,
     d = nd;
   }
   return d;
-}
-
-double FreqModel::elapsed_for_work(std::size_t core, double t0, double work) {
-  return elapsed_impl(core, t0, work, nullptr);
-}
-
-void FreqModel::elapsed_for_work_batch(std::span<const std::size_t> core,
-                                       std::span<const double> t0,
-                                       std::span<const double> work,
-                                       std::span<double> out) {
-  const std::size_t n = out.size();
-  if (core.size() != n || t0.size() != n || work.size() != n) {
-    throw std::invalid_argument(
-        "FreqModel::elapsed_for_work_batch: span sizes differ");
-  }
-  const batch::Kernels& kern = batch::kernels();
-  for (std::size_t k = 0; k < n; ++k) {
-    out[k] = elapsed_impl(core[k], t0[k], work[k], &kern);
-  }
 }
 
 void FreqModel::after_restore(snap::Restore& v) {

@@ -28,10 +28,6 @@ class Restore;
 
 namespace omv::sim {
 
-namespace batch {
-struct Kernels;
-}  // namespace batch
-
 /// Frequency model knobs. Depth is the fraction of fmax during a dip.
 struct FreqConfig {
   double episode_rate = 0.0;     ///< dips per second per NUMA domain.
@@ -114,16 +110,6 @@ class FreqModel {
   /// pre-index floating-point accumulation bit for bit.
   double mean_factor(std::size_t core, double t0, double t1);
 
-  /// Batched mean_factor: answers one window per span element, in call
-  /// order (lazy horizon growth ordered exactly as a per-call loop), with
-  /// the episode scans dispatched through the active ISA's kernel table.
-  /// Scalar ISA is bit-identical to per-call mean_factor; wider ISAs
-  /// reassociate within-window sums (< 1e-12 relative, pinned by the
-  /// differential rig). All spans must share one length.
-  void mean_factor_batch(std::span<const std::size_t> core,
-                         std::span<const double> t0,
-                         std::span<const double> t1, std::span<double> out);
-
   /// Elapsed wall time to complete `work` seconds of fmax-rate compute
   /// starting at `t0` on `core` (inverts the factor integral; fixed-point
   /// iteration, converges in a few steps because factors are in [0.5, 1]).
@@ -131,13 +117,6 @@ class FreqModel {
   /// lookup per fixed-point step: a verified-flat span is carried between
   /// steps so shrinking windows skip the episode search entirely.
   double elapsed_for_work(std::size_t core, double t0, double work);
-
-  /// Batched elapsed_for_work: same contract as mean_factor_batch (per-call
-  /// bit-identity on the scalar ISA, call-order lazy materialization).
-  void elapsed_for_work_batch(std::span<const std::size_t> core,
-                              std::span<const double> t0,
-                              std::span<const double> work,
-                              std::span<double> out);
 
   /// Materializes episode arrivals up to time `t` (normally done lazily;
   /// exposed so the differential oracle and the perf_hotpath bench can pin
@@ -192,8 +171,7 @@ class FreqModel {
   struct DomainIndex {
     /// The domain's episode columns — binary searches and integration scans
     /// stream one contiguous double array each instead of striding through
-    /// episode records (and they are what the ISA kernels consume, and what
-    /// snapshots serialize directly).
+    /// episode records (and they are what snapshots serialize directly).
     std::vector<double> starts;
     std::vector<double> ends;
     std::vector<double> depths;
@@ -249,15 +227,9 @@ class FreqModel {
   double window_reduction(std::size_t numa, double t0, double t1,
                           double base) const;
   /// mean_factor plus a flatness report (`flat_out` true when no episode
-  /// overlapped the window) feeding elapsed_for_work's early exit. `kern`,
-  /// when non-null, answers the narrow episode scan through the ISA kernel
-  /// table instead of the inlined scalar loop.
+  /// overlapped the window) feeding elapsed_for_work's early exit.
   double mean_factor_impl(std::size_t core, double t0, double t1,
-                          bool* flat_out, const batch::Kernels* kern);
-  /// elapsed_for_work with the kernel table threaded through to the
-  /// per-step mean-factor queries.
-  double elapsed_impl(std::size_t core, double t0, double work,
-                      const batch::Kernels* kern);
+                          bool* flat_out);
 
   const topo::Machine& machine_;
   FreqConfig cfg_;

@@ -3,12 +3,26 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <stdexcept>
+#include <cstddef>
 
 #include "core/snapshot.hpp"
-#include "sim/batch_kernels.hpp"
 
 namespace omv::sim {
+namespace {
+
+/// Analytic timer-tick delay of one window: the number of ticks of period
+/// `period` and phase `phase` arriving in [t0, t1), times `duration`.
+inline double tick_delay_one(double t0, double t1, double phase,
+                             double period, double duration) {
+  const double first = std::ceil((t0 - phase) / period) * period + phase;
+  if (first < t1) {
+    const double n = std::floor((t1 - first) / period) + 1.0;
+    return n * duration;
+  }
+  return 0.0;
+}
+
+}  // namespace
 
 NoiseConfig NoiseConfig::dardel() {
   NoiseConfig c;
@@ -243,7 +257,7 @@ void NoiseModel::ensure_horizon(double t) {
 }
 
 double NoiseModel::event_delay(std::size_t h, double t0, double t1,
-                               double acc, const batch::Kernels* kern) {
+                               double acc) {
   // ST absorption: with an idle SMT sibling, the kernel runs interrupting
   // work on the sibling HW thread and the benchmark thread only loses a
   // share of core resources instead of being fully preempted. The factor
@@ -262,23 +276,6 @@ double NoiseModel::event_delay(std::size_t h, double t0, double t1,
   // proves the window holds more than kScanCutover events is the window
   // end located by binary search and the O(1) prefix-sum range used.
   const std::size_t cap = std::min(n, i + kScanCutover);
-  if (kern != nullptr) {
-    std::size_t k = i;
-    while (k < cap && times[k] < t1) ++k;
-    if (k < n && k == i + kScanCutover && times[k] < t1) {
-      const std::size_t j = static_cast<std::size_t>(
-          std::lower_bound(tv.begin() + static_cast<std::ptrdiff_t>(k),
-                           tv.end(), t1) -
-          tv.begin());
-      return acc + cum_[h].range(i, j) * factor;
-    }
-    // Windows too narrow to fill a vector fall through to the fused
-    // scalar scan below (batch::kVecMin); the scalar table entry computes
-    // the identical left-to-right sum, so this is a pure perf gate.
-    if (k - i >= batch::kVecMin) {
-      return kern->scan_events(acc, durs_[h].data(), i, k, factor);
-    }
-  }
   const double* durs = durs_[h].data();
   double delay = acc;
   std::size_t k = i;
@@ -303,50 +300,10 @@ double NoiseModel::preemption_delay(std::size_t h, double t0, double t1) {
   // Analytic timer ticks.
   double delay = 0.0;
   if (cfg_.tick_duration > 0.0 && cfg_.tick_period > 0.0) {
-    delay = batch::tick_delay_one(t0, t1, tick_phase_[h], cfg_.tick_period,
-                                  cfg_.tick_duration);
+    delay = tick_delay_one(t0, t1, tick_phase_[h], cfg_.tick_period,
+                           cfg_.tick_duration);
   }
-  return event_delay(h, t0, t1, delay, nullptr);
-}
-
-void NoiseModel::preemption_delay_batch(std::span<const std::size_t> h,
-                                        std::span<const double> t0,
-                                        std::span<const double> t1,
-                                        std::span<double> out) {
-  const std::size_t n = out.size();
-  if (h.size() != n || t0.size() != n || t1.size() != n) {
-    throw std::invalid_argument(
-        "NoiseModel::preemption_delay_batch: span sizes differ");
-  }
-  if (n == 0) return;
-  const batch::Kernels& kern = batch::kernels();
-
-  // Pass 1: analytic tick terms for every window in one ISA-dispatched
-  // kernel call (pure arithmetic — no materialization, no per-window
-  // state).
-  if (cfg_.tick_duration > 0.0 && cfg_.tick_period > 0.0) {
-    batch_phase_.resize(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      batch_phase_[k] = h[k] < tick_phase_.size() ? tick_phase_[h[k]] : 0.0;
-    }
-    kern.tick_terms(t0.data(), t1.data(), batch_phase_.data(),
-                    cfg_.tick_period, cfg_.tick_duration, out.data(), n);
-  } else {
-    std::fill(out.begin(), out.end(), 0.0);
-  }
-
-  // Pass 2: event sums, window by window in call order — horizon growth
-  // stays lazy and ordered exactly as a per-call loop would leave it, so
-  // the scalar ISA reproduces per-call preemption_delay results (and event
-  // content) bit for bit.
-  for (std::size_t k = 0; k < n; ++k) {
-    if (t1[k] <= t0[k] || h[k] >= times_.size()) {
-      out[k] = 0.0;
-      continue;
-    }
-    if (t1[k] > horizon_) ensure_horizon(t1[k]);
-    out[k] = event_delay(h[k], t0[k], t1[k], out[k], &kern);
-  }
+  return event_delay(h, t0, t1, delay);
 }
 
 void NoiseModel::after_restore(snap::Restore& v) {

@@ -38,10 +38,6 @@ class Restore;
 
 namespace omv::sim {
 
-namespace batch {
-struct Kernels;
-}  // namespace batch
-
 /// Tuning knobs for all noise sources. Time unit: seconds.
 struct NoiseConfig {
   // Timer tick.
@@ -124,19 +120,6 @@ class NoiseModel {
   /// scan (bit-identical to the historical implementation), wide windows by
   /// the compensated duration prefix sums in O(1).
   double preemption_delay(std::size_t h, double t0, double t1);
-
-  /// Answers a whole batch of preemption windows in one call: the analytic
-  /// tick terms are computed for all windows by one ISA-dispatched kernel
-  /// pass, then the event sums are answered window by window in call order
-  /// (horizon growth stays lazy and ordered exactly as a per-call loop, so
-  /// the scalar ISA reproduces `for (k) out[k] = preemption_delay(...)`
-  /// bit for bit, materialization included). Wider ISAs reassociate
-  /// within-window sums — drift is bounded by the differential rig's 1e-12
-  /// relative tolerance. All spans must share one length.
-  void preemption_delay_batch(std::span<const std::size_t> h,
-                              std::span<const double> t0,
-                              std::span<const double> t1,
-                              std::span<double> out);
 
   /// Materializes all noise sources up to time `t` (normally done lazily by
   /// preemption_delay; exposed so the differential oracle and the
@@ -223,10 +206,8 @@ class NoiseModel {
   /// Event-sum part of a preemption window: `acc` enters holding the
   /// analytic tick term. Fused narrow scan (accumulates while counting, in
   /// the historical order) with a bail-out to the prefix range past
-  /// kScanCutover events; `kern`, when non-null, answers the narrow sum via
-  /// the ISA kernel table instead of the inlined scalar loop.
-  double event_delay(std::size_t h, double t0, double t1, double acc,
-                     const batch::Kernels* kern);
+  /// kScanCutover events.
+  double event_delay(std::size_t h, double t0, double t1, double acc);
   /// Recomputes the cached SMT-absorb factors from the busy set.
   void refresh_absorb_factors();
 
@@ -250,8 +231,6 @@ class NoiseModel {
   /// idle, else 1.0), cached from the busy set so the per-query sibling
   /// lookup disappears from the hot path.
   std::vector<double> absorb_factor_;
-  /// Scratch for preemption_delay_batch's tick pass (gathered phases).
-  std::vector<double> batch_phase_;
   /// Number of leading events of times_[h]/durs_[h] already sorted+indexed.
   std::vector<std::size_t> indexed_len_;
   /// Scratch for index_new_events' joint (time, duration) tail sort.

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/snapshot.hpp"
-#include "sim/batch_kernels.hpp"
 
 namespace omv::sim {
 
@@ -112,74 +111,6 @@ double Simulator::exec(std::size_t h, double t0, double work,
   if (share > 1) rate /= static_cast<double>(share);
   if (smt_busy) rate *= sample_smt_throughput();
   return exec_scaled(h, t0, work, rate);
-}
-
-void Simulator::exec_batch_impl(const Placement& pl, const double* work,
-                                std::span<double> clocks) {
-  const std::size_t n = clocks.size();
-  if (pl.hw.size() != n || pl.share.size() != n ||
-      pl.smt_coscheduled.size() != n) {
-    throw std::invalid_argument(
-        "Simulator::exec_batch: placement/clock sizes differ");
-  }
-  if (n == 0) return;
-
-  // RNG pass in thread order: the misc-RNG draw sequence must match the
-  // per-thread loop exactly, including threads whose work is <= 0 (exec
-  // samples the SMT throughput before the zero-work early-out).
-  batch_rate_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double rate = 1.0;
-    if (pl.share[i] > 1) rate /= static_cast<double>(pl.share[i]);
-    if (pl.smt_coscheduled[i]) rate *= sample_smt_throughput();
-    batch_rate_[i] = std::max(rate, 1e-6);
-  }
-
-  // Per-thread core ids, plus gathered per-thread core rates on
-  // heterogeneous machines.
-  batch_core_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    batch_core_[i] = machine_.thread(pl.hw[i]).core;
-  }
-  const double* core_rate = nullptr;
-  if (!core_rate_.empty()) {
-    batch_core_rate_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      batch_core_rate_[i] = core_rate_[batch_core_[i]];
-    }
-    core_rate = batch_core_rate_.data();
-  }
-
-  // Effective work for the whole team in one ISA-dispatched kernel call
-  // (per-lane mul/div — bit-identical to the scalar expression on every
-  // ISA).
-  batch_eff_.resize(n);
-  batch::kernels().scale_work(work, cfg_.costs.work_scale,
-                              batch_rate_.data(), core_rate,
-                              batch_eff_.data(), n);
-
-  // Clock advances in thread order: lazy noise/frequency materialization
-  // happens in the same sequence as the per-thread loop, which is what
-  // keeps the batched phase bit-identical to it.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (work[i] <= 0.0) continue;
-    clocks[i] = advance(pl.hw[i], batch_core_[i], clocks[i], batch_eff_[i]);
-  }
-}
-
-void Simulator::exec_batch(const Placement& pl, double work,
-                           std::span<double> clocks) {
-  batch_work_.assign(clocks.size(), work);
-  exec_batch_impl(pl, batch_work_.data(), clocks);
-}
-
-void Simulator::exec_batch(const Placement& pl, std::span<const double> work,
-                           std::span<double> clocks) {
-  if (work.size() != clocks.size()) {
-    throw std::invalid_argument(
-        "Simulator::exec_batch: work/clock sizes differ");
-  }
-  exec_batch_impl(pl, work.data(), clocks);
 }
 
 void Simulator::capture(snap::SnapshotWriter& w) {

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -19,7 +18,6 @@
 #include "sim/freq.hpp"
 #include "sim/memory.hpp"
 #include "sim/noise.hpp"
-#include "sim/os_placement.hpp"
 #include "topo/topology.hpp"
 
 namespace omv::snap {
@@ -94,19 +92,6 @@ class Simulator {
   [[nodiscard]] double exec_scaled(std::size_t h, double t0, double work,
                                    double rate_factor);
 
-  /// Advances a whole team's clocks through one lockstep compute segment in
-  /// a single call: one RNG pass in thread order (the misc-RNG draw
-  /// sequence of the per-thread loop, exactly), one ISA-dispatched
-  /// effective-work kernel (per-lane mul/div — bit-identical across ISAs),
-  /// then the per-thread clock advances in thread order (so lazy noise/
-  /// frequency materialization is ordered exactly as the per-thread loop's
-  /// and results are bit-identical to `for (i) clocks[i] = exec(...)` on
-  /// every ISA). `pl` spans and `clocks` must share one length; `work` is
-  /// either one nominal duration for all threads or one per thread.
-  void exec_batch(const Placement& pl, double work, std::span<double> clocks);
-  void exec_batch(const Placement& pl, std::span<const double> work,
-                  std::span<double> clocks);
-
   /// Per-phase SMT throughput sample (mean smt_throughput with jitter).
   [[nodiscard]] double sample_smt_throughput();
 
@@ -131,17 +116,15 @@ class Simulator {
     v.object("freq", *freq_);
   }
 
-  /// Fixed-point clock advance shared by exec_scaled and exec_batch: the
-  /// frequency-integrated elapsed time for `eff_work` is computed once and
-  /// reused across iterations — its arguments never change inside the
-  /// loop, and re-running it cannot return a different value (episode
-  /// arrivals are monotone, so the first call materialized everything its
-  /// window reads), making the cache bit-identical to the historical
+  /// Fixed-point clock advance behind exec_scaled: the frequency-integrated
+  /// elapsed time for `eff_work` is computed once and reused across
+  /// iterations — its arguments never change inside the loop, and
+  /// re-running it cannot return a different value (episode arrivals are
+  /// monotone, so the first call materialized everything its window
+  /// reads), making the cache bit-identical to the historical
   /// per-iteration recomputation.
   [[nodiscard]] double advance(std::size_t h, std::size_t core, double t0,
                                double eff_work);
-  void exec_batch_impl(const Placement& pl, const double* work,
-                       std::span<double> clocks);
 
   topo::Machine machine_;
   SimConfig cfg_;
@@ -152,13 +135,6 @@ class Simulator {
   std::unique_ptr<FreqModel> freq_;
   std::unique_ptr<MemoryModel> mem_;
   Rng misc_rng_;
-  /// exec_batch scratch (rates, effective work, per-thread core ids and
-  /// core rates) — capacity retained across phases.
-  std::vector<double> batch_rate_;
-  std::vector<double> batch_eff_;
-  std::vector<double> batch_work_;
-  std::vector<double> batch_core_rate_;
-  std::vector<std::size_t> batch_core_;
 };
 
 }  // namespace omv::sim

@@ -11,7 +11,9 @@
 //   * enumeration matches execution: the --plan listing's spec hashes are
 //     exactly the cells a serial campaign commits to the cache;
 //   * two scenario selections that would write the same artifact file are
-//     a usage error naming both selectors.
+//     a usage error naming both selectors;
+//   * a width past the executor ceiling, by flag or environment, is
+//     reported and ignored rather than aborting the process.
 //
 // The driver binary path arrives via OMNIVAR_BIN (set by the CMake test
 // harness to $<TARGET_FILE:omnivar>); the suite skips when it is absent so
@@ -290,6 +292,58 @@ TEST_F(CampaignSchedTest, SameNamedScenariosAreRejected) {
   EXPECT_NE(err.find("noisy-cloud"), std::string::npos) << err;
   EXPECT_TRUE(slurp(dir_ / "run.log").empty());
   EXPECT_FALSE(fs::exists(out / "campaign.json"));
+}
+
+// A width the host cannot spawn threads for must never reach the executor,
+// where it aborts the process (exit 134: std::system_error from thread
+// creation, or std::length_error for SIZE_MAX). Past cli::kMaxJobs the value
+// is a malformed one: reported on stderr, ignored, and the campaign runs
+// serial.
+TEST_F(CampaignSchedTest, OversizedJobsIsReportedNotFatal) {
+  const std::string bin = omnivar_bin();
+  const auto run = [&](const std::string& tag, const char* jobs_flag,
+                       const char* jobs_env) {
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+      if (!::freopen((dir_ / (tag + ".log")).c_str(), "w", stdout)) {
+        ::_exit(97);
+      }
+      if (!::freopen((dir_ / (tag + ".err")).c_str(), "w", stderr)) {
+        ::_exit(97);
+      }
+      ::setenv("OMNIVAR_QUICK", "1", 1);
+      ::unsetenv("OMNIVAR_CELL_JOBS");
+      if (jobs_env != nullptr) {
+        ::setenv("OMNIVAR_JOBS", jobs_env, 1);
+      } else {
+        ::unsetenv("OMNIVAR_JOBS");
+      }
+      if (jobs_flag != nullptr) {
+        ::execl(bin.c_str(), bin.c_str(), "--only", "table1", "--jobs",
+                jobs_flag, static_cast<char*>(nullptr));
+      } else {
+        ::execl(bin.c_str(), bin.c_str(), "--only", "table1",
+                static_cast<char*>(nullptr));
+      }
+      ::_exit(98);
+    }
+    return wait_exit_code(pid);
+  };
+
+  EXPECT_EQ(run("flag", "100000", nullptr), 0);
+  const std::string flag_err = slurp(dir_ / "flag.err");
+  EXPECT_NE(flag_err.find("--jobs value '100000'"), std::string::npos)
+      << flag_err;
+  EXPECT_NE(flag_err.find("from 0 to 1024"), std::string::npos) << flag_err;
+  EXPECT_FALSE(slurp(dir_ / "flag.log").empty());
+
+  EXPECT_EQ(run("env", nullptr, "18446744073709551615"), 0);
+  const std::string env_err = slurp(dir_ / "env.err");
+  EXPECT_NE(env_err.find("OMNIVAR_JOBS='18446744073709551615'"),
+            std::string::npos)
+      << env_err;
+  EXPECT_NE(env_err.find("from 0 to 1024"), std::string::npos) << env_err;
+  EXPECT_EQ(slurp(dir_ / "env.log"), slurp(dir_ / "flag.log"));
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "core/executor.hpp"
@@ -150,6 +151,9 @@ TEST_F(HarnessEnvTest, ParseJobCountStrict) {
   EXPECT_FALSE(cli::parse_job_count("-4", n));  // strtoul would wrap this
   EXPECT_FALSE(cli::parse_job_count("+4", n));
   EXPECT_FALSE(cli::parse_job_count("99999999999999999999999", n));  // ERANGE
+  EXPECT_TRUE(cli::parse_job_count("1024", n));
+  EXPECT_EQ(n, cli::kMaxJobs);
+  EXPECT_FALSE(cli::parse_job_count("1025", n));  // above the ceiling
 }
 
 TEST_F(HarnessEnvTest, MalformedJobsFlagIsIgnoredNotExpanded) {
@@ -165,6 +169,32 @@ TEST_F(HarnessEnvTest, NegativeJobsIsRejectedNotWrapped) {
   EXPECT_EQ(width_of({"--jobs=-4"}), 1u);  // not ULONG_MAX-3 workers
   ::setenv("OMNIVAR_JOBS", "-4", 1);
   EXPECT_EQ(effective_jobs(0), 1u);
+}
+
+// Each worker is an OS thread: a width past cli::kMaxJobs is reported and
+// ignored like any malformed value, never handed to the executor (where
+// thread creation would fail and abort the process).
+TEST_F(HarnessEnvTest, JobsAboveCeilingFlagIsIgnored) {
+  EXPECT_EQ(width_of({"--jobs=1024"}), 1024u);
+  EXPECT_EQ(width_of({"--jobs", "100000"}), 1u);
+  EXPECT_EQ(width_of({"--jobs=18446744073709551615"}), 1u);
+  EXPECT_EQ(width_of({"--cell-jobs", "100000"}), 1u);
+
+  const char* argv[] = {"omnivar", "--jobs", "100000"};
+  const cli::Options o = cli::parse_options(3, const_cast<char**>(argv));
+  ASSERT_EQ(o.errors.size(), 1u);
+  EXPECT_NE(o.errors[0].find("'100000'"), std::string::npos) << o.errors[0];
+  EXPECT_NE(o.errors[0].find("1024"), std::string::npos) << o.errors[0];
+}
+
+TEST_F(HarnessEnvTest, JobsAboveCeilingEnvIsIgnored) {
+  ::setenv("OMNIVAR_JOBS", "100000", 1);
+  EXPECT_EQ(effective_jobs(0), 1u);
+  ::setenv("OMNIVAR_JOBS", "18446744073709551615", 1);
+  EXPECT_EQ(effective_jobs(0), 1u);
+  ::setenv("OMNIVAR_CELL_JOBS", "18446744073709551615", 1);
+  EXPECT_EQ(cli::effective_cell_jobs(0), 1u);
+  EXPECT_EQ(width_of({}), 1u);
 }
 
 TEST_F(HarnessEnvTest, TrailingJobsFlagWithoutValueIsIgnored) {

@@ -14,7 +14,6 @@
 #include "core/prefix_index.hpp"
 #include "core/rng.hpp"
 #include "sim/freq.hpp"
-#include "sim/isa.hpp"
 #include "sim/noise.hpp"
 #include "sim/reference.hpp"
 #include "topo/topology.hpp"
@@ -230,229 +229,6 @@ TEST(HotpathDifferential, ReferenceQueriesThrowPastMaterializedHorizon) {
   // The indexed production queries self-materialize and stay unaffected.
   EXPECT_NO_THROW((void)noise.preemption_delay(0, 0.1, edge + 2.0));
   EXPECT_NO_THROW((void)freq.mean_factor(0, 0.1, fedge + 2.0));
-}
-
-// ---------------------------------------------------------------------
-// Batched-query fuzz rig: seeded density sweep, every window answered by
-// the brute-force reference, the per-call indexed path, and the batched
-// path under every ISA this host can dispatch to. The scalar batch must
-// reproduce the per-call results bit for bit (including lazy
-// materialization order); wider ISAs may reassociate within-window sums,
-// bounded by kRelTol.
-// ---------------------------------------------------------------------
-
-/// RAII pin of the batched-kernel dispatch for one test scope.
-class IsaGuard {
- public:
-  explicit IsaGuard(Isa isa) { force_isa(isa); }
-  ~IsaGuard() { reset_isa(); }
-  IsaGuard(const IsaGuard&) = delete;
-  IsaGuard& operator=(const IsaGuard&) = delete;
-};
-
-/// One fuzzed window set: mostly random windows, salted with the
-/// degenerate shapes the batched APIs must guard (empty window, inverted
-/// window, out-of-range place, and windows straddling the materialized
-/// horizon so the batch itself drives lazy extension).
-struct FuzzWindows {
-  std::vector<std::size_t> where;
-  std::vector<double> t0, t1;
-
-  FuzzWindows(std::uint64_t seed, std::size_t n_places, double horizon,
-              double max_len) {
-    Rng rng(seed);
-    for (int i = 0; i < 160; ++i) {
-      where.push_back(rng.next_below(n_places));
-      const double a = rng.uniform(0.0, 0.9 * horizon);
-      t0.push_back(a);
-      t1.push_back(a + rng.uniform(0.0, max_len));
-    }
-    // Degenerate shapes, interleaved mid-sequence so the lazy
-    // materialization order is exercised around them.
-    add(0, 0.5 * horizon, 0.5 * horizon);            // empty window
-    add(0, 0.5 * horizon, 0.4 * horizon);            // inverted window
-    add(n_places + 5, 0.1 * horizon, 0.6 * horizon); // out-of-range place
-    add(1 % n_places, 0.95 * horizon, 1.4 * horizon); // straddles horizon
-    add(0, 1.45 * horizon, 1.5 * horizon);            // fully past horizon
-  }
-
-  void add(std::size_t w, double a, double b) {
-    where.push_back(w);
-    t0.push_back(a);
-    t1.push_back(b);
-  }
-
-  [[nodiscard]] std::size_t size() const { return t0.size(); }
-};
-
-TEST(HotpathDifferential, BatchedPreemptionDelayMatchesPerCallPerIsa) {
-  const topo::Machine machine = topo::Machine::vera();
-  // Density sweep: empty stream, sparse (some threads hold 0–1 events),
-  // mid, and dense enough to cross the prefix cutover.
-  for (const double rate : {0.0, 0.4, 60.0, 6000.0}) {
-    NoiseConfig cfg = NoiseConfig::vera();
-    cfg.kworker_rate_per_cpu = rate;
-    const double horizon = 1.0;
-    const FuzzWindows w(9000 + static_cast<std::uint64_t>(rate),
-                        machine.n_threads(), horizon, 0.3);
-
-    // Per-call oracle on its own model instance: the batch must reproduce
-    // this stream *content* too, so each run starts from the same seed and
-    // materializes lazily in the same window order.
-    NoiseModel per_call(machine, cfg);
-    per_call.begin_run(3, machine.primary_threads());
-    per_call.materialize_to(horizon);
-    std::vector<double> want(w.size());
-    for (std::size_t k = 0; k < w.size(); ++k) {
-      want[k] = per_call.preemption_delay(w.where[k], w.t0[k], w.t1[k]);
-    }
-
-    for (const Isa isa : available_isas()) {
-      IsaGuard guard(isa);
-      NoiseModel batched(machine, cfg);
-      batched.begin_run(3, machine.primary_threads());
-      batched.materialize_to(horizon);
-      std::vector<double> got(w.size());
-      batched.preemption_delay_batch(w.where, w.t0, w.t1, got);
-      for (std::size_t k = 0; k < w.size(); ++k) {
-        if (isa == Isa::scalar) {
-          EXPECT_EQ(got[k], want[k])
-              << "scalar batch vs per-call, rate=" << rate
-              << " window " << k;
-        } else {
-          expect_close(got[k], want[k], isa_name(isa), w.t0[k], w.t1[k]);
-        }
-      }
-      // The batch's lazy extensions must leave the same stream content as
-      // the per-call sequence (shared-RNG interleave order).
-      ASSERT_EQ(batched.n_event_streams(), per_call.n_event_streams());
-      for (std::size_t h = 0; h < per_call.n_event_streams(); ++h) {
-        ASSERT_EQ(batched.event_times(h).size(),
-                  per_call.event_times(h).size())
-            << "stream content diverged on thread " << h;
-      }
-    }
-
-    // Reference answers over the now fully materialized oracle stream.
-    for (std::size_t k = 0; k < w.size(); ++k) {
-      if (w.where[k] >= machine.n_threads() || w.t1[k] <= w.t0[k]) continue;
-      expect_close(
-          want[k],
-          reference::preemption_delay(per_call, machine, w.where[k],
-                                      w.t0[k], w.t1[k]),
-          "reference", w.t0[k], w.t1[k]);
-    }
-  }
-}
-
-TEST(HotpathDifferential, BatchedFreqQueriesMatchPerCallPerIsa) {
-  const topo::Machine machine = topo::Machine::vera();
-  const struct {
-    double rate;
-    double mean;
-  } cases[] = {{0.0, 0.1}, {0.3, 0.4}, {25.0, 0.05}, {2500.0, 0.002}};
-  for (const auto& c : cases) {
-    FreqConfig cfg = FreqConfig::vera_dippy();
-    cfg.episode_rate = c.rate;
-    cfg.episode_mean = c.mean;
-    const double horizon = 1.0;
-    const FuzzWindows w(7100 + static_cast<std::uint64_t>(c.rate),
-                        machine.n_cores(), horizon, 0.4);
-    std::vector<double> work(w.size());
-    Rng wrng(31337);
-    for (auto& v : work) v = wrng.uniform(0.0, 5e-3);
-    work[3] = 0.0;  // degenerate: zero work must answer 0 elapsed.
-
-    FreqModel per_call(machine, cfg);
-    per_call.begin_run(17);
-    per_call.materialize_to(horizon);
-    std::vector<double> want_mf(w.size()), want_ew(w.size());
-    // Two separate passes, matching the batch call order: the bit-identity
-    // contract is "one batch call == the same per-call sequence", and an
-    // interleaved oracle would materialize episodes at different points,
-    // flipping the scan/prefix cutover (ULP-visible) for some windows.
-    for (std::size_t k = 0; k < w.size(); ++k) {
-      want_mf[k] = per_call.mean_factor(w.where[k], w.t0[k], w.t1[k]);
-    }
-    for (std::size_t k = 0; k < w.size(); ++k) {
-      want_ew[k] = per_call.elapsed_for_work(w.where[k], w.t0[k], work[k]);
-    }
-
-    for (const Isa isa : available_isas()) {
-      IsaGuard guard(isa);
-      FreqModel batched(machine, cfg);
-      batched.begin_run(17);
-      batched.materialize_to(horizon);
-      std::vector<double> got_mf(w.size()), got_ew(w.size());
-      batched.mean_factor_batch(w.where, w.t0, w.t1, got_mf);
-      batched.elapsed_for_work_batch(w.where, w.t0, work, got_ew);
-      for (std::size_t k = 0; k < w.size(); ++k) {
-        if (isa == Isa::scalar) {
-          EXPECT_EQ(got_mf[k], want_mf[k])
-              << "scalar mean_factor_batch, rate=" << c.rate
-              << " window " << k;
-          EXPECT_EQ(got_ew[k], want_ew[k])
-              << "scalar elapsed_for_work_batch, rate=" << c.rate
-              << " window " << k;
-        } else {
-          expect_close(got_mf[k], want_mf[k], isa_name(isa), w.t0[k],
-                       w.t1[k]);
-          expect_close(got_ew[k], want_ew[k], isa_name(isa), w.t0[k],
-                       w.t1[k]);
-        }
-      }
-      EXPECT_EQ(got_ew[3], 0.0);
-    }
-
-    // Reference sweep over the materialized oracle.
-    for (std::size_t k = 0; k < w.size(); ++k) {
-      if (w.t1[k] > per_call.materialized_horizon() ||
-          w.t0[k] > per_call.materialized_horizon()) {
-        continue;
-      }
-      expect_close(want_mf[k],
-                   reference::mean_factor(per_call, w.where[k], w.t0[k],
-                                          w.t1[k]),
-                   "reference mean_factor", w.t0[k], w.t1[k]);
-    }
-  }
-}
-
-TEST(HotpathDifferential, BatchedQueriesRejectMismatchedSpans) {
-  const topo::Machine machine = topo::Machine::vera();
-  NoiseModel noise(machine, NoiseConfig::vera());
-  noise.begin_run(1, machine.primary_threads());
-  std::vector<std::size_t> h(4);
-  std::vector<double> a(4), b(3), out(4);
-  EXPECT_THROW(noise.preemption_delay_batch(h, a, b, out),
-               std::invalid_argument);
-  FreqModel freq(machine, FreqConfig::vera_dippy());
-  freq.begin_run(1);
-  EXPECT_THROW(freq.mean_factor_batch(h, a, b, out), std::invalid_argument);
-  EXPECT_THROW(freq.elapsed_for_work_batch(h, b, a, out),
-               std::invalid_argument);
-}
-
-TEST(HotpathDifferential, ForceIsaRejectsUnsupportedAndResets) {
-  // force_isa must refuse levels the host cannot run (the differential
-  // rig iterates available_isas(), so this is its safety net), and
-  // reset_isa must restore env/auto resolution.
-  const std::vector<Isa> avail = available_isas();
-  ASSERT_FALSE(avail.empty());
-  EXPECT_EQ(avail.front(), Isa::scalar);
-  {
-    IsaGuard guard(Isa::scalar);
-    EXPECT_EQ(active_isa(), Isa::scalar);
-  }
-  if (!isa_supported(Isa::avx512)) {
-    EXPECT_THROW(force_isa(Isa::avx512), std::invalid_argument);
-  }
-  Isa parsed = Isa::scalar;
-  EXPECT_TRUE(parse_isa("avx2", parsed));
-  EXPECT_EQ(parsed, Isa::avx2);
-  EXPECT_TRUE(parse_isa("avx512f", parsed));
-  EXPECT_EQ(parsed, Isa::avx512);
-  EXPECT_FALSE(parse_isa("neon", parsed));
 }
 
 TEST(HotpathDifferential, NoiseEventsStaySortedAcrossExtensions) {

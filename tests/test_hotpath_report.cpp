@@ -15,8 +15,6 @@ HotpathReport sample_report() {
   HotpathReport r;
   r.quick = true;
   r.sim_machine = "vera";
-  r.isa = "avx2";
-  r.isa_overridden = true;
   r.noise_scan_cutover = 48;
   r.freq_scan_cutover = 48;
   r.kernels.push_back({"preemption_delay", "high", 120000, 70.0, 1400.0});
@@ -26,7 +24,7 @@ HotpathReport sample_report() {
 
 TEST(HotpathReport, RendersSchemaAndKernels) {
   const std::string json = hotpath_report_json(sample_report());
-  EXPECT_NE(json.find("\"schema\": \"omnivar-bench-hotpath-v2\""),
+  EXPECT_NE(json.find("\"schema\": \"omnivar-bench-hotpath-v3\""),
             std::string::npos);
   EXPECT_NE(json.find("\"quick\": true"), std::string::npos);
   EXPECT_NE(json.find("\"sim_machine\": \"vera\""), std::string::npos);
@@ -39,26 +37,25 @@ TEST(HotpathReport, RendersSchemaAndKernels) {
   EXPECT_NE(json.find("\"speedup\": 20"), std::string::npos);
 }
 
+// "Dispatch" here is the density-adaptive scan-or-prefix-sum choice: the
+// report records both cutovers, and carries no instruction-set field.
 TEST(HotpathReport, RendersDispatchMetadataAndRegressionFlags) {
   const std::string json = hotpath_report_json(sample_report());
-  EXPECT_NE(json.find("\"isa\": \"avx2\""), std::string::npos);
-  EXPECT_NE(json.find("\"isa_override\": true"), std::string::npos);
   EXPECT_NE(json.find("\"noise_scan_window\": 48"), std::string::npos);
   EXPECT_NE(json.find("\"freq_scan_episodes\": 48"), std::string::npos);
-  EXPECT_NE(json.find("\"baseline_kind\": \"reference_scan\""),
+  EXPECT_NE(json.find("\"baseline_definition\": \"brute-force reference"),
             std::string::npos);
+  EXPECT_EQ(json.find("\"isa"), std::string::npos);
+  EXPECT_EQ(json.find("\"baseline_kind\""), std::string::npos);
   EXPECT_NE(json.find("\"regression\": false"), std::string::npos);
   EXPECT_NE(json.find("\"any_regression\": false"), std::string::npos);
 }
 
 TEST(HotpathReport, FlagsRegressionWhenBaselineBeatsOptimized) {
   HotpathReport r = sample_report();
-  r.kernels.push_back(
-      {"mean_factor_batch", "low", 10, 200.0, 100.0, "indexed_per_call"});
+  r.kernels.push_back({"mean_factor", "low", 10, 200.0, 100.0});
   EXPECT_TRUE(r.kernels.back().regression());
   const std::string json = hotpath_report_json(r);
-  EXPECT_NE(json.find("\"baseline_kind\": \"indexed_per_call\""),
-            std::string::npos);
   EXPECT_NE(json.find("\"regression\": true"), std::string::npos);
   EXPECT_NE(json.find("\"any_regression\": true"), std::string::npos);
 }

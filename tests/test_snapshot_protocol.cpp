@@ -2,9 +2,8 @@
 // protocol cell at a checkpoint and resuming it in fresh objects must be
 // bit-identical to straight-line execution — same RunMatrix cells, same
 // end-of-run hook side effects (frequency traces) — on every catalog
-// preset, on the committed degenerate asymmetric scenario file, across
-// --jobs, and under both the scalar oracle ISA and the best dispatched
-// one.
+// preset, on the committed degenerate asymmetric scenario file, and
+// across --jobs.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +17,6 @@
 #include "bench_suite/syncbench_sim.hpp"
 #include "freqlog/logger.hpp"
 #include "scenario/registry.hpp"
-#include "sim/isa.hpp"
 #include "sim/simulator.hpp"
 #include "topo/proc_bind.hpp"
 
@@ -34,15 +32,6 @@ core::Executor& two_workers() {
   static core::Executor executor(2);
   return executor;
 }
-
-/// RAII pin of the batched-kernel dispatch for one test scope.
-class IsaGuard {
- public:
-  explicit IsaGuard(sim::Isa isa) { sim::force_isa(isa); }
-  ~IsaGuard() { sim::reset_isa(); }
-  IsaGuard(const IsaGuard&) = delete;
-  IsaGuard& operator=(const IsaGuard&) = delete;
-};
 
 /// Scratch directory for one test's snapshot files.
 class SnapDir {
@@ -165,61 +154,6 @@ TEST(SnapshotProtocol, ResumeIsBitIdenticalOnDegenerateScenarioFile) {
   ASSERT_TRUE(std::filesystem::exists(path)) << path;
   expect_checkpoint_roundtrip(scenario::load_file(path.string()),
                               "degenerate-pe");
-}
-
-TEST(SnapshotProtocol, ResumeIsBitIdenticalUnderEveryIsa) {
-  const auto& reg = scenario::ScenarioRegistry::instance();
-  for (const sim::Isa isa : sim::available_isas()) {
-    IsaGuard guard(isa);
-    expect_checkpoint_roundtrip(reg.get("vera"),
-                                std::string("vera/") + sim::isa_name(isa));
-    expect_checkpoint_roundtrip(
-        reg.get("noisy-cloud"),
-        std::string("noisy-cloud/") + sim::isa_name(isa));
-  }
-}
-
-TEST(SnapshotProtocol, ScalarOracleMatchesBestIsaOnResume) {
-  // The scalar lane is the bit-exactness oracle: a resumed run under the
-  // best dispatched ISA must equal the straight-line scalar run.
-  const auto scn = scenario::ScenarioRegistry::instance().get("dvfs-dippy");
-  const topo::Machine machine = scn.machine.build();
-  const auto cfg = team_cfg(machine);
-  const auto spec = small_spec();
-  sim::Simulator base(machine, scn.sim);
-  const auto make_bench = [cfg](sim::Simulator& sim) {
-    return SimSyncBench(sim, cfg);
-  };
-  const auto rep = [](SimSyncBench& bench, ompsim::SimTeam& team) {
-    return bench.rep_time_us(team, SyncConstruct::barrier);
-  };
-
-  RunMatrix scalar_straight = [&] {
-    IsaGuard guard(sim::Isa::scalar);
-    return run_protocol_sharded(base, cfg, spec, one_worker(), make_bench, rep);
-  }();
-  RunMatrix best_resumed = [&] {
-    IsaGuard guard(sim::available_isas().back());
-    SnapDir dir;
-    snap::CheckpointPolicy pol;
-    pol.path = dir.path("cell.snap");
-    pol.every_reps = 3;
-    snap::reset_checkpoint_writes();
-    pol.stop_after = 2;
-    try {
-      (void)run_protocol_sharded(base, cfg, spec, one_worker(), make_bench, rep,
-                                 NoRunEndHook{}, &pol);
-    } catch (const snap::CheckpointStop&) {
-    }
-    snap::reset_checkpoint_writes();
-    snap::CheckpointPolicy resume = pol;
-    resume.stop_after = 0;
-    resume.resume_from = pol.path;
-    return run_protocol_sharded(base, cfg, spec, one_worker(), make_bench, rep,
-                                NoRunEndHook{}, &resume);
-  }();
-  expect_matrices_identical(best_resumed, scalar_straight,
-                            "scalar oracle vs best-ISA resume");
 }
 
 TEST(SnapshotProtocol, HookReplayRebuildsIdenticalTraces) {

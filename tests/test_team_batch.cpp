@@ -1,12 +1,13 @@
-// Batched-vs-loop differential tests for SimTeam's compute phase.
+// Team compute phase vs a test-local per-thread exec loop.
 //
-// SimTeam::compute now routes every lockstep compute segment through one
-// Simulator::exec_batch call. These tests pin the contract that rewrite
-// rests on: the batched phase is bit-identical to the retained per-thread
-// loop (SimTeam::compute_loop) — same clocks, same RNG draw order, same
-// lazy noise/frequency materialization — on every catalog preset, on the
-// committed degenerate asymmetric scenario file, on unpinned teams, and
-// under every ISA the host can dispatch the batched kernels to.
+// SimTeam::compute advances every thread clock with one Simulator::exec
+// call per thread, in thread order. These tests pin that contract against
+// a loop written here from the placement alone — same clocks, same RNG
+// draw order (threads with no work still draw their SMT-throughput
+// sample), same lazy noise/frequency materialization — on every catalog
+// preset, on the committed degenerate asymmetric scenario file, and on
+// unpinned teams. (The case names keep their "Batched" prefix so their
+// results stay comparable across the suite's history.)
 
 #include <gtest/gtest.h>
 
@@ -15,24 +16,15 @@
 
 #include "omp_model/team.hpp"
 #include "scenario/registry.hpp"
-#include "sim/isa.hpp"
 #include "sim/simulator.hpp"
 #include "topo/proc_bind.hpp"
 
 namespace omv::ompsim {
 namespace {
 
-/// RAII pin of the batched-kernel dispatch for one test scope.
-class IsaGuard {
- public:
-  explicit IsaGuard(sim::Isa isa) { sim::force_isa(isa); }
-  ~IsaGuard() { sim::reset_isa(); }
-  IsaGuard(const IsaGuard&) = delete;
-  IsaGuard& operator=(const IsaGuard&) = delete;
-};
-
-/// The bench harness's "full but not oversaturated" team size, restated
-/// here so the test exercises the same span perf_hotpath times.
+/// The bench harnesses' "full but not oversaturated" team size
+/// (harness::full_team), restated here so the test runs the spans the
+/// harnesses run.
 std::size_t full_team(const topo::Machine& m) {
   return std::min(m.n_cores(),
                   m.n_threads() > 2 ? m.n_threads() - 2 : m.n_threads());
@@ -46,24 +38,36 @@ TeamConfig pinned(std::size_t threads) {
   return cfg;
 }
 
+/// The reference compute phase: one Simulator::exec per thread, in thread
+/// order, with each thread's placement (HW thread, share, SMT state).
+void exec_loop(SimTeam& team, std::span<const double> work) {
+  const sim::Placement& pl = team.placement();
+  std::vector<double> clocks(team.clocks().begin(), team.clocks().end());
+  for (std::size_t i = 0; i < clocks.size(); ++i) {
+    clocks[i] = team.simulator().exec(pl.hw[i], clocks[i], work[i],
+                                      pl.share[i], pl.smt_coscheduled[i]);
+  }
+  team.set_clocks(clocks);
+}
+
 /// Drives one team through a representative phase mix (uniform work,
 /// heterogeneous spans with zero-work holes, barriers, a fork/join pair,
 /// several repetitions) and records every thread clock after each compute.
-/// `batched` selects compute() (the production batched phase) or
-/// compute_loop() (the per-thread reference).
-std::vector<double> drive(SimTeam& team, bool batched) {
-  const auto step_uniform = [&](double work) {
-    if (batched) {
+/// `use_team` selects SimTeam::compute or the test-local exec_loop.
+std::vector<double> drive(SimTeam& team, bool use_team) {
+  const auto step_span = [&](std::span<const double> work) {
+    if (use_team) {
       team.compute(work);
     } else {
-      team.compute_loop(work);
+      exec_loop(team, work);
     }
   };
-  const auto step_span = [&](std::span<const double> work) {
-    if (batched) {
+  const auto step_uniform = [&](double work) {
+    if (use_team) {
       team.compute(work);
     } else {
-      team.compute_loop(work);
+      const std::vector<double> all(team.size(), work);
+      exec_loop(team, all);
     }
   };
 
@@ -98,17 +102,18 @@ std::vector<double> drive(SimTeam& team, bool batched) {
 }
 
 /// Runs the drive sequence twice on identically seeded simulators — once
-/// batched, once per-thread — and demands bit-identical clock traces.
-void expect_batched_matches_loop(const scenario::ScenarioSpec& spec,
+/// through SimTeam::compute, once through exec_loop — and demands
+/// bit-identical clock traces.
+void expect_compute_matches_loop(const scenario::ScenarioSpec& spec,
                                  const TeamConfig& cfg) {
   const topo::Machine machine = spec.machine.build();
-  sim::Simulator sim_batched(machine, spec.sim);
-  SimTeam team_batched(sim_batched, cfg, 1);
+  sim::Simulator sim_team(machine, spec.sim);
+  SimTeam team(sim_team, cfg, 1);
   sim::Simulator sim_loop(machine, spec.sim);
   SimTeam team_loop(sim_loop, cfg, 1);
 
-  const std::vector<double> got = drive(team_batched, /*batched=*/true);
-  const std::vector<double> want = drive(team_loop, /*batched=*/false);
+  const std::vector<double> got = drive(team, /*use_team=*/true);
+  const std::vector<double> want = drive(team_loop, /*use_team=*/false);
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t k = 0; k < got.size(); ++k) {
     ASSERT_EQ(got[k], want[k])
@@ -119,7 +124,7 @@ void expect_batched_matches_loop(const scenario::ScenarioSpec& spec,
 
 TEST(TeamBatch, BatchedComputeMatchesLoopOnEveryPreset) {
   for (const auto& spec : scenario::ScenarioRegistry::instance().all()) {
-    expect_batched_matches_loop(
+    expect_compute_matches_loop(
         spec, pinned(full_team(spec.machine.build())));
   }
 }
@@ -134,66 +139,20 @@ TEST(TeamBatch, BatchedComputeMatchesLoopOnDegenerateScenarioFile) {
   const topo::Machine machine = spec.machine.build();
   // 3 HW threads, 2 cores: run the team at every legal size.
   for (std::size_t t = 1; t <= machine.n_threads(); ++t) {
-    expect_batched_matches_loop(spec, pinned(t));
+    expect_compute_matches_loop(spec, pinned(t));
   }
 }
 
 TEST(TeamBatch, BatchedComputeMatchesLoopUnpinned) {
   // Unpinned teams re-place threads between repetitions (shares and SMT
-  // co-scheduling change under the batch), drawing from a placement RNG
+  // co-scheduling change from rep to rep), drawing from a placement RNG
   // that must stay in step across the two implementations.
   const scenario::ScenarioSpec spec =
       scenario::ScenarioRegistry::instance().get("noisy-cloud");
   TeamConfig cfg;
   cfg.n_threads = full_team(spec.machine.build());
   cfg.bind = topo::ProcBind::none;
-  expect_batched_matches_loop(spec, cfg);
-}
-
-TEST(TeamBatch, TeamClocksInvariantAcrossIsas) {
-  // The only ISA-dispatched kernel on the team path is scale_work, which
-  // is per-lane exact (mul/div, no reassociation) — so team clocks must be
-  // bit-identical under every dispatch level, not merely close.
-  const scenario::ScenarioSpec spec =
-      scenario::ScenarioRegistry::instance().get("vera");
-  const topo::Machine machine = spec.machine.build();
-  const TeamConfig cfg = pinned(full_team(machine));
-
-  std::vector<double> scalar_trace;
-  for (const sim::Isa isa : sim::available_isas()) {
-    IsaGuard guard(isa);
-    sim::Simulator simulator(machine, spec.sim);
-    SimTeam team(simulator, cfg, 1);
-    std::vector<double> trace = drive(team, /*batched=*/true);
-    if (isa == sim::Isa::scalar) {
-      scalar_trace = std::move(trace);
-      continue;
-    }
-    ASSERT_EQ(trace.size(), scalar_trace.size());
-    for (std::size_t k = 0; k < trace.size(); ++k) {
-      ASSERT_EQ(trace[k], scalar_trace[k])
-          << sim::isa_name(isa) << " diverged from scalar at sample " << k;
-    }
-  }
-}
-
-TEST(TeamBatch, ExecBatchValidatesSpans) {
-  const topo::Machine machine = topo::Machine::vera();
-  sim::Simulator simulator(machine, sim::SimConfig::vera());
-  simulator.begin_run(1, machine.primary_threads());
-  sim::Placement pl;
-  pl.hw = {0, 1};
-  pl.share = {1, 1};
-  pl.smt_coscheduled = {false, false};
-  std::vector<double> clocks(3, 0.0);
-  EXPECT_THROW(simulator.exec_batch(pl, 1e-3, clocks),
-               std::invalid_argument);
-  clocks.resize(2);
-  const std::vector<double> work{1e-3, 1e-3, 1e-3};
-  EXPECT_THROW(simulator.exec_batch(pl, work, clocks),
-               std::invalid_argument);
-  EXPECT_NO_THROW(simulator.exec_batch(pl, 1e-3, clocks));
-  EXPECT_GT(clocks[0], 0.0);
+  expect_compute_matches_loop(spec, cfg);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
-// Fixture: SIMD intrinsics outside the per-TU kernel files. The include
-// and both intrinsic uses must trip [isa-guard] — only batch_avx2.cpp /
-// batch_avx512.cpp may contain ISA-specific code, or the baseline build
-// faults and runtime dispatch loses its scalar oracle.
+// Fixture: SIMD intrinsics. The include and every intrinsic type and call
+// must trip [isa-guard] — no file in the tree may contain ISA-specific
+// code, or a baseline build faults and results depend on the host CPU.
 #include <immintrin.h>
 
 double sum4(const double* p) {

@@ -315,10 +315,6 @@ bool in_unordered_scope(std::string_view p) {
          starts_with(p, "src/freqlog/") || files.count(p) != 0;
 }
 
-bool is_isa_kernel_tu(std::string_view p) {
-  return p == "src/sim/batch_avx2.cpp" || p == "src/sim/batch_avx512.cpp";
-}
-
 // ---------------------------------------------------------------------------
 // Rules
 // ---------------------------------------------------------------------------
@@ -531,17 +527,15 @@ void check_unordered_iteration(std::string_view path,
   }
 }
 
-void check_isa_guard(std::string_view path, const std::vector<Token>& toks,
-                     const Emitter& emit) {
-  if (is_isa_kernel_tu(path)) return;
+void check_isa_guard(const std::vector<Token>& toks, const Emitter& emit) {
   for (const Token& t : toks) {
     if (t.kind == TokKind::kDirective) {
       if (t.text.find("immintrin.h") != std::string::npos ||
           t.text.find("x86intrin.h") != std::string::npos) {
         emit(t.line, kIsa,
-             "intrinsics header included outside the per-TU kernel "
-             "files; runtime ISA dispatch requires SIMD code confined "
-             "to batch_avx2.cpp/batch_avx512.cpp");
+             "intrinsics header included; the simulator has one scalar "
+             "implementation per query, so no reproduced number may "
+             "depend on the host's instruction set");
       }
       continue;
     }
@@ -554,9 +548,8 @@ void check_isa_guard(std::string_view path, const std::vector<Token>& toks,
     if (simd) {
       emit(t.line, kIsa,
            "SIMD intrinsic '" + t.text +
-               "' outside batch_avx2.cpp/batch_avx512.cpp; a "
-               "baseline-ISA build would fault here and the scalar "
-               "oracle could diverge");
+               "'; a baseline-ISA build would fault here and results "
+               "could depend on the host's instruction set");
     }
   }
 }
@@ -577,7 +570,7 @@ FileLint lint_tokens(std::string_view relpath, const TokenizedFile& tf) {
   check_atomic_writes(relpath, tf.tokens, emit);
   check_ambient_entropy(relpath, tf.tokens, emit);
   check_unordered_iteration(relpath, tf.tokens, emit);
-  check_isa_guard(relpath, tf.tokens, emit);
+  check_isa_guard(tf.tokens, emit);
 
   FileLint out;
   for (const SuppressComment& sc : tf.suppressions) {

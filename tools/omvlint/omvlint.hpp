@@ -13,8 +13,8 @@
 //                        simulator core (RNG flows from run_seed)
 //   unordered-iteration  no range-for over unordered containers on
 //                        serialization/fingerprint/artifact paths
-//   isa-guard            SIMD intrinsics confined to the per-TU kernel
-//                        files batch_avx2.cpp / batch_avx512.cpp
+//   isa-guard            no SIMD intrinsics or intrinsics headers
+//                        anywhere in the tree
 //
 // Violations print "file:line: [rule] message". A site is suppressed with
 // an explicit, reasoned comment on the same line (or alone on the line
