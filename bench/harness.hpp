@@ -285,17 +285,4 @@ inline void header(cli::RunContext& ctx, const std::string& experiment,
   ctx.print("Paper claim: %s\n\n", claim.c_str());
 }
 
-/// Header without scenario context (ad-hoc callers).
-inline void header(const std::string& experiment, const std::string& claim) {
-  std::printf("%s", report::banner(experiment).c_str());
-  std::printf("Paper claim: %s\n\n", claim.c_str());
-}
-
-/// Prints the "shape check" verdict line the EXPERIMENTS.md records.
-/// Prefer RunContext::verdict (records into the JSON artifact) in harness
-/// run functions; this stays for ad-hoc callers.
-inline void verdict(bool ok, const std::string& what) {
-  std::printf("[%s] %s\n", ok ? "SHAPE-OK" : "SHAPE-MISMATCH", what.c_str());
-}
-
 }  // namespace omv::harness

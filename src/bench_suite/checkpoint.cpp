@@ -24,9 +24,9 @@ std::optional<LoadedCheckpoint> load_cell_checkpoint(
   snap::SnapshotReader r(bytes, pol.resume_from);
   LoadedCheckpoint out;
   out.stamp = snap::read_stamp(r, &pol.stamp);
+  // Appended record by record: a forged count runs out of bytes, never
+  // sizes an allocation.
   const std::uint64_t completed = r.field_u64("completed_runs");
-  out.done_times.reserve(completed);
-  out.done_states.reserve(completed);
   for (std::uint64_t i = 0; i < completed; ++i) {
     const std::string p = "run" + std::to_string(i);
     out.done_times.push_back(r.field_vec_f64(p + ".times"));

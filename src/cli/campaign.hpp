@@ -19,10 +19,8 @@
 // Artifacts: <out>/<harness>.json holds the science (cells, series at
 // full precision, tables, metrics, verdicts) and is byte-stable across
 // cached re-runs provided the harness records only deterministic data —
-// every fig/table harness does; micro_core, which records wall-clock
-// ns/op metrics, is the documented exception. Wall-clock timing and cache
-// provenance go to <out>/campaign.json, which is expected to differ
-// between invocations.
+// every registered harness does. Wall-clock timing and cache provenance go
+// to <out>/campaign.json, which is expected to differ between invocations.
 //
 // The cache validates the stored canonical key on every hit (collision /
 // stale-key defense) and falls back to recomputing — a cache can never
@@ -155,9 +153,7 @@ class RunContext {
   }
 
   /// True on an enumeration pass: protocol() records cells without
-  /// computing and every print is discarded. Harnesses whose cells are
-  /// self-timed wall-clock cases outside protocol() (micro_core,
-  /// perf_hotpath) return early when this is set.
+  /// computing and every print is discarded.
   [[nodiscard]] bool enumerating() const noexcept {
     return mode_ == ContextMode::kEnumerate;
   }
@@ -231,9 +227,6 @@ class RunContext {
                      const std::string& fingerprint);
   [[nodiscard]] const std::string& harness() const noexcept {
     return harness_;
-  }
-  [[nodiscard]] const std::string& out_dir() const noexcept {
-    return out_dir_;
   }
   [[nodiscard]] bool caching() const noexcept { return !out_dir_.empty(); }
 

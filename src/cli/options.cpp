@@ -195,12 +195,6 @@ std::size_t effective_jobs(std::size_t cli_jobs) {
   return 1;
 }
 
-std::string effective_scenario(const std::string& cli_scenario) {
-  if (!cli_scenario.empty()) return cli_scenario;
-  if (const char* s = std::getenv("OMNIVAR_SCENARIO")) return s;
-  return {};
-}
-
 std::vector<std::string> effective_scenarios(const Options& o) {
   std::vector<std::string> out = o.scenarios;
   if (!o.scenario_set.empty()) {

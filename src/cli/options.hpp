@@ -102,11 +102,6 @@ struct Options {
 /// serial, the paper's original execution model.
 [[nodiscard]] std::size_t effective_jobs(std::size_t cli_jobs);
 
-/// Effective scenario selector: `cli_scenario` when non-empty, else the
-/// OMNIVAR_SCENARIO environment variable, else "" — the paper's default
-/// Dardel+Vera contrast mode.
-[[nodiscard]] std::string effective_scenario(const std::string& cli_scenario);
-
 /// Effective scenario selector list: the repeated --scenario values plus
 /// the lines of --scenario-set FILE, in order; when both are absent, the
 /// OMNIVAR_SCENARIO environment variable as a single selector, else empty

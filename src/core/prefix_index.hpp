@@ -7,8 +7,8 @@
 // a time window". A plain running-sum array answers that as
 // prefix[j] - prefix[i], but the difference of two rounded prefixes carries
 // an absolute error of ~eps * |prefix[j]| — catastrophic once the stream is
-// long and the window short (the exact regime the perf_hotpath bench
-// exercises). Storing each prefix as an unevaluated (sum, compensation)
+// long and the window short (a dense event stream queried over one short
+// compute phase). Storing each prefix as an unevaluated (sum, compensation)
 // pair (Neumaier running compensation) makes range() accurate to a couple
 // of ulps *of the range itself*, independent of how much history the
 // stream has accumulated.

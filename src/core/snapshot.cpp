@@ -225,9 +225,22 @@ std::string SnapshotReader::field_str(std::string_view name) {
   return std::string(get_raw(len, name));
 }
 
+std::uint64_t SnapshotReader::get_count(std::string_view what) {
+  const std::size_t off = pos_;
+  const std::uint64_t n = get_u64(what);
+  const std::size_t have = bytes_.size() - pos_;
+  if (n > have / 8) {
+    std::ostringstream os;
+    os << "truncated snapshot: count " << n << " for " << what
+       << " needs 8 bytes per element, have " << have;
+    fail(origin_, off, os.str());
+  }
+  return n;
+}
+
 std::vector<double> SnapshotReader::field_vec_f64(std::string_view name) {
   begin_field(name, FieldType::kVecF64);
-  const std::uint64_t n = get_u64(name);
+  const std::uint64_t n = get_count(name);
   std::vector<double> out;
   out.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) out.push_back(get_f64(name));
@@ -237,7 +250,7 @@ std::vector<double> SnapshotReader::field_vec_f64(std::string_view name) {
 std::vector<std::uint64_t> SnapshotReader::field_vec_u64(
     std::string_view name) {
   begin_field(name, FieldType::kVecU64);
-  const std::uint64_t n = get_u64(name);
+  const std::uint64_t n = get_count(name);
   std::vector<std::uint64_t> out;
   out.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) out.push_back(get_u64(name));
@@ -387,10 +400,12 @@ void Capture::field(std::string_view name, std::vector<std::vector<double>>& v) 
 
 void Restore::field(std::string_view name, std::vector<std::vector<double>>& v) {
   const std::string full = prefix_.full(name);
+  // The count is not sized up front: each element record must be present
+  // before it is appended, so a forged ".n" runs out of bytes, not memory.
   const std::uint64_t n = r_.field_u64(full + ".n");
-  v.assign(n, {});
+  v.clear();
   for (std::uint64_t i = 0; i < n; ++i) {
-    v[i] = r_.field_vec_f64(full + "." + std::to_string(i));
+    v.push_back(r_.field_vec_f64(full + "." + std::to_string(i)));
   }
 }
 

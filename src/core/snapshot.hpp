@@ -121,6 +121,9 @@ class SnapshotReader {
   std::uint64_t get_u64(std::string_view what);
   double get_f64(std::string_view what);
   std::string_view get_raw(std::size_t n, std::string_view what);
+  /// Reads a vector's u64 element count and rejects one that the remaining
+  /// bytes cannot hold at 8 bytes per element, at the count's offset.
+  std::uint64_t get_count(std::string_view what);
   /// Reads the record header and validates name + type; returns the record's
   /// start offset (for payload diagnostics).
   std::size_t begin_field(std::string_view name, FieldType t);

@@ -119,8 +119,8 @@ class FreqModel {
   double elapsed_for_work(std::size_t core, double t0, double work);
 
   /// Materializes episode arrivals up to time `t` (normally done lazily;
-  /// exposed so the differential oracle and the perf_hotpath bench can pin
-  /// the episode history before pure-query timing).
+  /// exposed so the differential oracle and the benchmark's layer probe can
+  /// pin the episode history before pure queries).
   void materialize_to(double t) { ensure_horizon(t); }
 
   /// Time up to which episodes have been materialized this run. The pure

@@ -123,7 +123,7 @@ class NoiseModel {
 
   /// Materializes all noise sources up to time `t` (normally done lazily by
   /// preemption_delay; exposed so the differential oracle and the
-  /// perf_hotpath bench can pin the event history before pure-query timing).
+  /// benchmark's layer probe can pin the event history before pure queries).
   void materialize_to(double t) { ensure_horizon(t); }
 
   /// Time up to which events have been materialized this run. The pure

@@ -3,13 +3,9 @@
 //
 // These reproduce, line for line, the pre-index O(events) query arithmetic
 // that NoiseModel::preemption_delay / FreqModel::mean_factor shipped with
-// before the interval indices landed. They are retained for two jobs:
-//
-//   * the differential property tests pin the indexed queries against them
-//     over randomized event/episode sets and windows;
-//   * the perf_hotpath bench times them as the in-file baseline, so every
-//     BENCH_hotpath.json records the indexed-vs-scan speedup measured on
-//     the same machine, same build, same event history.
+// before the interval indices landed. They are retained as the oracle of
+// the differential property tests, which pin the indexed queries against
+// them over randomized event/episode sets and windows.
 //
 // The reference functions are pure queries: they read the models' already
 // materialized state (events()/episodes()) and never extend the horizon.

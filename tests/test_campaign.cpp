@@ -59,12 +59,14 @@ TEST(Options, ScenarioEqualsFormAndEnvFallback) {
   const auto o = parse_options(static_cast<int>(argv.size()), argv.data());
   ASSERT_EQ(o.scenarios.size(), 1u);
   EXPECT_EQ(o.scenarios[0], "epyc-like");
-  EXPECT_EQ(effective_scenario(o.scenarios[0]), "epyc-like");
+  EXPECT_EQ(effective_scenarios(o), std::vector<std::string>{"epyc-like"});
   ::setenv("OMNIVAR_SCENARIO", "noisy-cloud", 1);
-  EXPECT_EQ(effective_scenario(""), "noisy-cloud");
-  EXPECT_EQ(effective_scenario("vera"), "vera");  // CLI wins
+  EXPECT_EQ(effective_scenarios(o),
+            std::vector<std::string>{"epyc-like"});  // CLI wins
+  EXPECT_EQ(effective_scenarios(Options{}),
+            std::vector<std::string>{"noisy-cloud"});
   ::unsetenv("OMNIVAR_SCENARIO");
-  EXPECT_EQ(effective_scenario(""), "");
+  EXPECT_TRUE(effective_scenarios(Options{}).empty());
 }
 
 TEST(Options, EqualsFormAndRepeatedOnly) {

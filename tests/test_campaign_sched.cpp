@@ -8,6 +8,8 @@
 //   * the same identity holds under an injected cell_throw quarantine
 //     (the driver forces serial dispatch while a fault plan is armed and
 //     still exits 4 with the FAILED line in the right stdout position);
+//   * with no selection at all, the whole registry is byte-stable the same
+//     way, cold at --jobs 1 and 4 and warm from the filled cache;
 //   * enumeration matches execution: the --plan listing's spec hashes are
 //     exactly the cells a serial campaign commits to the cache;
 //   * two scenario selections that would write the same artifact file are
@@ -47,16 +49,15 @@ const std::vector<std::string> kHarnesses = {"fig1", "fig3", "table2"};
 const std::vector<std::string> kScenarios = {"vera", "epyc-like",
                                              "quiet-hpc"};
 
-/// fork/execs the driver with the standard multi-harness multi-scenario
-/// selection plus `extra_args`, stdout > `stdout_path` (and stderr >
+/// fork/execs the driver with `args`, stdout > `stdout_path` (and stderr >
 /// `stderr_path` when given). OMNIVAR_QUICK=1 keeps the workload CI-sized
 /// and OMNIVAR_JOBS=1 makes the width come from the flags alone;
 /// `fault_spec` non-empty arms the deterministic fault plan in the child.
-pid_t spawn_campaign(const std::string& bin,
-                     const std::vector<std::string>& extra_args,
-                     const std::string& stdout_path,
-                     const std::string& fault_spec = {},
-                     const std::string& stderr_path = {}) {
+pid_t spawn_omnivar(const std::string& bin,
+                    const std::vector<std::string>& args,
+                    const std::string& stdout_path,
+                    const std::string& fault_spec = {},
+                    const std::string& stderr_path = {}) {
   const pid_t pid = ::fork();
   if (pid != 0) return pid;
   if (!::freopen(stdout_path.c_str(), "w", stdout)) ::_exit(97);
@@ -68,7 +69,24 @@ pid_t spawn_campaign(const std::string& bin,
   if (!fault_spec.empty()) {
     ::setenv("OMNIVAR_FAULT_SPEC", fault_spec.c_str(), 1);
   }
-  std::vector<std::string> args{bin};
+  std::vector<std::string> argv_strings{bin};
+  argv_strings.insert(argv_strings.end(), args.begin(), args.end());
+  std::vector<char*> argv;
+  argv.reserve(argv_strings.size() + 1);
+  for (auto& a : argv_strings) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  ::execv(bin.c_str(), argv.data());
+  ::_exit(98);
+}
+
+/// spawn_omnivar with the standard multi-harness multi-scenario selection
+/// ahead of `extra_args`.
+pid_t spawn_campaign(const std::string& bin,
+                     const std::vector<std::string>& extra_args,
+                     const std::string& stdout_path,
+                     const std::string& fault_spec = {},
+                     const std::string& stderr_path = {}) {
+  std::vector<std::string> args;
   for (const auto& h : kHarnesses) {
     args.push_back("--only");
     args.push_back(h);
@@ -77,13 +95,8 @@ pid_t spawn_campaign(const std::string& bin,
     args.push_back("--scenario");
     args.push_back(s);
   }
-  for (const auto& a : extra_args) args.push_back(a);
-  std::vector<char*> argv;
-  argv.reserve(args.size() + 1);
-  for (auto& a : args) argv.push_back(a.data());
-  argv.push_back(nullptr);
-  ::execv(bin.c_str(), argv.data());
-  ::_exit(98);
+  args.insert(args.end(), extra_args.begin(), extra_args.end());
+  return spawn_omnivar(bin, args, stdout_path, fault_spec, stderr_path);
 }
 
 int wait_exit_code(pid_t pid) {
@@ -191,6 +204,34 @@ TEST_F(CampaignSchedTest, CellParallelCampaignBytesMatchSerial) {
       (dir_ / "warm.log").string());
   ASSERT_EQ(wait_exit_code(warm), 0);
   EXPECT_EQ(slurp(dir_ / "warm.log"), serial_log);
+}
+
+// No selection at all: every registered harness is a deterministic paper
+// harness, so a default campaign is byte-stable as a whole — cold at one
+// and four workers, and warm from the filled cache.
+TEST_F(CampaignSchedTest, WholeRegistryIsByteStable) {
+  const std::string bin = omnivar_bin();
+  const fs::path a = dir_ / "a";
+  const fs::path b = dir_ / "b";
+  ASSERT_EQ(wait_exit_code(spawn_omnivar(
+                bin, {"--out", a.string(), "--jobs", "1"},
+                (dir_ / "a.log").string())),
+            0);
+  ASSERT_EQ(wait_exit_code(spawn_omnivar(
+                bin, {"--out", b.string(), "--jobs", "4"},
+                (dir_ / "b.log").string())),
+            0);
+  const std::string serial_log = slurp(dir_ / "a.log");
+  ASSERT_FALSE(serial_log.empty());
+  EXPECT_EQ(slurp(dir_ / "b.log"), serial_log);
+  expect_identical_trees(a, b);
+
+  ASSERT_EQ(wait_exit_code(spawn_omnivar(
+                bin, {"--out", a.string(), "--jobs", "4"},
+                (dir_ / "warm.log").string())),
+            0);
+  EXPECT_EQ(slurp(dir_ / "warm.log"), serial_log);
+  expect_identical_trees(a, b);
 }
 
 TEST_F(CampaignSchedTest, QuarantineUnderCellParallelMatchesSerial) {

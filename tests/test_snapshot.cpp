@@ -160,6 +160,72 @@ TEST(SnapshotFormat, ExpectU64GuardsGeometry) {
   EXPECT_TRUE(contains(msg, "snapshot has 256, this process has 32")) << msg;
 }
 
+/// Overwrites the little-endian u64 at `offset` of a snapshot buffer.
+void patch_u64(std::string& bytes, std::size_t offset, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    bytes[offset + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
+TEST(SnapshotFormat, ForgedCountsFailBeforeAllocating) {
+  // Element counts come from disk. Each forged one must surface as a
+  // SnapshotError naming a byte offset, never as std::length_error or
+  // std::bad_alloc from sizing a container by the count. Offsets: 16
+  // header bytes, then 1 type + 4 name-length + name bytes per record.
+  {
+    SnapshotWriter w;
+    w.field_vec_f64("v", {1.0, 2.0});
+    std::string bytes = w.take();
+    patch_u64(bytes, 22, std::uint64_t{1} << 62);
+    SnapshotReader r(bytes, "f64.snap");
+    const std::string msg = error_of([&] { (void)r.field_vec_f64("v"); });
+    EXPECT_TRUE(contains(msg, "f64.snap: byte 22:")) << msg;
+    EXPECT_TRUE(contains(msg, "needs 8 bytes per element, have 16")) << msg;
+  }
+  {
+    SnapshotWriter w;
+    w.field_vec_u64("v", {7, 8, 9});
+    std::string bytes = w.take();
+    patch_u64(bytes, 22, 4);  // one element more than the payload holds
+    SnapshotReader r(bytes, "u64.snap");
+    const std::string msg = error_of([&] { (void)r.field_vec_u64("v"); });
+    EXPECT_TRUE(contains(msg, "u64.snap: byte 22:")) << msg;
+  }
+  {
+    std::vector<std::vector<double>> rows{{1.0}, {2.0, 3.0}};
+    SnapshotWriter w;
+    Capture cap(w);
+    cap.field("rows", rows);
+    std::string bytes = w.take();
+    patch_u64(bytes, 27, std::uint64_t{1} << 40);  // the "rows.n" value
+    SnapshotReader r(bytes, "rows.snap");
+    Restore res(r);
+    std::vector<std::vector<double>> out;
+    const std::string msg = error_of([&] { res.field("rows", out); });
+    EXPECT_TRUE(contains(msg, "rows.snap: byte " +
+                                  std::to_string(bytes.size()) + ":"))
+        << msg;
+  }
+  {
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() / "omv-snap-forged";
+    std::filesystem::create_directories(dir);
+    CheckpointPolicy pol;
+    pol.resume_from = (dir / "cell.snap").string();
+    SnapshotWriter w;
+    write_stamp(w, pol.stamp);
+    w.field_u64("completed_runs", std::uint64_t{1} << 62);
+    const std::string bytes = w.take();
+    save_snapshot_file(pol.resume_from, bytes);
+    const std::string msg =
+        error_of([&] { (void)bench::load_cell_checkpoint(pol); });
+    EXPECT_TRUE(contains(msg, pol.resume_from + ": byte " +
+                                  std::to_string(bytes.size()) + ":"))
+        << msg;
+    std::filesystem::remove_all(dir);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Stamp
 // ---------------------------------------------------------------------------
