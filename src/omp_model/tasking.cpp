@@ -1,8 +1,9 @@
 #include "omp_model/tasking.hpp"
 
 #include <algorithm>
-#include <queue>
 #include <vector>
+
+#include "omp_model/earliest_clock.hpp"
 
 namespace omv::ompsim {
 
@@ -17,33 +18,23 @@ void parallel_task_generation(SimTeam& team, std::size_t tasks_per_thread,
   // Model as a central pool drained greedily: per-task cost = work +
   // dequeue (own) with the tail of the pool costing steals.
   const std::size_t total = tasks_per_thread * n;
-  using Entry = std::pair<double, std::size_t>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pq;
-  std::vector<double> clock(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    clock[i] = team.clock(i);
-    pq.emplace(clock[i], i);
-  }
+  EarliestClock queue(team.clocks());
   std::size_t remaining = total;
   std::size_t own_budget = tasks_per_thread;  // first own tasks are cheap
   std::vector<std::size_t> own(n, own_budget);
   while (remaining > 0) {
-    auto [t, i] = pq.top();
-    pq.pop();
+    const std::size_t i = queue.top();
     const double overhead = own[i] > 0 ? costs.dequeue : costs.steal;
     if (own[i] > 0) --own[i];
-    const double done = team.exec_at(i, t, work + overhead);
-    clock[i] = done;
-    pq.emplace(done, i);
+    queue.update(i, team.exec_at(i, queue.clock(i), work + overhead));
     --remaining;
   }
-  team.set_clocks(clock);
+  team.set_clocks(queue.clocks());
   team.barrier();  // taskwait
 }
 
 void master_task_generation(SimTeam& team, std::size_t total_tasks,
                             double work, const TaskCosts& costs) {
-  const std::size_t n = team.size();
   // The producer emits tasks serially; consumers (including the producer
   // once it finishes producing) execute them, paying the steal cost.
   std::vector<double> clock(team.clocks().begin(), team.clocks().end());
@@ -56,18 +47,13 @@ void master_task_generation(SimTeam& team, std::size_t total_tasks,
     }
     clock[0] = t;
   }
-  using Entry = std::pair<double, std::size_t>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pq;
-  for (std::size_t i = 0; i < n; ++i) pq.emplace(clock[i], i);
+  EarliestClock queue(clock);
   for (std::size_t k = 0; k < total_tasks; ++k) {
-    auto [t, i] = pq.top();
-    pq.pop();
-    const double start = std::max(t, ready_at[k]);
-    const double done = team.exec_at(i, start + costs.steal, work);
-    clock[i] = done;
-    pq.emplace(done, i);
+    const std::size_t i = queue.top();
+    const double start = std::max(queue.clock(i), ready_at[k]);
+    queue.update(i, team.exec_at(i, start + costs.steal, work));
   }
-  team.set_clocks(clock);
+  team.set_clocks(queue.clocks());
   team.barrier();  // taskwait
 }
 

@@ -1,9 +1,10 @@
 #include "omp_model/worksharing.hpp"
 
 #include <algorithm>
-#include <queue>
 #include <stdexcept>
 #include <vector>
+
+#include "omp_model/earliest_clock.hpp"
 
 namespace omv::ompsim {
 
@@ -52,47 +53,40 @@ std::size_t static_iters_for_thread(std::size_t i, std::size_t n_threads,
 namespace {
 
 /// Greedy central-queue engine shared by dynamic and guided: repeatedly hand
-/// the next chunk to the earliest-clock thread.
+/// the next grab to the earliest-clock thread. A grab batches up to
+/// `coarsen` consecutive chunks; its size is closed-form, so the host cost
+/// is O(log T) per grab however many chunks or iterations it covers.
 void central_queue_loop(SimTeam& team, std::size_t total_iters,
                         double work_per_iter, double grab_cost,
                         std::size_t first_chunk, std::size_t min_chunk,
                         bool guided, std::size_t coarsen) {
   const std::size_t n = team.size();
-  using Entry = std::pair<double, std::size_t>;  // (clock, thread)
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pq;
-  std::vector<double> clock(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    clock[i] = team.clock(i);
-    pq.emplace(clock[i], i);
-  }
+  EarliestClock queue(team.clocks());
 
   std::size_t remaining = total_iters;
   std::size_t chunk = std::max<std::size_t>(first_chunk, 1);
   while (remaining > 0) {
-    auto [t, i] = pq.top();
-    pq.pop();
-    std::size_t grabbed_chunks = 0;
-    std::size_t iters = 0;
-    // Batch `coarsen` consecutive grabs by the same thread into one segment.
-    while (grabbed_chunks < coarsen && remaining > 0) {
-      if (guided) {
-        chunk = std::max<std::size_t>(min_chunk,
-                                      remaining / (2 * n));
-        chunk = std::max<std::size_t>(chunk, 1);
-      }
-      const std::size_t take = std::min(chunk, remaining);
-      iters += take;
-      remaining -= take;
-      ++grabbed_chunks;
+    const std::size_t i = queue.top();
+    // Guided sizes its chunk once per grab, which is per chunk only
+    // because for_loop never batches guided grabs (coarsen = 1).
+    if (guided) {
+      chunk = std::max<std::size_t>(min_chunk, remaining / (2 * n));
+      chunk = std::max<std::size_t>(chunk, 1);
     }
+    // g = min(coarsen, ceil(remaining / chunk)) chunks, the last one
+    // possibly short. (remaining - 1) / chunk + 1 is the ceiling without
+    // overflow, and g * chunk is only formed when it stays below remaining.
+    const std::size_t chunks_left = (remaining - 1) / chunk + 1;
+    const std::size_t grabbed_chunks = std::min(coarsen, chunks_left);
+    const std::size_t iters =
+        grabbed_chunks < chunks_left ? grabbed_chunks * chunk : remaining;
+    remaining -= iters;
     const double work = static_cast<double>(iters) * work_per_iter +
                         static_cast<double>(grabbed_chunks) * grab_cost;
-    const double done = team.exec_at(i, t, work);
-    clock[i] = done;
-    pq.emplace(done, i);
+    queue.update(i, team.exec_at(i, queue.clock(i), work));
   }
   // Propagate final clocks back into the team, then the implicit barrier.
-  team.set_clocks(clock);
+  team.set_clocks(queue.clocks());
   team.barrier();
 }
 

@@ -16,7 +16,8 @@
 // A `coarsen` knob lets schedbench-at-scale batch c consecutive chunks into
 // one simulated grab whose cost is c times the per-grab cost; the schedule
 // shape (self-balancing, end-of-loop straggler) is preserved while the event
-// count drops by c.
+// count drops by c. Host cost scales with grabs, not iterations: a grab's
+// size is closed-form and handing it to the earliest thread is O(log T).
 
 #include <cstddef>
 #include <string>

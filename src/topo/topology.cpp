@@ -171,6 +171,24 @@ void Machine::validate_and_index() {
            " has no hardware threads)");
     }
   }
+
+  // sibling(h) is the first other HW thread of h's core in os_id order:
+  // the core's first thread, or its second when h is the first (threads_
+  // is sorted by os_id).
+  std::vector<std::size_t> first(n_cores_, kNoSibling);
+  std::vector<std::size_t> second(n_cores_, kNoSibling);
+  for (const HwThread& t : threads_) {
+    if (first[t.core] == kNoSibling) {
+      first[t.core] = t.os_id;
+    } else if (second[t.core] == kNoSibling) {
+      second[t.core] = t.os_id;
+    }
+  }
+  sibling_.resize(threads_.size());
+  for (const HwThread& t : threads_) {
+    sibling_[t.os_id] =
+        first[t.core] == t.os_id ? second[t.core] : first[t.core];
+  }
 }
 
 Machine Machine::uniform(std::string name, std::size_t sockets,
@@ -313,14 +331,6 @@ std::vector<std::size_t> Machine::cores_in_numa(std::size_t numa) const {
   }
   std::sort(out.begin(), out.end());
   return out;
-}
-
-std::optional<std::size_t> Machine::sibling(std::size_t os_id) const {
-  const auto& me = thread(os_id);
-  for (const auto& t : threads_) {
-    if (t.core == me.core && t.os_id != os_id) return t.os_id;
-  }
-  return std::nullopt;
 }
 
 bool Machine::same_numa(std::size_t a, std::size_t b) const {

@@ -156,9 +156,14 @@ class Machine {
   [[nodiscard]] std::vector<std::size_t> cores_in_numa(
       std::size_t numa) const;
 
-  /// The SMT sibling of `os_id` on the same core (nullopt if the core has
-  /// a single HW thread).
-  [[nodiscard]] std::optional<std::size_t> sibling(std::size_t os_id) const;
+  /// The SMT sibling of `os_id` on the same core: the first other HW
+  /// thread of the core in os_id order (nullopt if the core has a single
+  /// HW thread). O(1); throws std::out_of_range for ids >= n_threads().
+  [[nodiscard]] std::optional<std::size_t> sibling(std::size_t os_id) const {
+    const std::size_t s = sibling_.at(os_id);
+    if (s == kNoSibling) return std::nullopt;
+    return s;
+  }
 
   /// True when two HW threads live in the same NUMA domain.
   [[nodiscard]] bool same_numa(std::size_t a, std::size_t b) const;
@@ -177,6 +182,8 @@ class Machine {
   std::size_t max_smt_ = 0;
   std::vector<std::size_t> smt_of_core_;  ///< per-core HW-thread count.
   std::vector<std::size_t> core_class_;   ///< per-core class index.
+  static constexpr std::size_t kNoSibling = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> sibling_;  ///< per-HW-thread sibling() answer.
   double base_ghz_;
   double max_ghz_;
 };

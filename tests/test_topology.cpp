@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
+
+#include "scenario/registry.hpp"
+#include "scenario/scenario.hpp"
 
 namespace omv::topo {
 namespace {
@@ -55,12 +59,59 @@ TEST(Machine, DardelNumaLayout) {
   EXPECT_EQ(m.thread(63).socket, 0u);
 }
 
+/// sibling()'s contract spelled out as a scan: the first other HW thread
+/// of the same core, in os_id order.
+std::optional<std::size_t> scanned_sibling(const Machine& m,
+                                           std::size_t os_id) {
+  for (const auto& t : m.threads()) {
+    if (t.core == m.thread(os_id).core && t.os_id != os_id) return t.os_id;
+  }
+  return std::nullopt;
+}
+
+void expect_sibling_table_matches_scan(const Machine& m) {
+  for (std::size_t h = 0; h < m.n_threads(); ++h) {
+    EXPECT_EQ(m.sibling(h), scanned_sibling(m, h))
+        << m.name() << " os_id " << h;
+  }
+  EXPECT_THROW((void)m.sibling(m.n_threads()), std::out_of_range)
+      << m.name();
+}
+
 TEST(Machine, SiblingLookup) {
   const auto m = Machine::dardel();
   EXPECT_EQ(m.sibling(0), 128u);
   EXPECT_EQ(m.sibling(128), 0u);
   const auto v = Machine::vera();
   EXPECT_FALSE(v.sibling(0).has_value());
+
+  expect_sibling_table_matches_scan(m);
+  expect_sibling_table_matches_scan(v);
+  // SMT-4: every non-first HW thread of a core maps to the first, the
+  // first to the second.
+  const auto smt4 = Machine::uniform("smt4", 1, 2, 3, 4);
+  EXPECT_EQ(smt4.sibling(0), 6u);
+  EXPECT_EQ(smt4.sibling(18), 0u);
+  expect_sibling_table_matches_scan(smt4);
+  expect_sibling_table_matches_scan(
+      scenario::resolve("biglittle").machine.build());
+  // v2 node groups: SMT on for four cores and off for three on one socket.
+  const topo::Machine partial =
+      scenario::parse_text(
+          "name = partial-smt\n"
+          "[group smt-on]\n"
+          "cores = 4\n"
+          "smt = 2\n"
+          "[group smt-off]\n"
+          "socket = 0\n"
+          "cores = 3\n"
+          "smt = 1\n",
+          "test")
+          .machine.build();
+  ASSERT_EQ(partial.n_threads(), 11u);
+  EXPECT_EQ(partial.sibling(0), 7u);
+  EXPECT_FALSE(partial.sibling(5).has_value());
+  expect_sibling_table_matches_scan(partial);
 }
 
 TEST(Machine, CoreAndNumaSets) {
@@ -137,6 +188,7 @@ TEST(Machine, MixedSmtPerCoreQueries) {
   EXPECT_EQ(m.cores_in_numa(1), (std::vector<std::size_t>{2, 3}));
   EXPECT_EQ(m.sibling(0), 4u);
   EXPECT_FALSE(m.sibling(2).has_value());
+  expect_sibling_table_matches_scan(m);
 }
 
 TEST(Machine, MixedCoreClassQueries) {

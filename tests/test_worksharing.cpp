@@ -5,7 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <functional>
+#include <queue>
 #include <stdexcept>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 namespace omv::ompsim {
 namespace {
@@ -187,6 +196,139 @@ TEST(ForLoop, EndsWithAlignedClocks) {
     EXPECT_DOUBLE_EQ(team.clock(i), team.clock(0));
   }
 }
+
+// ------------------------------------- closed-form grabs vs per-chunk loop
+
+// The central-queue engine as it stood before grabs became closed-form:
+// one inner step per chunk and a heap of (clock, thread). Built on the
+// public SimTeam API as the oracle for for_loop's dynamic and guided
+// schedules.
+void per_chunk_central_queue_loop(SimTeam& team, std::size_t total_iters,
+                                  double work_per_iter, double grab_cost,
+                                  std::size_t first_chunk,
+                                  std::size_t min_chunk, bool guided,
+                                  std::size_t coarsen) {
+  const std::size_t n = team.size();
+  using Entry = std::pair<double, std::size_t>;  // (clock, thread)
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pq;
+  std::vector<double> clock(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    clock[i] = team.clock(i);
+    pq.emplace(clock[i], i);
+  }
+
+  std::size_t remaining = total_iters;
+  std::size_t chunk = std::max<std::size_t>(first_chunk, 1);
+  while (remaining > 0) {
+    auto [t, i] = pq.top();
+    pq.pop();
+    std::size_t grabbed_chunks = 0;
+    std::size_t iters = 0;
+    while (grabbed_chunks < coarsen && remaining > 0) {
+      if (guided) {
+        chunk = std::max<std::size_t>(min_chunk, remaining / (2 * n));
+        chunk = std::max<std::size_t>(chunk, 1);
+      }
+      const std::size_t take = std::min(chunk, remaining);
+      iters += take;
+      remaining -= take;
+      ++grabbed_chunks;
+    }
+    const double work = static_cast<double>(iters) * work_per_iter +
+                        static_cast<double>(grabbed_chunks) * grab_cost;
+    const double done = team.exec_at(i, t, work);
+    clock[i] = done;
+    pq.emplace(done, i);
+  }
+  team.set_clocks(clock);
+  team.barrier();
+}
+
+/// for_loop's dynamic/guided dispatch onto the per-chunk oracle.
+void per_chunk_for_loop(SimTeam& team, Schedule kind, std::size_t chunk,
+                        std::size_t total_iters, double work_per_iter,
+                        std::size_t coarsen) {
+  const auto& costs = team.simulator().costs();
+  const std::size_t n = team.size();
+  const double grab = costs.sched_grab_base +
+                      costs.sched_grab_contention * static_cast<double>(n);
+  const std::size_t min_chunk = std::max<std::size_t>(chunk, 1);
+  if (kind == Schedule::dynamic) {
+    per_chunk_central_queue_loop(team, total_iters, work_per_iter, grab,
+                                 min_chunk, min_chunk, /*guided=*/false,
+                                 std::max<std::size_t>(coarsen, 1));
+  } else {
+    per_chunk_central_queue_loop(
+        team, total_iters, work_per_iter, grab,
+        std::max<std::size_t>(total_iters / (2 * n), 1), min_chunk,
+        /*guided=*/true, /*coarsen=*/1);
+  }
+}
+
+/// True when `total` is a whole number of chunk x coarsen batches (without
+/// forming the product when it would exceed `total`).
+bool whole_batches(std::size_t total, std::size_t chunk, std::size_t coarsen) {
+  if (coarsen > total / chunk) return total == 0;
+  return total % (chunk * coarsen) == 0;
+}
+
+class ClosedFormGrabs
+    : public ::testing::TestWithParam<
+          std::tuple<Schedule, std::size_t, std::size_t>> {};
+
+// Two identically seeded Dardel teams (noise, frequency and SMT draws all
+// live): one runs for_loop, the other the per-chunk oracle. Every grab must
+// cover the same iterations, so every exec_at sees the same arguments and
+// the team clocks agree to the bit.
+TEST_P(ClosedFormGrabs, BitEqualToPerChunkLoop) {
+  const auto [kind, chunk, threads] = GetParam();
+  const std::size_t coarsens[] = {1, 2, 7, 208, SIZE_MAX};
+  // Empty, less than one chunk, and a ragged tail (every total is whole
+  // batches of one iteration, so chunk = coarsen = 1 has none).
+  const std::size_t ragged = 16 * threads * chunk + chunk / 2 + 1;
+  const std::size_t totals[] = {0, chunk - 1, ragged};
+  for (const std::size_t coarsen : coarsens) {
+    if (chunk > 1 || coarsen > 1) {
+      ASSERT_FALSE(whole_batches(ragged, chunk, coarsen)) << coarsen;
+    }
+    for (const std::size_t total : totals) {
+      sim::Simulator sim_new(topo::Machine::dardel(),
+                             sim::SimConfig::dardel());
+      sim::Simulator sim_old(topo::Machine::dardel(),
+                             sim::SimConfig::dardel());
+      TeamConfig cfg;
+      cfg.n_threads = threads;
+      SimTeam team_new(sim_new, cfg, /*seed=*/7);
+      SimTeam team_old(sim_old, cfg, /*seed=*/7);
+      team_new.begin_run(11);
+      team_old.begin_run(11);
+      for (int rep = 0; rep < 2; ++rep) {
+        team_new.begin_rep();
+        team_old.begin_rep();
+        for_loop(team_new, kind, chunk, total, 5e-7, coarsen);
+        per_chunk_for_loop(team_old, kind, chunk, total, 5e-7, coarsen);
+        for (std::size_t i = 0; i < threads; ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(team_new.clock(i)),
+                    std::bit_cast<std::uint64_t>(team_old.clock(i)))
+              << schedule_name(kind) << " chunk=" << chunk
+              << " threads=" << threads << " coarsen=" << coarsen
+              << " total=" << total << " rep=" << rep << " thread=" << i;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DardelGrid, ClosedFormGrabs,
+    ::testing::Combine(::testing::Values(Schedule::dynamic, Schedule::guided),
+                       ::testing::Values(1, 3, 8, 128),
+                       ::testing::Values(1, 4, 30, 254)),
+    [](const auto& info) {
+      return std::string(schedule_name(std::get<0>(info.param))) +
+             "_chunk" + std::to_string(std::get<1>(info.param)) + "_t" +
+             std::to_string(std::get<2>(info.param));
+    });
 
 }  // namespace
 }  // namespace omv::ompsim
