@@ -13,7 +13,6 @@
 #include "bench/freq_panel.hpp"
 #include "bench/harness.hpp"
 #include "bench_suite/schedbench_sim.hpp"
-#include "freqlog/logger.hpp"
 
 using namespace omv;
 
@@ -42,8 +41,7 @@ PanelResult run_panel(cli::RunContext& ctx, const harness::Platform& p,
 }
 
 void report_panel(cli::RunContext& ctx, const std::string& slug,
-                  const char* label, const PanelResult& r,
-                  const std::vector<double>& fmax) {
+                  const char* label, const PanelResult& r) {
   ctx.print("%s\n", label);
   report::Table t({"run #", "mean (us)", "min (us)", "max (us)", "cv"});
   for (std::size_t i = 0; i < r.matrix.runs(); ++i) {
@@ -54,16 +52,13 @@ void report_panel(cli::RunContext& ctx, const std::string& slug,
   }
   ctx.print("%s", t.render().c_str());
   ctx.record_table(slug, t);
-  const auto e = r.trace.extremes();
-  // Both are O(samples) scans over the merged trace — compute once.
-  const double below = r.trace.fraction_below(fmax, 0.95);
-  const std::size_t episodes = r.trace.episode_count(fmax, 0.95);
+  const auto& f = r.freq;
   ctx.print(
       "frequency trace: %zu samples, min %.2f / mean %.2f / max %.2f GHz, "
       "%.1f%% below 0.95*fmax, %zu dip episodes\n\n",
-      r.trace.size(), e.min, e.mean, e.max, below * 100.0, episodes);
-  ctx.metric(slug + "_below_fmax_fraction", below);
-  ctx.metric(slug + "_dip_episodes", static_cast<double>(episodes));
+      f.samples, f.min, f.mean, f.max, f.below * 100.0, f.episodes);
+  ctx.metric(slug + "_below_fmax_fraction", f.below);
+  ctx.metric(slug + "_dip_episodes", static_cast<double>(f.episodes));
 }
 
 int run_fig6(cli::RunContext& ctx) {
@@ -83,7 +78,6 @@ int run_fig6(cli::RunContext& ctx) {
     return 0;
   }
   sim::Simulator s(p.machine, p.config);
-  const std::vector<double> fmax = harness::core_fmax(p.machine);
 
   const auto one_numa =
       run_panel(ctx, p, "one_numa", s, geo.one_places, geo.threads, 7001);
@@ -94,18 +88,17 @@ int run_fig6(cli::RunContext& ctx) {
                ("(a)+(b) " + std::to_string(geo.threads) +
                 " cores from ONE NUMA node:")
                    .c_str(),
-               one_numa, fmax);
+               one_numa);
   report_panel(ctx, "two_numa",
                ("(c)+(d) " + std::to_string(geo.threads) +
                 " cores from TWO NUMA nodes:")
                    .c_str(),
-               two_numa, fmax);
+               two_numa);
 
   ctx.verdict(two_numa.matrix.pooled_summary().cv >
                   one_numa.matrix.pooled_summary().cv,
               "cross-NUMA placement has higher execution-time CV");
-  ctx.verdict(two_numa.trace.fraction_below(fmax, 0.95) >
-                  one_numa.trace.fraction_below(fmax, 0.95),
+  ctx.verdict(two_numa.freq.below > one_numa.freq.below,
               "cross-NUMA frequency trace shows a larger sub-fmax "
               "region (the paper's brown region)");
   return 0;

@@ -9,7 +9,6 @@
 #include "bench/freq_panel.hpp"
 #include "bench/harness.hpp"
 #include "bench_suite/syncbench_sim.hpp"
-#include "freqlog/logger.hpp"
 
 using namespace omv;
 
@@ -52,7 +51,6 @@ int run_fig7(cli::RunContext& ctx) {
     return 0;
   }
   sim::Simulator s(p.machine, p.config);
-  const std::vector<double> fmax = harness::core_fmax(p.machine);
 
   const auto one =
       run_panel(ctx, p, "one_numa", s, geo.one_places, geo.threads, 8001);
@@ -66,8 +64,8 @@ int run_fig7(cli::RunContext& ctx) {
     t.add_row({name, report::fmt_fixed(r.matrix.grand_mean(), 2),
                report::fmt_fixed(r.matrix.pooled_summary().cv, 5),
                report::fmt_fixed(r.matrix.run_to_run_cv(), 5),
-               report::fmt_pct(r.trace.fraction_below(fmax, 0.95), 2),
-               std::to_string(r.trace.episode_count(fmax, 0.95))});
+               report::fmt_pct(r.freq.below, 2),
+               std::to_string(r.freq.episodes)});
   };
   const std::string one_label =
       "one NUMA node (cores 0-" + std::to_string(geo.threads - 1) + ")";
@@ -84,8 +82,7 @@ int run_fig7(cli::RunContext& ctx) {
   ctx.verdict(two.matrix.pooled_summary().cv >
                   one.matrix.pooled_summary().cv,
               "cross-NUMA reduction shows more variation");
-  ctx.verdict(two.trace.fraction_below(fmax, 0.95) >
-                  one.trace.fraction_below(fmax, 0.95),
+  ctx.verdict(two.freq.below > one.freq.below,
               "frequency trace confirms more dips cross-NUMA");
   return 0;
 }

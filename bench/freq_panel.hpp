@@ -5,9 +5,12 @@
 // order. Delegates to bench_suite/protocol.hpp's per-run cloning contract
 // (single implementation) via its end-of-run hook.
 //
-// The cached variant persists the panel's trace as a ".trace.csv" sidecar
-// of the RunMatrix cache entry, so a cached campaign cell restores the
-// whole panel (matrix + frequency-dip statistics) without recomputing.
+// The figures report only a summary of each merged trace
+// (freqlog::FreqPanelSummary), built once when the panel is computed. The
+// cached variant commits the RunMatrix, the raw trace as a <hash>.trace.csv
+// archive and the summary as a <hash>.panel record, then the .key marker.
+// A warm hit restores the matrix and the summary; it never reads the
+// trace, and a missing or corrupt summary recomputes the cell.
 
 #include <exception>
 #include <string>
@@ -21,7 +24,18 @@
 
 namespace omv::harness {
 
+/// Figs. 6/7 count a sample as a dip below this fraction of its core's
+/// fmax (the paper's brown and grey regions).
+inline constexpr double kDipThreshold = 0.95;
+
+/// A panel as the figures consume it.
 struct FreqPanelResult {
+  RunMatrix matrix;
+  freqlog::FreqPanelSummary freq;
+};
+
+/// A computed panel before summarizing: the matrix and the merged trace.
+struct FreqPanelTrace {
   RunMatrix matrix;
   freqlog::FreqTrace trace;
 };
@@ -99,7 +113,7 @@ inline FreqPanelGeometry freq_panel_geometry(const Platform& p) {
 /// `make_bench(sim, team_cfg)` builds the per-run benchmark object;
 /// `rep(bench, team)` executes one repetition and returns microseconds.
 template <typename MakeBench, typename Rep>
-[[nodiscard]] FreqPanelResult run_freq_panel(
+[[nodiscard]] FreqPanelTrace run_freq_panel(
     const sim::Simulator& base, const std::string& places,
     std::size_t n_threads, const ExperimentSpec& spec,
     core::Executor& executor, MakeBench make_bench, Rep rep,
@@ -115,7 +129,7 @@ template <typename MakeBench, typename Rep>
   std::vector<freqlog::FreqTrace> traces(spec.runs);
   freqlog::FreqTrace* trace_slots = traces.data();
 
-  FreqPanelResult out;
+  FreqPanelTrace out;
   out.matrix = bench::run_protocol_sharded(
       base, cfg, spec, executor,
       [make_bench, cfg](sim::Simulator& sim) { return make_bench(sim, cfg); },
@@ -131,10 +145,12 @@ template <typename MakeBench, typename Rep>
   return out;
 }
 
-/// run_freq_panel through the campaign result cache: the matrix goes into
-/// the spec-hash cache as usual and the trace rides along as a sidecar. A
-/// missing/corrupt sidecar vetoes the hit, so the cache can only ever
-/// restore the complete panel.
+/// run_freq_panel through the campaign result cache, summarized against
+/// core_fmax(base.machine()) at kDipThreshold. The matrix goes into the
+/// spec-hash cache as usual; the trace and the summary ride along as
+/// sidecars, and only the summary is read back. A missing or corrupt
+/// summary, or one taken at another threshold, vetoes the hit, so the
+/// cache can only ever restore the complete panel.
 template <typename MakeBench, typename Rep>
 [[nodiscard]] FreqPanelResult run_freq_panel_cached(
     cli::RunContext& ctx, const std::string& label, SpecKey key,
@@ -144,23 +160,28 @@ template <typename MakeBench, typename Rep>
   key.add("places_panel", places);
   key.add("threads_panel", n_threads);
   FreqPanelResult out;
+  freqlog::FreqTrace trace;  // archived as .trace.csv, never read back
   out.matrix = ctx.protocol(
       label, spec, std::move(key),
       [&] {
         auto panel = run_freq_panel(base, places, n_threads, spec,
                                     ctx.executor(), make_bench, rep,
                                     ctx.checkpoint());
-        out.trace = std::move(panel.trace);
+        trace = std::move(panel.trace);
+        out.freq = freqlog::summarize_panel(trace, core_fmax(base.machine()),
+                                            kDipThreshold);
         return std::move(panel.matrix);
       },
       /*save_extra=*/
-      [&out](const std::string& stem) {
-        freqlog::save_freq_trace(stem + ".trace.csv", out.trace);
+      [&](const std::string& stem) {
+        freqlog::save_freq_trace(stem + ".trace.csv", trace);
+        freqlog::save_panel_summary(stem + ".panel", out.freq);
       },
       /*load_extra=*/
       [&out](const std::string& stem) {
         try {
-          out.trace = freqlog::load_freq_trace(stem + ".trace.csv");
+          out.freq = freqlog::load_panel_summary(stem + ".panel",
+                                                 kDipThreshold);
           return true;
         } catch (const std::exception&) {
           return false;

@@ -197,4 +197,20 @@ TestResult brown_forsythe(std::span<const double> a, std::span<const double> b,
   return r;
 }
 
+double hedges_g(std::span<const double> a, std::span<const double> b) {
+  if (a.size() < 2 || b.size() < 2) return 0.0;
+  const auto sa = summarize(a);
+  const auto sb = summarize(b);
+  const double na = static_cast<double>(sa.n);
+  const double nb = static_cast<double>(sb.n);
+  const double pooled_var = ((na - 1.0) * sa.stddev * sa.stddev +
+                             (nb - 1.0) * sb.stddev * sb.stddev) /
+                            (na + nb - 2.0);
+  if (pooled_var <= 0.0) return 0.0;
+  const double d = (sb.mean - sa.mean) / std::sqrt(pooled_var);
+  // Small-sample correction.
+  const double j = 1.0 - 3.0 / (4.0 * (na + nb) - 9.0);
+  return d * j;
+}
+
 }  // namespace omv::stats

@@ -43,6 +43,12 @@ struct TestResult {
                                         std::span<const double> b,
                                         double alpha = 0.05);
 
+/// Hedges' g: the standardized mean difference (b - a) over the pooled SD,
+/// small-sample corrected; |g| ~ 0.2 is small, 0.8 large. 0 when either
+/// sample has fewer than two values or both are constant.
+[[nodiscard]] double hedges_g(std::span<const double> a,
+                              std::span<const double> b);
+
 /// Standard normal CDF.
 [[nodiscard]] double normal_cdf(double z) noexcept;
 

@@ -17,6 +17,14 @@ namespace {
                               " at line " + std::to_string(line_no));
 }
 
+[[noreturn]] void past_run_cap(const char* what, std::size_t value,
+                               std::size_t line_no) {
+  throw std::invalid_argument(
+      "run-matrix CSV: " + std::string(what) + " " + std::to_string(value) +
+      " at line " + std::to_string(line_no) + " is past the cap of " +
+      std::to_string(kMaxRunMatrixRuns) + " runs");
+}
+
 }  // namespace
 
 void write_run_matrix_csv(std::ostream& os, const RunMatrix& m) {
@@ -74,6 +82,7 @@ RunMatrix read_run_matrix_csv(std::istream& is, std::string label) {
         if (r.ec != std::errc{} || r.ptr != end) {
           bad_line("malformed '# runs=' metadata", line_no);
         }
+        if (n > kMaxRunMatrixRuns) past_run_cap("declared runs", n, line_no);
         have_declared_runs = true;
         declared_runs = n;
       }
@@ -88,6 +97,7 @@ RunMatrix read_run_matrix_csv(std::istream& is, std::string label) {
     if (r1.ec != std::errc{} || r1.ptr == end || *r1.ptr != ',') {
       bad_line("bad run", line_no);
     }
+    if (run >= kMaxRunMatrixRuns) past_run_cap("run index", run, line_no);
     auto r2 = std::from_chars(r1.ptr + 1, end, rep);
     if (r2.ec != std::errc{} || r2.ptr == end || *r2.ptr != ',') {
       bad_line("bad rep", line_no);

@@ -13,6 +13,13 @@
 
 namespace omv::io {
 
+/// Largest run count read_run_matrix_csv accepts, whether declared by
+/// "# runs=N" or implied by a data row's run index. The reader allocates
+/// one run per index, so without a cap a few forged bytes could demand
+/// gigabytes. The paper's protocol uses 10 runs; a matrix with more runs
+/// than this does not round-trip.
+inline constexpr std::size_t kMaxRunMatrixRuns = 100000;
+
 /// Writes a RunMatrix as CSV: header "run,rep,time", a "# runs=N" metadata
 /// line (the authoritative run count, preserving empty runs), then one row
 /// per repetition with 17-significant-digit times (lossless double
@@ -31,7 +38,9 @@ void write_run_matrix_csv(std::ostream& os, const RunMatrix& m);
 ///     silently compacted),
 ///   * a gap in run indices when the file carries no "# runs=N" metadata
 ///     (files written by write_run_matrix_csv always do; in those, a run
-///     with no rows is an intentionally empty run).
+///     with no rows is an intentionally empty run),
+///   * a declared run count above kMaxRunMatrixRuns, or a run index at or
+///     past it (rejected before anything is allocated for it).
 [[nodiscard]] RunMatrix read_run_matrix_csv(std::istream& is,
                                             std::string label = "");
 [[nodiscard]] RunMatrix run_matrix_from_csv(const std::string& csv,

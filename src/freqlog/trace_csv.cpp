@@ -1,9 +1,12 @@
 #include "freqlog/trace_csv.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
 
 #include "core/atomic_file.hpp"
 
@@ -21,6 +24,45 @@ void write_double(std::ostream& os, double v) {
   const auto res = std::to_chars(buf, buf + sizeof(buf), v,
                                  std::chars_format::general, 17);
   os.write(buf, res.ptr - buf);
+}
+
+constexpr std::string_view kPanelHeader = "omnivar-freq-panel-v1";
+
+[[noreturn]] void bad_panel(const std::string& what) {
+  throw std::invalid_argument("freq-panel record: " + what);
+}
+
+/// Consumes the next line of `rest`, which must end in '\n'.
+std::string_view take_line(std::string_view& rest, std::string_view what) {
+  const auto nl = rest.find('\n');
+  if (nl == std::string_view::npos) {
+    bad_panel("truncated at " + std::string(what));
+  }
+  const std::string_view line = rest.substr(0, nl);
+  rest.remove_prefix(nl + 1);
+  return line;
+}
+
+/// Consumes the next "key=value\n" line of `rest` and parses its value,
+/// which must fill the rest of the line.
+template <typename T>
+T take_field(std::string_view& rest, std::string_view key) {
+  std::string_view line = take_line(rest, key);
+  if (!line.starts_with(key) || line.size() == key.size() ||
+      line[key.size()] != '=') {
+    bad_panel("expected '" + std::string(key) + "=', got '" +
+              std::string(line) + "'");
+  }
+  line.remove_prefix(key.size() + 1);
+  T v{};
+  const auto r = std::from_chars(line.data(), line.data() + line.size(), v);
+  if (r.ec != std::errc{} || r.ptr != line.data() + line.size()) {
+    bad_panel("bad " + std::string(key) + " '" + std::string(line) + "'");
+  }
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(v)) bad_panel("non-finite " + std::string(key));
+  }
+  return v;
 }
 
 }  // namespace
@@ -90,6 +132,71 @@ FreqTrace load_freq_trace(const std::string& path) {
   std::ifstream f(path);
   if (!f) throw std::runtime_error("cannot open '" + path + "'");
   return read_freq_trace_csv(f);
+}
+
+FreqPanelSummary summarize_panel(const FreqTrace& trace,
+                                 const std::vector<double>& fmax_per_core,
+                                 double threshold_fraction) {
+  const auto e = trace.extremes();
+  FreqPanelSummary s;
+  s.samples = trace.size();
+  s.min = e.min;
+  s.mean = e.mean;
+  s.max = e.max;
+  s.below = trace.fraction_below(fmax_per_core, threshold_fraction);
+  s.episodes = trace.episode_count(fmax_per_core, threshold_fraction);
+  s.threshold = threshold_fraction;
+  return s;
+}
+
+std::string panel_summary_to_text(const FreqPanelSummary& s) {
+  std::ostringstream os;
+  os << kPanelHeader << "\nsamples=" << s.samples << "\nmin=";
+  write_double(os, s.min);
+  os << "\nmean=";
+  write_double(os, s.mean);
+  os << "\nmax=";
+  write_double(os, s.max);
+  os << "\nbelow=";
+  write_double(os, s.below);
+  os << "\nepisodes=" << s.episodes << "\nthreshold=";
+  write_double(os, s.threshold);
+  os << '\n';
+  return os.str();
+}
+
+FreqPanelSummary panel_summary_from_text(const std::string& text,
+                                         double expected_threshold) {
+  std::string_view rest(text);
+  if (take_line(rest, "header") != kPanelHeader) bad_panel("bad header");
+  FreqPanelSummary s;
+  s.samples = take_field<std::size_t>(rest, "samples");
+  s.min = take_field<double>(rest, "min");
+  s.mean = take_field<double>(rest, "mean");
+  s.max = take_field<double>(rest, "max");
+  s.below = take_field<double>(rest, "below");
+  s.episodes = take_field<std::size_t>(rest, "episodes");
+  s.threshold = take_field<double>(rest, "threshold");
+  if (!rest.empty()) bad_panel("trailing bytes after threshold");
+  if (s.threshold != expected_threshold) {
+    bad_panel("threshold " + std::to_string(s.threshold) + ", expected " +
+              std::to_string(expected_threshold));
+  }
+  return s;
+}
+
+void save_panel_summary(const std::string& path, const FreqPanelSummary& s) {
+  // Committed like the trace sidecar: before the cache entry's .key marker.
+  core::atomic_write_file(path, panel_summary_to_text(s), "sidecar");
+}
+
+FreqPanelSummary load_panel_summary(const std::string& path,
+                                    double expected_threshold) {
+  std::string text;
+  if (!core::read_file(path, text)) {
+    throw std::runtime_error("cannot read '" + path + "'");
+  }
+  return panel_summary_from_text(text, expected_threshold);
 }
 
 }  // namespace omv::freqlog

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -325,6 +326,55 @@ TEST_F(CampaignCacheTest, TruncatedButParseableCacheCsvRecomputes) {
   (void)ctx2.protocol("cell", small_spec(), key, compute);
   EXPECT_EQ(computes, 2);
   EXPECT_EQ(ctx2.cache_hits(), 0u);
+}
+
+TEST_F(CampaignCacheTest, ForgedRunCountInCacheCsvRecomputes) {
+  int computes = 0;
+  const auto compute = [&] {
+    ++computes;
+    return make_matrix();
+  };
+  SpecKey key;
+  key.add("bench", "fake");
+  RunContext ctx1("testh", serial(), dir_);
+  const auto cold = ctx1.protocol("cell", small_spec(), key, compute);
+  ASSERT_EQ(computes, 1);
+
+  // Behind the valid .key, forge the run count: the reader must refuse it
+  // before allocating, and the cell recomputes the very same bytes.
+  std::filesystem::path csv;
+  for (const auto& e :
+       std::filesystem::directory_iterator(dir_ + "/cache")) {
+    if (e.path().extension() == ".csv") csv = e.path();
+  }
+  ASSERT_FALSE(csv.empty());
+  const auto slurp = [&] {
+    std::ifstream f(csv, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(f),
+                       std::istreambuf_iterator<char>());
+  };
+  const std::string original = slurp();
+  const std::string declared = "# runs=2\n";
+  const std::size_t at = original.find(declared);
+  ASSERT_NE(at, std::string::npos);
+  {
+    std::ofstream f(csv, std::ios::binary | std::ios::trunc);
+    f << original.substr(0, at) << "# runs=18446744073709551615\n"
+      << original.substr(at + declared.size());
+  }
+
+  RunContext ctx2("testh", serial(), dir_);
+  const auto warm = ctx2.protocol("cell", small_spec(), key, compute);
+  EXPECT_EQ(computes, 2);
+  EXPECT_EQ(ctx2.cache_hits(), 0u);
+  ASSERT_EQ(warm.runs(), cold.runs());
+  for (std::size_t r = 0; r < cold.runs(); ++r) {
+    ASSERT_EQ(warm.run(r).size(), cold.run(r).size());
+    for (std::size_t k = 0; k < cold.run(r).size(); ++k) {
+      EXPECT_EQ(warm.run(r)[k], cold.run(r)[k]);
+    }
+  }
+  EXPECT_EQ(slurp(), original);
 }
 
 TEST_F(CampaignCacheTest, ColdAndWarmMatricesHaveTheSameLabel) {

@@ -9,7 +9,10 @@
 //     (the driver forces serial dispatch while a fault plan is armed and
 //     still exits 4 with the FAILED line in the right stdout position);
 //   * with no selection at all, the whole registry is byte-stable the same
-//     way, cold at --jobs 1 and 4 and warm from the filled cache;
+//     way, cold at --jobs 1 and 4 and warm from the filled cache — also
+//     once every archived fig6/fig7 trace is deleted (warm hits read only
+//     the .panel summaries), while a deleted summary recomputes just its
+//     cell;
 //   * enumeration matches execution: the --plan listing's spec hashes are
 //     exactly the cells a serial campaign commits to the cache;
 //   * two scenario selections that would write the same artifact file are
@@ -125,19 +128,45 @@ std::map<std::string, std::string> artifact_contents(const fs::path& out) {
   return m;
 }
 
-void expect_identical_trees(const fs::path& serial, const fs::path& par) {
-  const auto expected = artifact_contents(serial);
-  const auto got = artifact_contents(par);
+/// Expects `got` to hold exactly the files of `expected`, byte for byte;
+/// failures name the file, not its bytes.
+void expect_same_contents(const std::map<std::string, std::string>& expected,
+                          const std::map<std::string, std::string>& got) {
   EXPECT_FALSE(expected.empty());
   EXPECT_EQ(got.size(), expected.size());
   for (const auto& [rel, bytes] : expected) {
     const auto it = got.find(rel);
     if (it == got.end()) {
-      ADD_FAILURE() << "missing from parallel run: " << rel;
+      ADD_FAILURE() << "missing: " << rel;
       continue;
     }
-    EXPECT_EQ(it->second, bytes) << "artifact differs: " << rel;
+    EXPECT_TRUE(it->second == bytes) << "artifact differs: " << rel;
   }
+}
+
+void expect_identical_trees(const fs::path& serial, const fs::path& par) {
+  expect_same_contents(artifact_contents(serial), artifact_contents(par));
+}
+
+/// Parses omnivar's per-unit stderr lines ("[omnivar] NAME: done — ...
+/// cells: C cached + N computed (...)") into NAME -> N.
+std::map<std::string, std::size_t> computed_per_unit(const std::string& err) {
+  std::map<std::string, std::size_t> out;
+  std::istringstream in(err);
+  std::string line;
+  const std::string prefix = "[omnivar] ";
+  const std::string marker = " cached + ";
+  while (std::getline(in, line)) {
+    const auto colon = line.find(": done");
+    const auto at = line.find(marker);
+    if (line.rfind(prefix, 0) != 0 || colon == std::string::npos ||
+        at == std::string::npos) {
+      continue;
+    }
+    out[line.substr(prefix.size(), colon - prefix.size())] =
+        std::stoul(line.substr(at + marker.size()));
+  }
+  return out;
 }
 
 class CampaignSchedTest : public ::testing::Test {
@@ -232,6 +261,53 @@ TEST_F(CampaignSchedTest, WholeRegistryIsByteStable) {
             0);
   EXPECT_EQ(slurp(dir_ / "warm.log"), serial_log);
   expect_identical_trees(a, b);
+
+  // A warm fig6/fig7 hit reads only the .panel summary: with every
+  // archived .trace.csv gone, each cell is still served from cache and
+  // the bytes do not move.
+  std::vector<fs::path> panels;
+  for (const auto& e : fs::directory_iterator(a / "cache")) {
+    const std::string name = e.path().filename().string();
+    if (name.ends_with(".trace.csv")) fs::remove(e.path());
+    if (name.ends_with(".panel")) panels.push_back(e.path());
+  }
+  ASSERT_EQ(panels.size(), 4u);  // two panels each in fig6 and fig7
+  auto expected = artifact_contents(b);
+  std::erase_if(expected, [](const auto& kv) {
+    return kv.first.ends_with(".trace.csv");
+  });
+  const auto warm_run = [&](const std::string& tag) {
+    EXPECT_EQ(wait_exit_code(spawn_omnivar(
+                  bin, {"--out", a.string(), "--jobs", "4"},
+                  (dir_ / (tag + ".log")).string(), {},
+                  (dir_ / (tag + ".err")).string())),
+              0)
+        << tag;
+    EXPECT_EQ(slurp(dir_ / (tag + ".log")), serial_log) << tag;
+    return computed_per_unit(slurp(dir_ / (tag + ".err")));
+  };
+  const auto no_traces = warm_run("no_traces");
+  EXPECT_EQ(no_traces.size(), 12u);
+  for (const auto& [unit, computed] : no_traces) {
+    EXPECT_EQ(computed, 0u) << unit;
+  }
+  expect_same_contents(expected, artifact_contents(a));
+
+  // Without its summary, a cell recomputes: exactly that one, which
+  // commits its trace and summary again.
+  fs::remove(panels.front());
+  const auto one_panel = warm_run("one_panel");
+  std::size_t recomputed = 0;
+  for (const auto& [unit, computed] : one_panel) recomputed += computed;
+  EXPECT_EQ(recomputed, 1u);
+  const std::string stem = panels.front().stem().string();
+  const std::string trace = "cache/" + stem + ".trace.csv";
+  auto got = artifact_contents(a);
+  ASSERT_EQ(got.count(trace), 1u);
+  EXPECT_TRUE(got[trace] == artifact_contents(b)[trace])
+      << "archived trace differs: " << trace;
+  got.erase(trace);
+  expect_same_contents(expected, got);
 }
 
 TEST_F(CampaignSchedTest, QuarantineUnderCellParallelMatchesSerial) {

@@ -1,5 +1,5 @@
 // Unit tests for core/stat_tests: Welch t, Mann-Whitney U, KS,
-// Brown-Forsythe, and the distribution helpers.
+// Brown-Forsythe, Hedges' g, and the distribution helpers.
 
 #include "core/stat_tests.hpp"
 
@@ -149,6 +149,26 @@ TEST(BrownForsythe, PinnedVsUnpinnedShapedData) {
                        (rng.bernoulli(0.2) ? rng.pareto(50.0, 1.5) : 0.0));
   }
   EXPECT_LT(brown_forsythe(pinned, unpinned).p_value, 0.01);
+}
+
+TEST(HedgesG, ZeroForIdentical) {
+  const std::vector<double> a{1.0, 2.0, 3.0, 4.0};
+  EXPECT_NEAR(hedges_g(a, a), 0.0, 1e-12);
+}
+
+TEST(HedgesG, SignFollowsDirection) {
+  const std::vector<double> a{1.0, 2.0, 3.0, 4.0};
+  const std::vector<double> b{5.0, 6.0, 7.0, 8.0};
+  EXPECT_GT(hedges_g(a, b), 1.0);   // b slower
+  EXPECT_LT(hedges_g(b, a), -1.0);  // reversed
+}
+
+TEST(HedgesG, DegenerateInputs) {
+  const std::vector<double> one{1.0};
+  const std::vector<double> two{1.0, 2.0};
+  EXPECT_EQ(hedges_g(one, two), 0.0);
+  const std::vector<double> constant{3.0, 3.0, 3.0};
+  EXPECT_EQ(hedges_g(constant, constant), 0.0);
 }
 
 }  // namespace

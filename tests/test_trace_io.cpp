@@ -7,6 +7,8 @@
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/rng.hpp"
 
@@ -112,6 +114,37 @@ TEST(TraceIo, RejectsRowBeyondDeclaredRuns) {
       std::invalid_argument);
   EXPECT_THROW(static_cast<void>(run_matrix_from_csv("run,rep,time\n# runs=x\n0,0,1.0\n")),
       std::invalid_argument);
+}
+
+TEST(TraceIo, RejectsRunCountsPastTheCap) {
+  // A forged "# runs=N" must fail before N empty runs are allocated, with
+  // a diagnostic naming the cap.
+  const std::vector<std::string> forged = {
+      "5000000", "18446744073709551615", std::to_string(kMaxRunMatrixRuns + 1)};
+  for (const auto& n : forged) {
+    try {
+      static_cast<void>(
+          run_matrix_from_csv("run,rep,time\n# runs=" + n + "\n"));
+      ADD_FAILURE() << "accepted '# runs=" << n << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("cap"), std::string::npos)
+          << e.what();
+    }
+  }
+  // So must a data row whose run index implies that many runs; the
+  // largest index once wrapped the implied count to zero and the row
+  // vanished silently.
+  EXPECT_THROW(static_cast<void>(run_matrix_from_csv(
+                   "run,rep,time\n18446744073709551615,0,1.0\n")),
+               std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(run_matrix_from_csv(
+                   "run,rep,time\n# runs=1\n0,0,1.0\n"
+                   "18446744073709551615,0,2.0\n")),
+               std::invalid_argument);
+  // The cap itself is a legal (empty) matrix.
+  const auto at_cap = run_matrix_from_csv(
+      "run,rep,time\n# runs=" + std::to_string(kMaxRunMatrixRuns) + "\n");
+  EXPECT_EQ(at_cap.runs(), kMaxRunMatrixRuns);
 }
 
 TEST(TraceIo, ToleratesCrlfAndComments) {
