@@ -18,7 +18,10 @@
 //   * two scenario selections that would write the same artifact file are
 //     a usage error naming both selectors;
 //   * a width past the executor ceiling, by flag or environment, is
-//     reported and ignored rather than aborting the process.
+//     reported and ignored rather than aborting the process;
+//   * a campaign SIGKILLed at seeded points resumes cell by cell: the
+//     re-run into the same --out recomputes exactly the cells the killed
+//     process had not committed and ends byte-identical to a clean run.
 //
 // The driver binary path arrives via OMNIVAR_BIN (set by the CMake test
 // harness to $<TARGET_FILE:omnivar>); the suite skips when it is absent so
@@ -26,17 +29,21 @@
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -142,6 +149,9 @@ void expect_same_contents(const std::map<std::string, std::string>& expected,
     }
     EXPECT_TRUE(it->second == bytes) << "artifact differs: " << rel;
   }
+  for (const auto& [rel, bytes] : got) {
+    if (expected.count(rel) == 0) ADD_FAILURE() << "unexpected: " << rel;
+  }
 }
 
 void expect_identical_trees(const fs::path& serial, const fs::path& par) {
@@ -167,6 +177,18 @@ std::map<std::string, std::size_t> computed_per_unit(const std::string& err) {
         std::stoul(line.substr(at + marker.size()));
   }
   return out;
+}
+
+/// Number of committed cache entries (.key commit markers) under `out`;
+/// 0 when the campaign never created its cache.
+std::size_t committed_cells(const fs::path& out) {
+  std::error_code ec;
+  std::size_t n = 0;
+  for (fs::directory_iterator it(out / "cache", ec), end; !ec && it != end;
+       it.increment(ec)) {
+    if (it->path().extension() == ".key") ++n;
+  }
+  return n;
 }
 
 class CampaignSchedTest : public ::testing::Test {
@@ -461,6 +483,89 @@ TEST_F(CampaignSchedTest, OversizedJobsIsReportedNotFatal) {
       << env_err;
   EXPECT_NE(env_err.find("from 0 to 1024"), std::string::npos) << env_err;
   EXPECT_EQ(slurp(dir_ / "env.log"), slurp(dir_ / "flag.log"));
+}
+
+// The result cache is the campaign's resume mechanism: a campaign killed at
+// an arbitrary point (not only at a named fault site) and re-run with the
+// same command into the same --out loses at most the cells it had not yet
+// committed. Every .key marker lands after its data, so a marker present
+// after the kill is a complete entry the re-run serves, and a cell without
+// one is recomputed from scratch; commits are tmp + rename, so the kill can
+// leave nothing torn behind, only "<file>.tmp.<pid>" orphans, and the
+// leases of the dead process are reclaimed by the re-run.
+TEST_F(CampaignSchedTest, KilledCampaignResumesCellByCell) {
+  const std::string bin = omnivar_bin();
+  const auto campaign = [&](const fs::path& out, const std::string& tag) {
+    return spawn_campaign(bin, {"--out", out.string(), "--jobs", "4"},
+                          (dir_ / (tag + ".log")).string(), {},
+                          (dir_ / (tag + ".err")).string());
+  };
+
+  const fs::path clean = dir_ / "clean";
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_EQ(wait_exit_code(campaign(clean, "clean")), 0);
+  const std::chrono::duration<double> clean_time =
+      std::chrono::steady_clock::now() - t0;
+  const std::string clean_log = slurp(dir_ / "clean.log");
+  const auto expected = artifact_contents(clean);
+  const std::size_t total = committed_cells(clean);
+  ASSERT_FALSE(clean_log.empty());
+  ASSERT_GT(total, 0u);
+
+  // Kill delays are seeded fractions of the clean run's wall time.
+  std::mt19937_64 rng(20261018);
+  std::uniform_real_distribution<double> fraction(0.05, 0.95);
+  std::size_t mid_campaign = 0;
+  std::string landed;  // committed cells per kill, for the failure message
+  for (int i = 0; i < 8; ++i) {
+    const std::string tag = "kill" + std::to_string(i);
+    const fs::path out = dir_ / tag;
+    const auto delay = fraction(rng) * clean_time;
+    const pid_t victim = campaign(out, tag + ".killed");
+    std::this_thread::sleep_for(delay);
+    // Unreaped until wait_exit_code, so the pid cannot have been reused
+    // even when the campaign finished before the signal.
+    ASSERT_EQ(::kill(victim, SIGKILL), 0) << tag;
+    (void)wait_exit_code(victim);
+    const std::size_t committed = committed_cells(out);
+    if (committed > 0 && committed < total) ++mid_campaign;
+    landed.push_back(' ');
+    landed += std::to_string(committed);
+
+    ASSERT_EQ(wait_exit_code(campaign(out, tag)), 0) << tag;
+    EXPECT_EQ(slurp(dir_ / (tag + ".log")), clean_log) << tag;
+    const auto computed = computed_per_unit(slurp(dir_ / (tag + ".err")));
+    EXPECT_EQ(computed.size(), kHarnesses.size() * kScenarios.size()) << tag;
+    std::size_t recomputed = 0;
+    for (const auto& [unit, n] : computed) recomputed += n;
+    EXPECT_EQ(recomputed, total - committed)
+        << tag << ": " << committed << " of " << total
+        << " cells were committed when the kill landed";
+
+    // Beyond the clean tree, only the killed process's temp files of a
+    // clean-tree file (or of campaign.json) may remain — and the lease of a
+    // cell the kill caught between its .key commit and the lease release:
+    // the re-run serves that cell from cache and never takes its lease.
+    auto got = artifact_contents(out);
+    const std::string orphan = ".tmp." + std::to_string(victim);
+    const std::string holder = "pid " + std::to_string(victim) + "\n";
+    std::erase_if(got, [&](const auto& kv) {
+      const std::string& rel = kv.first;
+      if (rel.ends_with(".lock")) {
+        const std::string cell = rel.substr(0, rel.size() - 5);
+        return kv.second.starts_with(holder) &&
+               expected.count(cell + ".key") == 1;
+      }
+      if (!rel.ends_with(orphan)) return false;
+      const std::string base = rel.substr(0, rel.size() - orphan.size());
+      return base == "campaign.json" || expected.count(base) == 1;
+    });
+    SCOPED_TRACE(tag);
+    expect_same_contents(expected, got);
+  }
+  // Kills past the end or before the first commit test nothing.
+  EXPECT_GE(mid_campaign, 2u) << "committed cells per kill:" << landed
+                               << " (of " << total << ")";
 }
 
 }  // namespace
