@@ -41,7 +41,7 @@ Row run_case(cli::RunContext& ctx, const harness::Platform& p,
           .add("ablation_case", name),
       [&] {
         return sb.run_protocol(bench::SyncConstruct::reduction, spec,
-                               ctx.executor(), ctx.checkpoint());
+                               ctx.executor());
       });
   const auto ps = m.pooled_summary();
   return {name,

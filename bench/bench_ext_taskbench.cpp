@@ -40,8 +40,7 @@ RunMatrix run_tasking(cli::RunContext& ctx, const harness::Platform& p,
                 ompsim::parallel_task_generation(team, 64, 1e-6);
               }
               return (team.now() - t0) * 1e6;
-            },
-            bench::NoRunEndHook{}, ctx.checkpoint());
+            });
       });
 }
 

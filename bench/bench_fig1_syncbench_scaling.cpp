@@ -35,7 +35,7 @@ void run_platform(cli::RunContext& ctx, const harness::Platform& p,
             .add("construct", "reduction"),
         [&] {
           return sb.run_protocol(bench::SyncConstruct::reduction, spec,
-                                 ctx.executor(), ctx.checkpoint());
+                                 ctx.executor());
         });
     const auto bar = ctx.protocol(
         cell + "barrier", spec,
@@ -43,7 +43,7 @@ void run_platform(cli::RunContext& ctx, const harness::Platform& p,
             .add("construct", "barrier"),
         [&] {
           return sb.run_protocol(bench::SyncConstruct::barrier, spec,
-                                 ctx.executor(), ctx.checkpoint());
+                                 ctx.executor());
         });
     const double red_per =
         red.grand_mean() /

@@ -60,8 +60,7 @@ void run_platform(cli::RunContext& ctx, const harness::Platform& p,
             .add("chunk", std::uint64_t{1}),
         [&] {
           return sched.run_protocol(ompsim::Schedule::dynamic, 1,
-                                    spec_sched, ctx.executor(),
-                                    ctx.checkpoint());
+                                    spec_sched, ctx.executor());
         });
 
     bench::SimSyncBench sync(s, team);
@@ -72,7 +71,7 @@ void run_platform(cli::RunContext& ctx, const harness::Platform& p,
             .add("construct", "reduction"),
         [&] {
           return sync.run_protocol(bench::SyncConstruct::reduction,
-                                   spec_sync, ctx.executor(), ctx.checkpoint());
+                                   spec_sync, ctx.executor());
         });
 
     bench::SimStream stream(s, team);
@@ -83,8 +82,7 @@ void run_platform(cli::RunContext& ctx, const harness::Platform& p,
             .add("kernel", "triad"),
         [&] {
           return stream.run_protocol(bench::StreamKernel::triad,
-                                     spec_stream, ctx.executor(),
-                                     ctx.checkpoint());
+                                     spec_stream, ctx.executor());
         });
 
     const auto a = spread(m_sched);

@@ -67,7 +67,7 @@ int run_fig4(cli::RunContext& ctx) {
             .add("chunk", std::uint64_t{1}),
         [&] {
           return before.run_protocol(ompsim::Schedule::dynamic, 1, spec_b,
-                                     ctx.executor(), ctx.checkpoint());
+                                     ctx.executor());
         });
     bench::SimSchedBench after(s, pinned,
                                bench::EpccParams::schedbench(), 10000);
@@ -79,7 +79,7 @@ int run_fig4(cli::RunContext& ctx) {
             .add("chunk", std::uint64_t{1}),
         [&] {
           return after.run_protocol(ompsim::Schedule::dynamic, 1, spec_a,
-                                    ctx.executor(), ctx.checkpoint());
+                                    ctx.executor());
         });
     per_run_table(ctx, "sched" + ss + "_unpinned",
                   ("(a) schedbench " + ss + " thr, BEFORE pinning (us):").c_str(), mb);
@@ -101,7 +101,7 @@ int run_fig4(cli::RunContext& ctx) {
             .add("construct", "reduction"),
         [&] {
           return before.run_protocol(bench::SyncConstruct::reduction,
-                                     spec_b, ctx.executor(), ctx.checkpoint());
+                                     spec_b, ctx.executor());
         });
     bench::SimSyncBench after(s, pinned);
     const auto spec_a = harness::paper_spec(5004);
@@ -111,7 +111,7 @@ int run_fig4(cli::RunContext& ctx) {
             .add("construct", "reduction"),
         [&] {
           return after.run_protocol(bench::SyncConstruct::reduction,
-                                    spec_a, ctx.executor(), ctx.checkpoint());
+                                    spec_a, ctx.executor());
         });
     per_run_table(ctx, "sync" + fs + "_unpinned",
                   ("(b) syncbench reduction " + fs +
@@ -159,8 +159,7 @@ int run_fig4(cli::RunContext& ctx) {
           harness::cell_key("babelstream", p, unpinned)
               .add("kernel", bench::stream_kernel_name(k)),
           [&] {
-            return before.run_protocol(k, spec_b, ctx.executor(),
-                                       ctx.checkpoint());
+            return before.run_protocol(k, spec_b, ctx.executor());
           });
       bench::SimStream after(s, pinned);
       const auto spec_a = harness::paper_spec(5006, 10, 50);
@@ -170,8 +169,7 @@ int run_fig4(cli::RunContext& ctx) {
           harness::cell_key("babelstream", p, pinned)
               .add("kernel", bench::stream_kernel_name(k)),
           [&] {
-            return after.run_protocol(k, spec_a, ctx.executor(),
-                                      ctx.checkpoint());
+            return after.run_protocol(k, spec_a, ctx.executor());
           });
       double ub_min = 1.0;
       double ub_max = 0.0;

@@ -110,7 +110,7 @@ int run_fig5(cli::RunContext& ctx) {
             .add("chunk", std::uint64_t{1}),
         [&] {
           return sb.run_protocol(ompsim::Schedule::dynamic, 1, spec,
-                                 ctx.executor(), ctx.checkpoint());
+                                 ctx.executor());
         });
   };
   const auto stream_cell = [&](const std::string& label,
@@ -123,7 +123,7 @@ int run_fig5(cli::RunContext& ctx) {
             .add("kernel", "triad"),
         [&] {
           return st.run_protocol(bench::StreamKernel::triad, spec,
-                                 ctx.executor(), ctx.checkpoint());
+                                 ctx.executor());
         });
   };
 
@@ -174,8 +174,7 @@ int run_fig5(cli::RunContext& ctx) {
             harness::cell_key("syncbench", p, team)
                 .add("construct", bench::sync_construct_name(c)),
             [&] {
-              return sb.run_protocol(c, spec, ctx.executor(),
-                                     ctx.checkpoint());
+              return sb.run_protocol(c, spec, ctx.executor());
             });
       };
       const auto ms =

@@ -66,7 +66,7 @@ int run_table2(cli::RunContext& ctx) {
             .add("chunk", std::uint64_t{1}),
         [&] {
           return sb.run_protocol(ompsim::Schedule::dynamic, 1, spec,
-                                 ctx.executor(), ctx.checkpoint());
+                                 ctx.executor());
         }));
     headers.push_back(c.platform.name + " " +
                       std::to_string(c.threads) + " thr");

@@ -116,8 +116,7 @@ template <typename MakeBench, typename Rep>
 [[nodiscard]] FreqPanelTrace run_freq_panel(
     const sim::Simulator& base, const std::string& places,
     std::size_t n_threads, const ExperimentSpec& spec,
-    core::Executor& executor, MakeBench make_bench, Rep rep,
-    const snap::CheckpointPolicy* ckpt = nullptr) {
+    core::Executor& executor, MakeBench make_bench, Rep rep) {
   ompsim::TeamConfig cfg;
   cfg.n_threads = n_threads;
   cfg.places_spec = places;
@@ -139,8 +138,7 @@ template <typename MakeBench, typename Rep>
         freqlog::SimFreqReader reader(sim.freq(), sim.machine().n_cores());
         trace_slots[slot.run].append(
             freqlog::sample_sim(reader, 0.0, team.now(), 0.01));
-      },
-      ckpt);
+      });
   for (const auto& tr : traces) out.trace.append(tr);
   return out;
 }
@@ -165,8 +163,7 @@ template <typename MakeBench, typename Rep>
       label, spec, std::move(key),
       [&] {
         auto panel = run_freq_panel(base, places, n_threads, spec,
-                                    ctx.executor(), make_bench, rep,
-                                    ctx.checkpoint());
+                                    ctx.executor(), make_bench, rep);
         trace = std::move(panel.trace);
         out.freq = freqlog::summarize_panel(trace, core_fmax(base.machine()),
                                             kDipThreshold);

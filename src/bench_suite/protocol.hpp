@@ -13,13 +13,19 @@
 #include <type_traits>
 #include <utility>
 
-#include "bench_suite/checkpoint.hpp"
 #include "core/executor.hpp"
 #include "core/experiment.hpp"
 #include "omp_model/team.hpp"
 #include "sim/simulator.hpp"
 
 namespace omv::bench {
+
+/// Default (no-op) end-of-run hook for run_protocol_sharded.
+struct NoRunEndHook {
+  template <typename Bench>
+  void operator()(Bench&, ompsim::SimTeam&, sim::Simulator&,
+                  const RunSlot&) const noexcept {}
+};
 
 /// Shards spec.runs onto `executor`, one task per run (inline at one
 /// worker). Each run builds a private Simulator clone of
@@ -28,21 +34,11 @@ namespace omv::bench {
 /// execute `rep(bench, team)`; after a run's last timed repetition,
 /// `on_run_end(bench, team, sim, slot)` fires (e.g. to sample the run's
 /// frequency trace into a run-indexed slot).
-///
-/// When `ckpt` names an engaged checkpoint policy, execution routes through
-/// run_protocol_checkpointed instead: serial, with snapshot writes every N
-/// reps and/or a resume from a prior snapshot — bit-identical to the
-/// sharded path (runs derive their entire state from run_seed either way).
 template <typename MakeBench, typename Rep, typename OnRunEnd = NoRunEndHook>
 [[nodiscard]] RunMatrix run_protocol_sharded(
     const sim::Simulator& base, const ompsim::TeamConfig& team_cfg,
     const ExperimentSpec& spec, core::Executor& executor, MakeBench make_bench,
-    Rep rep, OnRunEnd on_run_end = {},
-    const snap::CheckpointPolicy* ckpt = nullptr) {
-  if (ckpt != nullptr && ckpt->engaged()) {
-    return run_protocol_checkpointed(base, team_cfg, spec, make_bench, rep,
-                                     on_run_end, *ckpt);
-  }
+    Rep rep, OnRunEnd on_run_end = {}) {
   const topo::Machine machine = base.machine();
   const sim::SimConfig sim_cfg = base.config();
   const std::uint64_t team_seed = spec.seed;

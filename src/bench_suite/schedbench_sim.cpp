@@ -46,8 +46,7 @@ RunMatrix SimSchedBench::run_protocol(ompsim::Schedule kind, std::size_t chunk,
 
 RunMatrix SimSchedBench::run_protocol(ompsim::Schedule kind, std::size_t chunk,
                                       const ExperimentSpec& spec,
-                                      core::Executor& executor,
-                                      const snap::CheckpointPolicy* ckpt) {
+                                      core::Executor& executor) {
   return run_protocol_sharded(
       *sim_, team_cfg_, spec, executor,
       [team_cfg = team_cfg_, params = params_,
@@ -56,8 +55,7 @@ RunMatrix SimSchedBench::run_protocol(ompsim::Schedule kind, std::size_t chunk,
       },
       [kind, chunk](SimSchedBench& bench, ompsim::SimTeam& team) {
         return bench.rep_time_us(team, kind, chunk);
-      },
-      NoRunEndHook{}, ckpt);
+      });
 }
 
 }  // namespace omv::bench

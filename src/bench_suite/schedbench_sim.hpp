@@ -15,10 +15,6 @@
 #include "omp_model/worksharing.hpp"
 #include "sim/simulator.hpp"
 
-namespace omv::snap {
-struct CheckpointPolicy;
-}  // namespace omv::snap
-
 namespace omv::bench {
 
 /// schedbench, simulator backend.
@@ -40,12 +36,11 @@ class SimSchedBench {
 
   /// As run_protocol, but shards the spec's runs onto `executor` (one
   /// task per run; inline at one worker); bit-identical to the serial
-  /// overload. `ckpt` optionally routes the cell through the
-  /// checkpointed (serial, snapshot-writing) protocol loop.
-  [[nodiscard]] RunMatrix run_protocol(
-      ompsim::Schedule kind, std::size_t chunk, const ExperimentSpec& spec,
-      core::Executor& executor,
-      const snap::CheckpointPolicy* ckpt = nullptr);
+  /// overload.
+  [[nodiscard]] RunMatrix run_protocol(ompsim::Schedule kind,
+                                       std::size_t chunk,
+                                       const ExperimentSpec& spec,
+                                       core::Executor& executor);
 
   /// The coarsening factor used for a given chunk size (1 = exact).
   [[nodiscard]] std::size_t coarsen_for(std::size_t chunk) const;

@@ -135,8 +135,7 @@ RunMatrix SimStream::run_protocol(StreamKernel k, const ExperimentSpec& spec) {
 }
 
 RunMatrix SimStream::run_protocol(StreamKernel k, const ExperimentSpec& spec,
-                                  core::Executor& executor,
-                                  const snap::CheckpointPolicy* ckpt) {
+                                  core::Executor& executor) {
   return run_protocol_sharded(
       *sim_, team_cfg_, spec, executor,
       [team_cfg = team_cfg_, elems = array_elems_,
@@ -145,8 +144,7 @@ RunMatrix SimStream::run_protocol(StreamKernel k, const ExperimentSpec& spec,
       },
       [k](SimStream& bench, ompsim::SimTeam& team) {
         return bench.kernel_time_s(team, k) * 1e3;
-      },
-      NoRunEndHook{}, ckpt);
+      });
 }
 
 }  // namespace omv::bench

@@ -16,10 +16,6 @@
 #include "omp_model/team.hpp"
 #include "sim/simulator.hpp"
 
-namespace omv::snap {
-struct CheckpointPolicy;
-}  // namespace omv::snap
-
 namespace omv::bench {
 
 /// The five BabelStream kernels.
@@ -69,11 +65,10 @@ class SimStream {
 
   /// As run_protocol, but shards the spec's runs onto `executor` (one
   /// task per run; inline at one worker); bit-identical to the serial
-  /// overload. `ckpt` optionally routes the cell through the
-  /// checkpointed (serial, snapshot-writing) protocol loop.
-  [[nodiscard]] RunMatrix run_protocol(
-      StreamKernel k, const ExperimentSpec& spec, core::Executor& executor,
-      const snap::CheckpointPolicy* ckpt = nullptr);
+  /// overload.
+  [[nodiscard]] RunMatrix run_protocol(StreamKernel k,
+                                       const ExperimentSpec& spec,
+                                       core::Executor& executor);
 
   [[nodiscard]] std::size_t array_elems() const noexcept {
     return array_elems_;

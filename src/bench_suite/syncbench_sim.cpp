@@ -144,8 +144,7 @@ RunMatrix SimSyncBench::run_protocol(SyncConstruct c,
 
 RunMatrix SimSyncBench::run_protocol(SyncConstruct c,
                                      const ExperimentSpec& spec,
-                                     core::Executor& executor,
-                                     const snap::CheckpointPolicy* ckpt) {
+                                     core::Executor& executor) {
   return run_protocol_sharded(
       *sim_, team_cfg_, spec, executor,
       [team_cfg = team_cfg_, params = params_,
@@ -154,8 +153,7 @@ RunMatrix SimSyncBench::run_protocol(SyncConstruct c,
       },
       [c](SimSyncBench& bench, ompsim::SimTeam& team) {
         return bench.rep_time_us(team, c);
-      },
-      NoRunEndHook{}, ckpt);
+      });
 }
 
 }  // namespace omv::bench

@@ -14,10 +14,6 @@
 #include "omp_model/team.hpp"
 #include "sim/simulator.hpp"
 
-namespace omv::snap {
-struct CheckpointPolicy;
-}  // namespace omv::snap
-
 namespace omv::bench {
 
 /// syncbench, simulator backend.
@@ -53,11 +49,10 @@ class SimSyncBench {
   /// task per run; inline at one worker). Each run executes on
   /// a private Simulator + team whose state begin_run re-derives entirely
   /// from the run seed, so the RunMatrix is bit-identical to the serial
-  /// overload. When `ckpt` names an engaged checkpoint policy, the cell
-  /// executes serially with snapshot checkpoints (still bit-identical).
-  [[nodiscard]] RunMatrix run_protocol(
-      SyncConstruct c, const ExperimentSpec& spec, core::Executor& executor,
-      const snap::CheckpointPolicy* ckpt = nullptr);
+  /// overload.
+  [[nodiscard]] RunMatrix run_protocol(SyncConstruct c,
+                                       const ExperimentSpec& spec,
+                                       core::Executor& executor);
 
   [[nodiscard]] const EpccParams& params() const noexcept { return params_; }
   [[nodiscard]] const ompsim::TeamConfig& team_config() const noexcept {

@@ -79,26 +79,6 @@ std::string_view engine_version() {
   return kEngineVersion;
 }
 
-namespace {
-
-/// OMNIVAR_CHECKPOINT_STOP_AFTER: test/CI kill switch — abort the process
-/// (exit code 3) after N checkpoint writes so a resume can be exercised in
-/// a fresh process. 0 / unset / malformed = off.
-std::size_t checkpoint_stop_after_env() {
-  if (const char* e = std::getenv("OMNIVAR_CHECKPOINT_STOP_AFTER")) {
-    std::size_t n = 0;
-    if (parse_uint(e, n)) return n;
-  }
-  return 0;
-}
-
-}  // namespace
-
-void RunContext::configure_checkpoints(std::size_t every, std::string resume) {
-  ckpt_every_ = every;
-  resume_sel_ = std::move(resume);
-}
-
 void RunContext::configure_supervision(std::size_t retries,
                                        std::chrono::milliseconds timeout) {
   supervision_.retries = retries;
@@ -200,15 +180,14 @@ RunMatrix RunContext::protocol(const std::string& label,
                    "recomputing\n",
                    hash.c_str(), label.c_str(), e.what());
     }
-    // The entry is invalidated: its checkpoint sidecar (if one survived)
-    // describes repetitions of data we are about to discard — drop it so
-    // --resume auto cannot resurrect a dead cell's progress.
-    core::remove_file_if_exists(stem + ".snap");
     return std::nullopt;
   };
 
   if (caching()) {
     if (auto m = load_cached()) {
+      // A hit never takes the lease, so it clears the one a process killed
+      // right after committing this entry left behind.
+      core::FileLease::remove_if_orphaned(stem + ".lock");
       ++hits_;
       rec.cached = true;
       cells_.push_back(std::move(rec));
@@ -239,39 +218,6 @@ RunMatrix RunContext::protocol(const std::string& label,
     }
   }
 
-  // Arm this cell's checkpoint policy for the compute call. The snapshot
-  // rides the cache entry's stem (".snap" sidecar) and is stamped with the
-  // engine + scenario + cell identity, so a resume can never cross cells.
-  if (caching() && (ckpt_every_ > 0 || !resume_sel_.empty())) {
-    ckpt_policy_ = snap::CheckpointPolicy{};
-    ckpt_policy_.path = stem + ".snap";
-    ckpt_policy_.every_reps = ckpt_every_;
-    ckpt_policy_.stop_after = checkpoint_stop_after_env();
-    ckpt_policy_.stamp.engine = std::string(engine_version());
-    ckpt_policy_.stamp.scenario = scenario_ ? scenario_->fingerprint() : "";
-    ckpt_policy_.stamp.cell = hash;
-    if (resume_sel_ == "auto") {
-      // Each cell resumes from its own sidecar when one survived a prior
-      // interrupted invocation; cells without one start fresh.
-      if (std::filesystem::exists(ckpt_policy_.path)) {
-        ckpt_policy_.resume_from = ckpt_policy_.path;
-      }
-    } else if (!resume_sel_.empty()) {
-      // An explicit snapshot belongs to exactly one cell: its stamp names
-      // the cell hash. Other cells run fresh.
-      if (auto st = snap::try_peek_stamp(resume_sel_);
-          st && st->cell == hash) {
-        ckpt_policy_.resume_from = resume_sel_;
-      }
-    }
-    ckpt_active_ = ckpt_policy_.engaged();
-  }
-  // Disarm even when compute throws (CheckpointStop unwinds through here).
-  struct Disarm {
-    bool* flag;
-    ~Disarm() { *flag = false; }
-  } disarm{&ckpt_active_};
-
   // Compute-and-commit runs supervised: injected faults, the cooperative
   // cell timeout, and commit-path I/O errors are all retried (fresh
   // attempt = fresh compute = identical data) and, once the retry budget
@@ -295,13 +241,6 @@ RunMatrix RunContext::protocol(const std::string& label,
       return computed;
     });
   };
-  // A checkpoint stop elsewhere in the campaign halts cell dispatch:
-  // cells already computing drain, this one never starts.
-  if (stop_ != nullptr && stop_->load()) {
-    throw snap::CheckpointStop(
-        "campaign checkpoint stop: cell dispatch halted before this cell "
-        "started");
-  }
   RunMatrix m = [&] {
     try {
       return supervised();
@@ -497,11 +436,10 @@ void print_usage(const char* argv0) {
                "usage: %s [--list] [--scenarios] [--version] "
                "[--only GLOB]... [--jobs N] [--scenario S]... "
                "[--scenario-set FILE] [--plan] [--out DIR] "
-               "[--checkpoint-every N] [--resume SRC] [--retry-cells N] "
-               "[--cell-timeout MS] [--fault-spec SPEC]\n"
+               "[--retry-cells N] [--cell-timeout MS] [--fault-spec SPEC]\n"
                "  --list       list registered harnesses\n"
                "  --scenarios  list the scenario catalog\n"
-               "  --version    print engine version and snapshot format\n"
+               "  --version    print the engine version\n"
                "  --only GLOB  run only harnesses matching the glob "
                "(repeatable)\n"
                "  --jobs N     run units and protocol runs on N workers "
@@ -535,17 +473,10 @@ void print_usage(const char* argv0) {
                "  --out DIR    campaign directory: per-harness JSON "
                "artifacts,\n"
                "               campaign.json, and the spec-hash result "
-               "cache\n"
-               "  --checkpoint-every N\n"
-               "               checkpoint each protocol cell every N timed "
-               "reps to a\n"
-               "               .snap cache sidecar (requires --out; default: "
-               "\n"
-               "               OMNIVAR_CHECKPOINT_EVERY, else off)\n"
-               "  --resume SRC resume interrupted cells: 'auto' scans each "
-               "cell's\n"
-               "               sidecar, a path names one snapshot (requires "
-               "--out)\n"
+               "cache;\n"
+               "               re-running into the same DIR resumes an "
+               "interrupted\n"
+               "               campaign from its committed cells\n"
                "  --retry-cells N\n"
                "               retry a failing protocol cell N times (seeded\n"
                "               exponential backoff) before quarantining it\n"
@@ -560,17 +491,15 @@ void print_usage(const char* argv0) {
                "               arm deterministic fault injection, e.g.\n"
                "               'cell_throw@3,torn_write:cache@2' (default:\n"
                "               OMNIVAR_FAULT_SPEC, else off)\n"
-               "exit codes: 0 ok, 2 usage, 3 checkpoint stop, 4 cell(s) "
-               "quarantined,\n"
-               "            1 other failure\n",
+               "exit codes: 0 ok, 2 usage, 4 cell(s) quarantined, 1 other "
+               "failure\n",
                argv0, kMaxJobs);
 }
 
-/// --version: the identity pair a snapshot stamp is checked against, one
-/// "key: value" per line on stdout.
+/// --version: the engine generation every cell key absorbs, as an
+/// "engine: VALUE" line on stdout.
 void print_version() {
   std::printf("engine: %s\n", std::string(kEngineVersion).c_str());
-  std::printf("snapshot-format: %s\n", snap::kSnapshotFormat);
 }
 
 void print_scenarios() {
@@ -592,22 +521,6 @@ bool resolve_scenario(const std::string& selection,
   } catch (const std::exception& e) {
     std::fprintf(stderr, "[omnivar] %s\n", e.what());
     return false;
-  }
-}
-
-/// Resolves the checkpoint flags; reports and drops them when no --out dir
-/// is configured (checkpoint snapshots ride the result cache).
-void resolve_checkpoints(const Options& o, std::size_t& every,
-                         std::string& resume) {
-  every = effective_checkpoint_every(o.checkpoint_every);
-  resume = o.resume;
-  if ((every > 0 || !resume.empty()) && o.out_dir.empty()) {
-    std::fprintf(stderr,
-                 "[omnivar] ignoring --checkpoint-every/--resume: "
-                 "checkpoint snapshots ride the result cache, which "
-                 "requires --out\n");
-    every = 0;
-    resume.clear();
   }
 }
 
@@ -641,10 +554,7 @@ struct Supervision {
 struct CampaignSettings {
   core::Executor* executor = nullptr;
   std::string out_dir;
-  std::size_t ckpt_every = 0;
-  std::string resume;
   Supervision sup;
-  std::atomic<bool>* stop = nullptr;  ///< set once a checkpoint stop trips.
 };
 
 /// One (harness, scenario) execution unit of the campaign fan-out, in
@@ -677,10 +587,8 @@ HarnessOutcome run_one(const Unit& unit, const CampaignSettings& c,
   // error must mark this harness FAILED, not std::terminate the campaign.
   try {
     RunContext ctx(h.name, *c.executor, c.out_dir, *unit.scn);
-    ctx.configure_checkpoints(c.ckpt_every, c.resume);
     ctx.configure_supervision(c.sup.retries, c.sup.timeout);
     ctx.set_output_capture(capture);
-    ctx.set_stop_flag(c.stop);
     try {
       out.exit_code = h.run(ctx);
     } catch (const CellQuarantined&) {
@@ -701,16 +609,6 @@ HarnessOutcome run_one(const Unit& unit, const CampaignSettings& c,
                               ctx.artifact_json(h.description), "artifact");
       out.artifact_written = true;
     }
-  } catch (const snap::CheckpointStop& e) {
-    // The configured stop-after limit tripped right after a checkpoint
-    // landed: a deliberate mid-protocol exit, distinguishable from failure
-    // so the CI round-trip lane can assert on it before resuming. The stop
-    // halts the whole campaign: cells already computing drain, no new
-    // cell or unit starts.
-    c.stop->store(true);
-    std::fprintf(stderr, "[omnivar] %s stopped: %s\n",
-                 unit_display(out.name, out.scenario).c_str(), e.what());
-    out.exit_code = kExitCheckpointStop;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "[omnivar] %s failed: %s\n",
                  unit_display(out.name, out.scenario).c_str(), e.what());
@@ -953,13 +851,11 @@ std::size_t resolve_width(const Options& o) {
 }
 
 /// Aggregates per-harness exit codes into the driver's exit code:
-/// a checkpoint stop wins (the campaign stopped deliberately), else
 /// quarantine beats generic failure, else any failure is 1.
 int aggregate_rc(const std::vector<HarnessOutcome>& outcomes) {
   bool any_failed = false;
   bool any_quarantined = false;
   for (const auto& o : outcomes) {
-    if (o.exit_code == kExitCheckpointStop) return kExitCheckpointStop;
     if (o.exit_code == kExitQuarantined) {
       any_quarantined = true;
     } else if (o.exit_code != kExitOk) {
@@ -999,29 +895,26 @@ std::vector<std::size_t> submission_order(const std::vector<Unit>& units,
 
 /// Runs every unit as one executor task and replays each unit's captured
 /// stdout (and its stderr outcome line) in registry x scenario order as
-/// soon as it and every unit before it are done. Units that find the
-/// campaign stopped never start and leave no outcome. Returns the
-/// outcomes in registry x scenario order.
+/// soon as it and every unit before it are done. Returns the outcomes in
+/// registry x scenario order.
 std::vector<HarnessOutcome> run_units(const std::vector<Unit>& units,
                                       const CampaignSettings& settings) {
   std::mutex mutex;  // guards everything below that tasks share
   std::vector<std::string> captures(units.size());
-  std::vector<std::optional<HarnessOutcome>> slots(units.size());
+  std::vector<HarnessOutcome> outcomes(units.size());
   std::vector<bool> done(units.size(), false);
   std::size_t replayed = 0;
   std::size_t started = 0;
-  std::vector<HarnessOutcome> outcomes;
-  const auto finish = [&](std::size_t u) {
+  const auto finish = [&](std::size_t u, HarnessOutcome outcome) {
     std::lock_guard lock(mutex);
+    outcomes[u] = std::move(outcome);
     done[u] = true;
     for (; replayed < units.size() && done[replayed]; ++replayed) {
-      if (!slots[replayed]) continue;
       const std::string& text = captures[replayed];
       // omvlint: allow(atomic-writes) ordered stdout replay of captured unit output, not a file commit
       std::fwrite(text.data(), 1, text.size(), stdout);
       std::fflush(stdout);
-      report_outcome(*slots[replayed]);
-      outcomes.push_back(std::move(*slots[replayed]));
+      report_outcome(outcomes[replayed]);
       captures[replayed] = std::string();
     }
   };
@@ -1030,23 +923,18 @@ std::vector<HarnessOutcome> run_units(const std::vector<Unit>& units,
   for (const std::size_t u : submission_order(units,
                                               settings.executor->workers())) {
     group.run([&, u] {
-      if (!settings.stop->load()) {
-        std::size_t n = 0;
-        {
-          std::lock_guard lock(mutex);
-          n = ++started;
-        }
-        const Unit& unit = units[u];
-        std::fprintf(stderr, "[omnivar] running %s (%zu of %zu)\n",
-                     unit_display(unit.h->name,
-                                  *unit.scn ? (*unit.scn)->name : "")
-                         .c_str(),
-                     n, units.size());
-        HarnessOutcome outcome = run_one(unit, settings, &captures[u]);
+      std::size_t n = 0;
+      {
         std::lock_guard lock(mutex);
-        slots[u] = std::move(outcome);
+        n = ++started;
       }
-      finish(u);
+      const Unit& unit = units[u];
+      std::fprintf(stderr, "[omnivar] running %s (%zu of %zu)\n",
+                   unit_display(unit.h->name,
+                                *unit.scn ? (*unit.scn)->name : "")
+                       .c_str(),
+                   n, units.size());
+      finish(u, run_one(unit, settings, &captures[u]));
     });
   }
   group.wait();
@@ -1092,15 +980,12 @@ int run_campaign(int argc, char** argv) {
   if (o.plan) return print_plan(units);
 
   core::Executor executor(force_serial_when_faults_armed(resolve_width(o)));
-  std::atomic<bool> stop{false};
   CampaignSettings settings;
   settings.executor = &executor;
   settings.out_dir = o.out_dir;
-  resolve_checkpoints(o, settings.ckpt_every, settings.resume);
   settings.sup = {effective_retry_cells(o.retry_cells),
                   std::chrono::milliseconds(
                       effective_cell_timeout_ms(o.cell_timeout_ms))};
-  settings.stop = &stop;
   for (const auto& scn : scns) {
     if (scn) {
       std::fprintf(stderr, "[omnivar] scenario %s (%s, %s)\n",

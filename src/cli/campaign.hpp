@@ -47,7 +47,6 @@
 // without computing — protocol() records the plan and returns a
 // placeholder matrix, and all output is discarded.
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <functional>
@@ -63,7 +62,6 @@
 #include "core/experiment.hpp"
 #include "core/report.hpp"
 #include "core/run_matrix.hpp"
-#include "core/snapshot.hpp"
 #include "core/spec_hash.hpp"
 #include "scenario/scenario.hpp"
 
@@ -171,13 +169,6 @@ class RunContext {
     capture_ = buffer;
   }
 
-  /// Halts this context's cold cells once `*stop` is set (a checkpoint
-  /// stop tripped elsewhere in the campaign): a cell that has not started
-  /// throws snap::CheckpointStop instead. Null (the default) never halts.
-  void set_stop_flag(const std::atomic<bool>* stop) noexcept {
-    stop_ = stop;
-  }
-
   /// printf into the harness's science stdout stream: direct stdout by
   /// default, the capture buffer under the campaign driver, discarded
   /// while enumerating. All harness report output must go through the
@@ -190,21 +181,6 @@ class RunContext {
   /// The active scenario selection; nullptr in the default paper mode.
   [[nodiscard]] const scenario::ScenarioSpec* scenario() const noexcept {
     return scenario_ ? &*scenario_ : nullptr;
-  }
-
-  /// Arms per-cell checkpointing: every protocol cell computed by this
-  /// context writes a snapshot sidecar ("<cache stem>.snap") every `every`
-  /// timed repetitions, and `resume` selects a resume source — "auto"
-  /// resumes each cell from its own sidecar when one exists, an explicit
-  /// path resumes exactly the cell whose stamp the snapshot carries.
-  /// Requires caching (an --out dir); ignored otherwise.
-  void configure_checkpoints(std::size_t every, std::string resume);
-
-  /// The checkpoint policy of the cell currently computing, for forwarding
-  /// into run_protocol(...); nullptr when checkpointing is not armed (the
-  /// common case) or no cell is computing.
-  [[nodiscard]] const snap::CheckpointPolicy* checkpoint() const noexcept {
-    return ckpt_active_ ? &ckpt_policy_ : nullptr;
   }
 
   /// Arms cell supervision: every cold cell computed by this context may
@@ -292,11 +268,6 @@ class RunContext {
   ContextMode mode_ = ContextMode::kExecute;
   std::vector<CellPlan> plan_;      ///< enumeration-pass cell declarations.
   std::string* capture_ = nullptr;  ///< science-stdout sink; null = stdout.
-  const std::atomic<bool>* stop_ = nullptr;  ///< campaign halt flag.
-  std::size_t ckpt_every_ = 0;   ///< configure_checkpoints cadence.
-  std::string resume_sel_;       ///< "auto", a snapshot path, or "".
-  snap::CheckpointPolicy ckpt_policy_;  ///< policy of the computing cell.
-  bool ckpt_active_ = false;
   SupervisorConfig supervision_;  ///< retry/timeout policy for cold cells.
   std::vector<CellFailure> failures_;
   std::vector<std::pair<std::string, std::string>> platforms_;

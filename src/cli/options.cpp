@@ -116,22 +116,6 @@ Options parse_options(int argc, char** argv) {
       o.out_dir = v;
       continue;
     }
-    if (const char* v =
-            flag_value("--checkpoint-every", argc, argv, i, o.errors)) {
-      std::size_t n = 0;
-      if (parse_uint(v, n)) {
-        o.checkpoint_every = n;
-      } else {
-        o.errors.push_back("malformed --checkpoint-every value '" +
-                           std::string(v) +
-                           "' (expected a non-negative integer)");
-      }
-      continue;
-    }
-    if (const char* v = flag_value("--resume", argc, argv, i, o.errors)) {
-      o.resume = v;
-      continue;
-    }
     if (const char* v = flag_value("--retry-cells", argc, argv, i, o.errors)) {
       std::size_t n = 0;
       if (parse_uint(v, n)) {
@@ -167,8 +151,6 @@ Options parse_options(int argc, char** argv) {
         std::strcmp(arg, "--scenario") != 0 &&
         std::strcmp(arg, "--scenario-set") != 0 &&
         std::strcmp(arg, "--out") != 0 &&
-        std::strcmp(arg, "--checkpoint-every") != 0 &&
-        std::strcmp(arg, "--resume") != 0 &&
         std::strcmp(arg, "--retry-cells") != 0 &&
         std::strcmp(arg, "--cell-timeout") != 0 &&
         std::strcmp(arg, "--fault-spec") != 0) {
@@ -240,23 +222,6 @@ std::size_t effective_cell_jobs(std::size_t cli_cell_jobs) {
 
 std::size_t effective_width(const Options& o) {
   return std::max(effective_jobs(o.jobs), effective_cell_jobs(o.cell_jobs));
-}
-
-std::size_t effective_checkpoint_every(std::size_t cli_every) {
-  if (cli_every != 0) return cli_every;
-  if (const char* e = std::getenv("OMNIVAR_CHECKPOINT_EVERY")) {
-    std::size_t n = 0;
-    if (parse_uint(e, n)) return n;
-    static bool warned = [&] {
-      std::fprintf(stderr,
-                   "omnivar: ignoring malformed OMNIVAR_CHECKPOINT_EVERY="
-                   "'%s' (expected a non-negative integer)\n",
-                   e);
-      return true;
-    }();
-    (void)warned;
-  }
-  return 0;
 }
 
 std::size_t effective_retry_cells(std::size_t cli_retries) {

@@ -25,13 +25,6 @@
 //                     run (harness, scenario, label, spec hash, cost) and
 //                     exit without computing anything
 //   --out[=]DIR       campaign directory: JSON artifacts + result cache
-//   --checkpoint-every[=]N
-//                     checkpoint each protocol cell every N timed reps to
-//                     a .snap sidecar of its cache entry (requires --out);
-//                     falls back to OMNIVAR_CHECKPOINT_EVERY
-//   --resume[=]SRC    resume interrupted cells: "auto" scans each cell's
-//                     .snap sidecar, an explicit path names one snapshot
-//                     (requires --out)
 //   --retry-cells[=]N retry a failing protocol cell N times (seeded
 //                     exponential backoff) before quarantining it; falls
 //                     back to OMNIVAR_RETRY_CELLS, else 0
@@ -44,8 +37,7 @@
 //                     core/faultinject.hpp for the grammar); falls back to
 //                     OMNIVAR_FAULT_SPEC; a malformed spec is a usage
 //                     error (exit 2), never silently ignored
-//   --version         print engine version and snapshot format on stdout
-//                     and exit
+//   --version         print the engine version on stdout and exit
 //   --help            usage
 // Parsing is strict: a typo'd jobs value must not silently become
 // "saturate every core" on a measurement harness, so malformed values are
@@ -84,8 +76,6 @@ struct Options {
   std::vector<std::string> scenarios;  ///< --scenario selectors, in order.
   std::string scenario_set;       ///< --scenario-set file; empty = none.
   std::string out_dir;            ///< --out campaign dir; empty = none.
-  std::size_t checkpoint_every = 0;  ///< --checkpoint-every; 0 = off.
-  std::string resume;  ///< --resume "auto" or snapshot path; empty = off.
   std::size_t retry_cells = 0;     ///< --retry-cells; 0 = no retries.
   std::size_t cell_timeout_ms = 0;  ///< --cell-timeout; 0 = unlimited.
   std::string fault_spec;  ///< --fault-spec; empty = unset.
@@ -118,11 +108,6 @@ struct Options {
 /// The executor width: the larger of effective_jobs(o.jobs) and the
 /// deprecated alias effective_cell_jobs(o.cell_jobs).
 [[nodiscard]] std::size_t effective_width(const Options& o);
-
-/// Effective checkpoint cadence: `cli_every` when set (non-zero), else the
-/// OMNIVAR_CHECKPOINT_EVERY environment variable (malformed values are
-/// reported once to stderr and ignored), else 0 — checkpointing off.
-[[nodiscard]] std::size_t effective_checkpoint_every(std::size_t cli_every);
 
 /// Effective cell retry budget: `cli_retries` when set (non-zero), else
 /// OMNIVAR_RETRY_CELLS (malformed values reported once and ignored),

@@ -5,7 +5,6 @@
 
 #include "core/deadline.hpp"
 #include "core/faultinject.hpp"
-#include "core/snapshot.hpp"
 #include "core/spec_hash.hpp"
 
 namespace omv::cli {
@@ -65,8 +64,6 @@ RunMatrix supervise_cell(const SupervisorConfig& cfg,
       const auto stall = fault::active_plan().on_cell_attempt(label);
       if (stall.count() > 0) core::interruptible_stall(stall);
       return body();
-    } catch (const snap::CheckpointStop&) {
-      throw;  // deliberate stop: never a failure, never retried
     } catch (const CellQuarantined&) {
       throw;  // no nested supervision
     } catch (const std::exception& e) {

@@ -18,9 +18,7 @@
 //
 // Error taxonomy: "timeout" (core::CellTimeout), "io" (injected
 // torn_write/enospc, filesystem errors from the commit path), "exception"
-// (anything else a cell throws). snap::CheckpointStop is NOT a failure —
-// it propagates untouched (a deliberate stop must never be retried or
-// quarantined).
+// (anything else a cell throws).
 
 #include <chrono>
 #include <cstdint>

@@ -1,15 +1,15 @@
 #pragma once
-// Crash-safe file commits, shared by the cache, snapshot and artifact
-// layers.
+// Crash-safe file commits, shared by the cache and artifact layers.
 //
 // atomic_write_file writes to a process-unique temp file in the target
 // directory and renames it into place, so readers can never observe a
-// half-written file — the same discipline snapshot I/O has used since the
-// checkpoint PR, hoisted here so cache CSVs, .key commit markers, trace
-// sidecars and JSON artifacts all commit the same way. Each call names its
-// fault-injection site ("cache", "key", "sidecar", "snapshot", "artifact",
-// "campaign", ...) so the deterministic fault plan (core/faultinject.hpp)
-// can tear or fail exactly the write a test targets.
+// half-written file: cache CSVs, .key commit markers, trace and panel
+// sidecars and JSON artifacts all commit the same way. A process killed
+// mid-write leaves at most a "<path>.tmp.<pid>" orphan next to an intact
+// (or absent) target. Each call names its fault-injection site ("cache",
+// "key", "sidecar", "artifact", "campaign", ...) so the deterministic fault
+// plan (core/faultinject.hpp) can tear or fail exactly the write a test
+// targets.
 
 #include <string>
 #include <string_view>

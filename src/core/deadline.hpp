@@ -3,7 +3,7 @@
 // cell.
 //
 // The cell supervisor arms a deadline before invoking a cell's compute
-// function; every repetition loop (serial, sharded, and checkpointed) calls
+// function; every repetition loop (serial and sharded) calls
 // check_cell_deadline() between repetitions, so a cell that overruns its
 // budget raises CellTimeout at the next repetition boundary on whichever
 // worker thread notices first — worker-pool-based cancellation with no

@@ -4,8 +4,8 @@
 // A fault plan is parsed from a textual spec (the OMNIVAR_FAULT_SPEC
 // environment variable or the --fault-spec flag) and armed process-wide.
 // Named sites threaded through the engine — cache commits ("cache", "key",
-// "sidecar"), snapshot I/O ("snapshot"), artifact writes ("artifact",
-// "campaign") and supervised cell execution — consult the plan at each
+// "sidecar"), artifact writes ("artifact", "campaign") and supervised cell
+// execution — consult the plan at each
 // operation, so every failure mode the fault-tolerance layer handles is
 // reproducible bit-for-bit in tests and CI: the same spec against the same
 // campaign always fires at the same operation.

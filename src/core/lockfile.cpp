@@ -36,6 +36,15 @@ void write_lease_info(int fd) {
   }
 }
 
+/// True when `path` still names the inode open as `fd` (a releasing holder
+/// may have unlinked it, and another may have created a fresh one).
+bool names_fd(const std::string& path, int fd) {
+  struct stat by_fd{};
+  struct stat by_name{};
+  return ::fstat(fd, &by_fd) == 0 && ::stat(path.c_str(), &by_name) == 0 &&
+         by_fd.st_ino == by_name.st_ino && by_fd.st_dev == by_name.st_dev;
+}
+
 /// Parses the holder PID out of a lease file; 0 when unreadable.
 long read_lease_pid(int fd) {
   char buf[64] = {0};
@@ -62,10 +71,7 @@ std::optional<FileLease> FileLease::acquire(const std::string& path,
       // Guard against the unlink race: if the path no longer names this
       // inode (the previous holder released between our open and flock),
       // retry on the fresh file.
-      struct stat by_fd{};
-      struct stat by_name{};
-      if (::fstat(fd, &by_fd) == 0 && ::stat(path.c_str(), &by_name) == 0 &&
-          by_fd.st_ino == by_name.st_ino && by_fd.st_dev == by_name.st_dev) {
+      if (names_fd(path, fd)) {
         write_lease_info(fd);
         return FileLease(path, fd);
       }
@@ -89,6 +95,17 @@ std::optional<FileLease> FileLease::acquire(const std::string& path,
   }
 }
 
+void FileLease::remove_if_orphaned(const std::string& path) noexcept {
+  const int fd = ::open(path.c_str(), O_RDWR | O_CLOEXEC);
+  if (fd < 0) return;  // no lease file: the common case
+  // Unlink only while holding the lock on the inode the path names, so a
+  // lease taken in the meantime is never removed.
+  if (::flock(fd, LOCK_EX | LOCK_NB) == 0 && names_fd(path, fd)) {
+    (void)::unlink(path.c_str());
+  }
+  (void)::close(fd);
+}
+
 void FileLease::release() noexcept {
   if (fd_ < 0) return;
   // Unlink while still holding the lock: new acquirers then race onto a
@@ -109,6 +126,8 @@ std::optional<FileLease> FileLease::acquire(const std::string& path,
 }
 
 void FileLease::release() noexcept { fd_ = -1; }
+
+void FileLease::remove_if_orphaned(const std::string&) noexcept {}
 
 #endif
 

@@ -17,7 +17,9 @@
 // crashed holder releases the kernel lock automatically; the PID+timestamp
 // probe additionally detects lock FILES left by dead holders (probed with
 // kill(pid, 0)) and removes them, and bounds the wait on live-but-stuck
-// holders by treating a lease older than the wait budget as expired.
+// holders by treating a lease older than the wait budget as expired. A
+// holder killed after committing its entry leaves a lock file no later
+// compute will take; cache hits clear it with remove_if_orphaned.
 //
 // On platforms without flock the lease degrades to "always acquired"
 // (single-process semantics, the pre-PR behaviour).
@@ -48,6 +50,11 @@ class FileLease {
 
   /// Releases early (idempotent).
   void release() noexcept;
+
+  /// Removes the lease file at `path` when no process holds it: what a
+  /// holder killed after committing its cache entry, but before releasing,
+  /// leaves behind. An absent or held lease is left alone.
+  static void remove_if_orphaned(const std::string& path) noexcept;
 
  private:
   explicit FileLease(std::string path, int fd) noexcept

@@ -106,24 +106,6 @@ class Rng {
     return Rng(z ^ (z >> 31));
   }
 
-  /// Raw stream cursor. Together with `set_state` this pins the exact
-  /// SplitMix64 position, so a snapshot/restore cycle resumes the identical
-  /// stream. Note the Box–Muller spare cache is separate state; snapshots
-  /// carry it via `snapshot_fields`.
-  constexpr std::uint64_t state() const noexcept { return state_; }
-
-  /// Repositions the stream cursor without touching the spare cache.
-  constexpr void set_state(std::uint64_t s) noexcept { state_ = s; }
-
-  /// Enumerates all run state for the snapshot visitors (cursor plus the
-  /// Box–Muller spare cache).
-  template <typename V>
-  void snapshot_fields(V& v) {
-    v.field("state", state_);
-    v.field("spare", spare_);
-    v.field("have_spare", have_spare_);
-  }
-
  private:
   std::uint64_t state_;
   double spare_ = 0.0;

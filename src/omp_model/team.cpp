@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/snapshot.hpp"
-
 namespace omv::ompsim {
 namespace {
 
@@ -200,29 +198,6 @@ void SimTeam::compute(std::span<const double> work) {
     throw std::invalid_argument("SimTeam::compute: work span size mismatch");
   }
   for (std::size_t i = 0; i < clocks_.size(); ++i) compute_one(i, work[i]);
-}
-
-void SimTeam::capture(snap::SnapshotWriter& w) {
-  sim_.capture(w);
-  w.field_u64("team.n_threads", clocks_.size());
-  snap::Capture v(w);
-  v.object("team", *this);
-}
-
-void SimTeam::restore(snap::SnapshotReader& r) {
-  sim_.restore(r);
-  r.expect_u64("team.n_threads", clocks_.size(), "team size");
-  snap::Restore v(r);
-  v.object("team", *this);
-  // The placement vectors are restored verbatim; their lengths must match
-  // the team the snapshot was taken from.
-  const auto& pl = placement_model_.current();
-  if (pl.hw.size() != clocks_.size() || pl.share.size() != clocks_.size() ||
-      pl.smt_coscheduled.size() != clocks_.size() ||
-      pl.migrated.size() != clocks_.size() ||
-      pl.data_domain.size() != clocks_.size()) {
-    r.fail_here(r.offset(), "restored placement does not match team size");
-  }
 }
 
 }  // namespace omv::ompsim

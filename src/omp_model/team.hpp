@@ -134,27 +134,7 @@ class SimTeam {
   /// schedulers.
   [[nodiscard]] double exec_at(std::size_t i, double t, double work);
 
-  /// Serializes the team's run state (clocks, placement) and the underlying
-  /// simulator into `w`. Together with `restore` this round-trips a run
-  /// mid-protocol bit-identically.
-  void capture(snap::SnapshotWriter& w);
-
-  /// Restores state captured by `capture`. Throws snap::SnapshotError on
-  /// any mismatch (including a team-size mismatch).
-  void restore(snap::SnapshotReader& r);
-
  private:
-  friend class snap::Capture;
-  friend class snap::Restore;
-
-  /// Single field enumeration driving both snapshot directions (team-owned
-  /// columns; the simulator serializes itself separately in capture()).
-  template <typename V>
-  void snapshot_fields(V& v) {
-    v.field("clocks", clocks_);
-    v.object("placement", placement_model_);
-  }
-
   void rebuild_placement(std::uint64_t seed);
   /// Distinct values of the given HwThread domain field across the team's
   /// current placement (shared engine of numa_span / socket_span).

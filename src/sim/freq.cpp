@@ -4,8 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "core/snapshot.hpp"
-
 namespace omv::sim {
 
 FreqConfig FreqConfig::vera() {
@@ -297,28 +295,6 @@ double FreqModel::elapsed_for_work(std::size_t core, double t0, double work) {
     d = nd;
   }
   return d;
-}
-
-void FreqModel::after_restore(snap::Restore& v) {
-  auto& r = v.reader();
-  if (index_.size() != machine_.n_numa() ||
-      next_arrival_.size() != machine_.n_numa()) {
-    r.fail_here(r.offset(),
-                "freq episode domains do not match machine geometry");
-  }
-  for (auto& idx : index_) {
-    if (idx.starts.size() != idx.ends.size() ||
-        idx.starts.size() != idx.depths.size()) {
-      r.fail_here(r.offset(), "freq episode columns differ in length");
-    }
-    // Rebuild the derived index: replaying the append loop over the full
-    // columns reproduces max_end and both compensated reduction sums bit
-    // for bit.
-    idx.max_end.clear();
-    idx.red_uncapped.clear();
-    idx.red_capped.clear();
-  }
-  index_new_episodes();
 }
 
 }  // namespace omv::sim

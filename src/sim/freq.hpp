@@ -14,17 +14,11 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "core/prefix_index.hpp"
 #include "core/rng.hpp"
 #include "topo/topology.hpp"
-
-namespace omv::snap {
-class Capture;
-class Restore;
-}  // namespace omv::snap
 
 namespace omv::sim {
 
@@ -64,8 +58,8 @@ struct FreqConfig {
 
 /// Deterministic per-run frequency model, queryable at any time. Episodes
 /// are stored columnar (SoA) per NUMA domain — start/end/depth columns plus
-/// derived search and reduction indices — the canonical representation that
-/// both the query kernels and snapshots consume directly.
+/// derived search and reduction indices — the canonical representation the
+/// query kernels consume directly.
 class FreqModel {
  public:
   /// Density-adaptive scan/index cutover (episodes per domain): domains
@@ -162,16 +156,13 @@ class FreqModel {
   }
 
  private:
-  friend class snap::Capture;
-  friend class snap::Restore;
-
   /// Canonical columnar storage plus query index for one domain's
   /// start-sorted episodes. Episodes arrive in start order, so all arrays
   /// are append-only and extended incrementally per horizon extension.
   struct DomainIndex {
     /// The domain's episode columns — binary searches and integration scans
     /// stream one contiguous double array each instead of striding through
-    /// episode records (and they are what snapshots serialize directly).
+    /// episode records.
     std::vector<double> starts;
     std::vector<double> ends;
     std::vector<double> depths;
@@ -199,29 +190,6 @@ class FreqModel {
   /// Extends the derived search/reduction indices (max_end, reduction
   /// prefix sums) over episode columns appended since the last call.
   void index_new_episodes();
-  /// Rebuilds derived state after a snapshot restore repopulated the
-  /// serialized episode columns.
-  void after_restore(snap::Restore& v);
-
-  /// Single field enumeration driving both snapshot directions.
-  template <typename V>
-  void snapshot_fields(V& v) {
-    v.object("episode_rng", episode_rng_);
-    v.object("jitter_rng", jitter_rng_);
-    for (std::size_t d = 0; d < index_.size(); ++d) {
-      const std::string p = "dom" + std::to_string(d);
-      v.field(p + ".starts", index_[d].starts);
-      v.field(p + ".ends", index_[d].ends);
-      v.field(p + ".depths", index_[d].depths);
-    }
-    v.field("next_arrival", next_arrival_);
-    v.field("horizon", horizon_);
-    v.field("rate", rate_);
-    v.field("activity_mult", activity_mult_);
-    v.field("load_fraction", load_fraction_);
-    v.field("run_capped", run_capped_);
-    if constexpr (V::is_restore) after_restore(v);
-  }
   /// Reduction Σ w·|[t0,t1) ∩ episode| over domain `numa` under `base`,
   /// where w = base - min(base, depth). Indexed query (see mean_factor).
   double window_reduction(std::size_t numa, double t0, double t1,

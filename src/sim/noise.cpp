@@ -5,8 +5,6 @@
 #include <cmath>
 #include <cstddef>
 
-#include "core/snapshot.hpp"
-
 namespace omv::sim {
 namespace {
 
@@ -304,35 +302,6 @@ double NoiseModel::preemption_delay(std::size_t h, double t0, double t1) {
                            cfg_.tick_duration);
   }
   return event_delay(h, t0, t1, delay);
-}
-
-void NoiseModel::after_restore(snap::Restore& v) {
-  auto& r = v.reader();
-  if (times_.size() != machine_.n_threads() ||
-      durs_.size() != machine_.n_threads()) {
-    r.fail_here(r.offset(),
-                "noise event streams do not match machine geometry");
-  }
-  for (std::size_t h = 0; h < times_.size(); ++h) {
-    if (times_[h].size() != durs_[h].size()) {
-      r.fail_here(r.offset(), "noise time/duration columns differ in length");
-    }
-  }
-  if (kworker_next_.size() != machine_.n_threads() ||
-      busy_.size() != machine_.n_threads() ||
-      tick_phase_.size() != machine_.n_threads()) {
-    r.fail_here(r.offset(),
-                "noise per-thread state does not match machine geometry");
-  }
-  // Rebuild the derived index: replaying the prefix-sum appends in column
-  // order reproduces the compensated accumulator state bit for bit.
-  for (std::size_t h = 0; h < times_.size(); ++h) {
-    cum_[h].clear();
-    cum_[h].reserve(durs_[h].size());
-    for (double d : durs_[h]) cum_[h].append(d);
-    indexed_len_[h] = times_[h].size();
-  }
-  refresh_absorb_factors();
 }
 
 }  // namespace omv::sim

@@ -31,11 +31,6 @@
 #include "core/rng.hpp"
 #include "topo/topology.hpp"
 
-namespace omv::snap {
-class Capture;
-class Restore;
-}  // namespace omv::snap
-
 namespace omv::sim {
 
 /// Tuning knobs for all noise sources. Time unit: seconds.
@@ -86,8 +81,8 @@ struct NoiseConfig {
 /// Deterministic per-run noise generator; all events are materialized lazily
 /// up to a growing horizon, so queries are order-independent. Event streams
 /// are stored columnar (SoA): per-CPU time and duration columns plus
-/// compensated duration prefix sums — the canonical representation that both
-/// the query kernels and snapshots consume directly.
+/// compensated duration prefix sums — the canonical representation the query
+/// kernels consume directly.
 class NoiseModel {
  public:
   /// Density-adaptive scan/index cutover (events per window): windows
@@ -166,9 +161,6 @@ class NoiseModel {
   [[nodiscard]] const NoiseConfig& config() const noexcept { return cfg_; }
 
  private:
-  friend class snap::Capture;
-  friend class snap::Restore;
-
   void ensure_horizon(double t);
   void place_daemon(double t, double dur);
   /// Appends one raw (not yet indexed) event to the SoA columns of `h`.
@@ -181,28 +173,6 @@ class NoiseModel {
   /// are touched. Outside ensure_horizon the columns are always fully
   /// indexed (`indexed_len_[h] == times_[h].size()`).
   void index_new_events();
-  /// Rebuilds derived state (prefix sums, indexed lengths, absorb factors)
-  /// after a snapshot restore repopulated the serialized fields.
-  void after_restore(snap::Restore& v);
-
-  /// Single field enumeration driving both snapshot directions.
-  template <typename V>
-  void snapshot_fields(V& v) {
-    v.object("daemon_rng", daemon_rng_);
-    v.object("kworker_rng", kworker_rng_);
-    v.object("irq_rng", irq_rng_);
-    v.object("placement_rng", placement_rng_);
-    v.field("times", times_);
-    v.field("durs", durs_);
-    v.field("kworker_next", kworker_next_);
-    v.field("daemon_next", daemon_next_);
-    v.field("irq_next", irq_next_);
-    v.field("horizon", horizon_);
-    v.field("degraded", degraded_);
-    v.field("busy", busy_);
-    v.field("tick_phase", tick_phase_);
-    if constexpr (V::is_restore) after_restore(v);
-  }
   /// Event-sum part of a preemption window: `acc` enters holding the
   /// analytic tick term. Fused narrow scan (accumulates while counting, in
   /// the historical order) with a bail-out to the prefix range past
@@ -221,7 +191,7 @@ class NoiseModel {
   /// The leading indexed_len_[h] entries are sorted by time; sources append
   /// raw tails which index_new_events() sorts in. Binary searches and scans
   /// touch one contiguous double stream instead of striding through
-  /// 24-byte event records, and snapshots write these columns directly.
+  /// 24-byte event records.
   std::vector<std::vector<double>> times_;
   std::vector<std::vector<double>> durs_;
   /// cum_[h] holds compensated prefix sums of durs_[h] (size == events + 1);

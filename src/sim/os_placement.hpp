@@ -19,11 +19,6 @@
 #include "topo/proc_bind.hpp"
 #include "topo/topology.hpp"
 
-namespace omv::snap {
-class Capture;
-class Restore;
-}  // namespace omv::snap
-
 namespace omv::sim {
 
 /// Placement policy knobs for the unpinned case.
@@ -72,24 +67,6 @@ class PlacementModel {
   [[nodiscard]] bool pinned() const noexcept { return pinned_; }
 
  private:
-  friend class snap::Capture;
-  friend class snap::Restore;
-
-  /// Single field enumeration driving both snapshot directions. The
-  /// placement vectors are the per-rep mutable state; the affinity sets and
-  /// policy knobs are construction-time configuration and re-derived by the
-  /// owner.
-  template <typename V>
-  void snapshot_fields(V& v) {
-    v.object("rng", rng_);
-    v.field("hw", state_.hw);
-    v.field("data_domain", state_.data_domain);
-    v.field("migrated", state_.migrated);
-    v.field("share", state_.share);
-    v.field("smt_coscheduled", state_.smt_coscheduled);
-    v.field("first", first_);
-  }
-
   void recompute_derived();
   void initial_place();
 

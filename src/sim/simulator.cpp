@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/snapshot.hpp"
-
 namespace omv::sim {
 
 SimConfig SimConfig::dardel() {
@@ -111,26 +109,6 @@ double Simulator::exec(std::size_t h, double t0, double work,
   if (share > 1) rate /= static_cast<double>(share);
   if (smt_busy) rate *= sample_smt_throughput();
   return exec_scaled(h, t0, work, rate);
-}
-
-void Simulator::capture(snap::SnapshotWriter& w) {
-  // Geometry guards lead the record so a cross-machine restore fails before
-  // any model field is decoded.
-  w.field_u64("sim.n_threads", machine_.n_threads());
-  w.field_u64("sim.n_cores", machine_.n_cores());
-  w.field_u64("sim.n_numa", machine_.n_numa());
-  snap::Capture v(w);
-  v.object("sim", *this);
-}
-
-void Simulator::restore(snap::SnapshotReader& r) {
-  r.expect_u64("sim.n_threads", machine_.n_threads(),
-               "machine geometry (hardware threads)");
-  r.expect_u64("sim.n_cores", machine_.n_cores(), "machine geometry (cores)");
-  r.expect_u64("sim.n_numa", machine_.n_numa(),
-               "machine geometry (NUMA domains)");
-  snap::Restore v(r);
-  v.object("sim", *this);
 }
 
 }  // namespace omv::sim

@@ -20,13 +20,6 @@
 #include "sim/noise.hpp"
 #include "topo/topology.hpp"
 
-namespace omv::snap {
-class SnapshotWriter;
-class SnapshotReader;
-class Capture;
-class Restore;
-}  // namespace omv::snap
-
 namespace omv::sim {
 
 /// Full simulator configuration.
@@ -95,27 +88,7 @@ class Simulator {
   /// Per-phase SMT throughput sample (mean smt_throughput with jitter).
   [[nodiscard]] double sample_smt_throughput();
 
-  /// Serializes the full per-run state (machine geometry guards, misc RNG,
-  /// noise and frequency models) into `w`.
-  void capture(snap::SnapshotWriter& w);
-
-  /// Restores state captured by `capture`. Throws snap::SnapshotError on
-  /// any mismatch — including cross-machine geometry mismatches, checked
-  /// before any field is decoded.
-  void restore(snap::SnapshotReader& r);
-
  private:
-  friend class snap::Capture;
-  friend class snap::Restore;
-
-  /// Single field enumeration driving both snapshot directions.
-  template <typename V>
-  void snapshot_fields(V& v) {
-    v.object("misc_rng", misc_rng_);
-    v.object("noise", *noise_);
-    v.object("freq", *freq_);
-  }
-
   /// Fixed-point clock advance behind exec_scaled: the frequency-integrated
   /// elapsed time for `eff_work` is computed once and reused across
   /// iterations — its arguments never change inside the loop, and

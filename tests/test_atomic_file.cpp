@@ -176,6 +176,23 @@ TEST_F(FileLeaseTest, StaleLockFileOfDeadProcessIsTakenOver) {
   ASSERT_TRUE(l.has_value());  // dead holder detected, file removed, retaken
 }
 
+TEST_F(FileLeaseTest, OnlyAnUnheldLeaseFileIsRemovedAsOrphaned) {
+  const std::string path = dir_ + "/cell.lock";
+  FileLease::remove_if_orphaned(path);  // absent: nothing to do
+  EXPECT_FALSE(std::filesystem::exists(path));
+
+  // What a holder killed before its release leaves: a file nobody locks.
+  atomic_write_file(path, "pid 999999999\nsince 0\n");
+  FileLease::remove_if_orphaned(path);
+  EXPECT_FALSE(std::filesystem::exists(path));
+
+  // A live holder keeps its lease.
+  auto held = FileLease::acquire(path, std::chrono::milliseconds(0));
+  ASSERT_TRUE(held.has_value());
+  FileLease::remove_if_orphaned(path);
+  EXPECT_TRUE(std::filesystem::exists(path));
+}
+
 TEST_F(FileLeaseTest, MoveTransfersOwnership) {
   const std::string path = dir_ + "/cell.lock";
   auto l1 = FileLease::acquire(path, std::chrono::milliseconds(0));

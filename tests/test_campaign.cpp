@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -82,12 +83,24 @@ TEST(Options, EqualsFormAndRepeatedOnly) {
 }
 
 TEST(Options, MalformedAndUnknownArgumentsAreCollected) {
-  std::vector<std::string> args{"prog", "--jobs", "-4", "--bogus",
-                                "--only"};
+  std::vector<std::string> args{
+      "prog",   "--jobs", "-4",     "--bogus", "--checkpoint-every", "4",
+      "--resume", "auto", "--only", "fig1",    "--only"};
   auto argv = argv_of(args);
   const auto o = parse_options(static_cast<int>(argv.size()), argv.data());
   EXPECT_EQ(o.jobs, 0u);  // -4 rejected, not wrapped
-  EXPECT_EQ(o.errors.size(), 3u);  // bad jobs, unknown, missing value
+  // Bad jobs, five unknown words, missing value. The checkpoint flags are
+  // not options: each word is reported as unknown and skipped, and the
+  // selection after them still parses.
+  ASSERT_EQ(o.errors.size(), 7u);
+  for (const std::string word : {"--checkpoint-every", "4", "--resume",
+                                 "auto"}) {
+    EXPECT_NE(std::find(o.errors.begin(), o.errors.end(),
+                        "unknown argument '" + word + "'"),
+              o.errors.end())
+        << word;
+  }
+  EXPECT_EQ(o.only, std::vector<std::string>{"fig1"});
 }
 
 TEST(Options, ParsesSupervisionFlags) {
@@ -226,6 +239,33 @@ TEST_F(CampaignCacheTest, SecondInvocationIsServedFromCache) {
       EXPECT_EQ(m2.run(r)[k], m1.run(r)[k]);  // bit-identical
     }
   }
+}
+
+// A process killed between committing a cell and releasing its lease
+// leaves "<hash>.lock" behind. A hit serves the cell without taking the
+// lease, so the hit is what clears the leftover.
+TEST_F(CampaignCacheTest, HitClearsTheLeaseOfAKilledCommitter) {
+  SpecKey key;
+  key.add("bench", "fake");
+  {
+    RunContext ctx("testh", serial(), dir_);
+    (void)ctx.protocol("cell", small_spec(), key, make_matrix);
+  }
+  std::string lock;
+  for (const auto& e :
+       std::filesystem::directory_iterator(dir_ + "/cache")) {
+    if (e.path().extension() == ".key") {
+      lock = e.path().string();
+      lock.replace(lock.size() - 4, 4, ".lock");
+    }
+  }
+  ASSERT_FALSE(lock.empty());
+  std::ofstream(lock) << "pid 999999999\nsince 0\n";
+
+  RunContext ctx("testh", serial(), dir_);
+  (void)ctx.protocol("cell", small_spec(), key, make_matrix);
+  EXPECT_EQ(ctx.cache_hits(), 1u);
+  EXPECT_FALSE(std::filesystem::exists(lock));
 }
 
 TEST_F(CampaignCacheTest, DifferentKeyOrHarnessOrSpecMisses) {
@@ -706,43 +746,6 @@ TEST_F(CampaignFaultTest, TornKeyWriteDegradesToAPlainMissNextRun) {
   (void)ctx2.protocol("cell", small_spec(), key, compute);
   EXPECT_EQ(computes, 2);  // torn marker = miss, recomputed
   EXPECT_EQ(ctx2.cache_hits(), 0u);
-}
-
-TEST_F(CampaignFaultTest, InvalidatedEntryDropsItsSnapSidecar) {
-  SpecKey key;
-  key.add("bench", "fake");
-  int computes = 0;
-  const auto compute = [&] {
-    ++computes;
-    return make_matrix();
-  };
-  {
-    RunContext ctx("testh", serial(), dir_);
-    (void)ctx.protocol("cell", small_spec(), key, compute);
-  }
-  // Corrupt the committed CSV and plant a .snap sidecar next to it (a
-  // checkpoint of the now-dead entry).
-  std::string snap_path;
-  for (const auto& e :
-       std::filesystem::directory_iterator(dir_ + "/cache")) {
-    if (e.path().extension() == ".csv") {
-      snap_path = e.path().string();
-      snap_path.replace(snap_path.size() - 4, 4, ".snap");
-      std::ofstream c(e.path(), std::ios::binary);
-      c << "run,rep,time\ngarbage";
-    }
-  }
-  ASSERT_FALSE(snap_path.empty());
-  {
-    std::ofstream s(snap_path, std::ios::binary);
-    s << "stale checkpoint bytes";
-  }
-  RunContext ctx2("testh", serial(), dir_);
-  (void)ctx2.protocol("cell", small_spec(), key, compute);
-  EXPECT_EQ(computes, 2);  // degraded to recompute
-  // The orphaned sidecar went with the invalidated entry: --resume auto
-  // cannot resurrect a dead cell's progress.
-  EXPECT_FALSE(std::filesystem::exists(snap_path));
 }
 
 TEST_F(CampaignFaultTest, SurvivingCellsAreByteIdenticalAfterAFaultRun) {

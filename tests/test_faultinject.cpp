@@ -28,7 +28,7 @@ TEST(FaultGlob, MatchesSitesAndLabels) {
 TEST(FaultSpec, ParsesEveryClauseKind) {
   const auto plan = FaultPlan::parse(
       "cell_throw@3, torn_write:cache@2, enospc@5, slow_cell:fig3*:200ms, "
-      "cell_throw:fig1*, enospc:snapshot@1");
+      "cell_throw:fig1*, enospc:sidecar@1");
   ASSERT_EQ(plan.clauses().size(), 6u);
   EXPECT_EQ(plan.clauses()[0].kind, FaultKind::kCellThrow);
   EXPECT_EQ(plan.clauses()[0].occurrence, 3u);
@@ -41,7 +41,7 @@ TEST(FaultSpec, ParsesEveryClauseKind) {
   EXPECT_EQ(plan.clauses()[3].delay.count(), 200);
   EXPECT_EQ(plan.clauses()[4].pattern, "fig1*");
   EXPECT_EQ(plan.clauses()[4].occurrence, 0u);  // every match
-  EXPECT_EQ(plan.clauses()[5].pattern, "snapshot");
+  EXPECT_EQ(plan.clauses()[5].pattern, "sidecar");
 }
 
 TEST(FaultSpec, EmptySpecDisarms) {

@@ -127,8 +127,8 @@ TEST(Rng, BernoulliFrequency) {
 TEST(Rng, SplitMix64KnownAnswerVectors) {
   // The canonical SplitMix64 output stream for seed 0 (Vigna's reference
   // implementation). Pinning these freezes the generator: any change to
-  // the increment or finalizer invalidates every archived seed, cache
-  // entry and snapshot in existence.
+  // the increment or finalizer invalidates every archived seed and cache
+  // entry in existence.
   Rng rng(0);
   EXPECT_EQ(rng.next_u64(), 0xe220a8397b1dcdafULL);
   EXPECT_EQ(rng.next_u64(), 0x6e789e6aa1b965f4ULL);
@@ -142,40 +142,6 @@ TEST(Rng, SplitMix64KnownAnswerNonzeroSeed) {
   EXPECT_EQ(rng.next_u64(), 0x161922c645ce50e8ULL);
   EXPECT_EQ(rng.next_u64(), 0xad760cafa1697b60ULL);
   EXPECT_EQ(rng.next_u64(), 0x3501ff44902ca50dULL);
-}
-
-TEST(Rng, StateAccessorExposesCursor) {
-  // The state IS the seed before the first draw, and advances by the
-  // SplitMix64 golden-gamma increment per draw — the cursor contract the
-  // snapshot subsystem serializes.
-  Rng rng(0);
-  EXPECT_EQ(rng.state(), 0u);
-  (void)rng.next_u64();
-  EXPECT_EQ(rng.state(), 0x9e3779b97f4a7c15ULL);
-  (void)rng.next_u64();
-  EXPECT_EQ(rng.state(), 0x9e3779b97f4a7c15ULL * 2);
-}
-
-TEST(Rng, SetStateReplaysStream) {
-  Rng rng(77);
-  for (int i = 0; i < 5; ++i) (void)rng.next_u64();
-  const std::uint64_t cursor = rng.state();
-  const std::uint64_t a = rng.next_u64();
-  const std::uint64_t b = rng.next_u64();
-
-  Rng replay(0);
-  replay.set_state(cursor);
-  EXPECT_EQ(replay.next_u64(), a);
-  EXPECT_EQ(replay.next_u64(), b);
-}
-
-TEST(Rng, SetStateMatchesFreshSeed) {
-  // set_state(s) is exactly Rng(s): the constructor stores the seed as the
-  // initial cursor.
-  Rng a(0xabcdULL);
-  Rng b(0);
-  b.set_state(0xabcdULL);
-  for (int i = 0; i < 16; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
 }
 
 }  // namespace

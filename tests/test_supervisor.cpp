@@ -11,7 +11,6 @@
 #include "cli/exit_codes.hpp"
 #include "core/deadline.hpp"
 #include "core/faultinject.hpp"
-#include "core/snapshot.hpp"
 
 namespace omv::cli {
 namespace {
@@ -147,20 +146,6 @@ TEST_F(SupervisorTest, PersistentInjectedFaultQuarantines) {
   const auto m =
       supervise_cell(cfg, "fig2/2t", "h", [] { return tiny_matrix(); });
   EXPECT_EQ(m.runs(), 1u);
-}
-
-TEST_F(SupervisorTest, CheckpointStopPropagatesUnretried) {
-  SupervisorConfig cfg;
-  cfg.retries = 5;
-  int calls = 0;
-  EXPECT_THROW(
-      (void)supervise_cell(cfg, "cell", "h",
-                           [&]() -> RunMatrix {
-                             ++calls;
-                             throw snap::CheckpointStop("deliberate stop");
-                           }),
-      snap::CheckpointStop);
-  EXPECT_EQ(calls, 1);  // a deliberate stop is never a failure
 }
 
 TEST_F(SupervisorTest, TimeoutInsideBodyClassifiesAsTimeout) {

@@ -1,9 +1,16 @@
-// Tests for bench_suite/syncbench_sim: calibration, protocol shape, and the
-// pinning/noise behaviours the paper reports for synchronization constructs.
+// Tests for bench_suite/syncbench_sim: calibration, protocol shape, the
+// width invariance of the sharded protocol, and the pinning/noise
+// behaviours the paper reports for synchronization constructs.
 
 #include "bench_suite/syncbench_sim.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <filesystem>
+
+#include "core/executor.hpp"
+#include "scenario/registry.hpp"
 
 namespace omv::bench {
 namespace {
@@ -85,6 +92,53 @@ TEST(SimSyncBench, DeterministicProtocol) {
       EXPECT_DOUBLE_EQ(ma.run(r)[k], mb.run(r)[k]);
     }
   }
+}
+
+// The sharded protocol derives each run's whole state from its run seed, so
+// the matrix is bit-identical at one and two workers.
+void expect_width_invariant(const scenario::ScenarioSpec& scn) {
+  static core::Executor one_worker(1);
+  static core::Executor two_workers(2);
+  const topo::Machine machine = scn.machine.build();
+  ompsim::TeamConfig cfg;
+  cfg.n_threads = std::min<std::size_t>(8, machine.n_cores());
+  cfg.places_spec = "threads";
+  cfg.bind = topo::ProcBind::close;
+  ExperimentSpec spec;
+  spec.name = "width";
+  spec.runs = 3;
+  spec.reps = 6;
+  spec.warmup = 1;
+  spec.seed = 1;
+  sim::Simulator base(machine, scn.sim);
+  SimSyncBench sb(base, cfg);
+  const auto serial =
+      sb.run_protocol(SyncConstruct::reduction, spec, one_worker);
+  const auto sharded =
+      sb.run_protocol(SyncConstruct::reduction, spec, two_workers);
+  ASSERT_EQ(sharded.runs(), serial.runs()) << scn.name;
+  for (std::size_t r = 0; r < serial.runs(); ++r) {
+    ASSERT_EQ(sharded.run(r).size(), serial.run(r).size()) << scn.name;
+    for (std::size_t k = 0; k < serial.run(r).size(); ++k) {
+      // Exact double equality: bit-identical, not merely close.
+      ASSERT_EQ(sharded.run(r)[k], serial.run(r)[k])
+          << scn.name << " run " << r << " rep " << k;
+    }
+  }
+}
+
+TEST(SimSyncBench, ShardedProtocolIsWidthInvariantOnEveryPreset) {
+  for (const auto& scn : scenario::ScenarioRegistry::instance().all()) {
+    expect_width_invariant(scn);
+  }
+}
+
+TEST(SimSyncBench, ShardedProtocolIsWidthInvariantOnDegenerateScenarioFile) {
+  const auto path = std::filesystem::path(__FILE__).parent_path()
+                        .parent_path() /
+                    "scenarios" / "degenerate-pe.scenario";
+  ASSERT_TRUE(std::filesystem::exists(path)) << path;
+  expect_width_invariant(scenario::load_file(path.string()));
 }
 
 TEST(SimSyncBench, PinningReducesVariability) {

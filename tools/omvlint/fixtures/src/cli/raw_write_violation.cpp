@@ -1,6 +1,6 @@
 // Fixture: raw (non-atomic) file writes in a crash-safe path. Both sites
-// must trip [atomic-writes] — cache/snapshot/artifact bytes commit only
-// through core/atomic_file so torn/ENOSPC injection stays meaningful.
+// must trip [atomic-writes] — cache and artifact bytes commit only through
+// core/atomic_file so torn/ENOSPC injection stays meaningful.
 #include <cstdio>
 #include <fstream>
 #include <string>

@@ -1,7 +1,6 @@
-// Fixture: an in-scope file (src/core/snapshot.* scoping does not cover
-// this name, but src/core is walked) using only allowed constructs —
-// ordered containers, stderr logging, seed-derived RNG — must produce no
-// diagnostics at all.
+// Fixture: a walked file (src/core, outside every file-scoped rule) using
+// only allowed constructs — ordered containers, stderr logging,
+// seed-derived RNG — must produce no diagnostics at all.
 #include <cstdio>
 #include <map>
 #include <string>

@@ -284,8 +284,7 @@ bool in_atomic_scope(std::string_view p) {
   if (p == "src/core/atomic_file.cpp" || p == "src/core/atomic_file.hpp") {
     return false;  // the one module allowed to touch raw file APIs
   }
-  return starts_with(p, "src/cli/") || starts_with(p, "src/freqlog/") ||
-         p == "src/core/snapshot.cpp" || p == "src/core/snapshot.hpp";
+  return starts_with(p, "src/cli/") || starts_with(p, "src/freqlog/");
 }
 
 bool in_entropy_scope(std::string_view p) {
@@ -295,10 +294,9 @@ bool in_entropy_scope(std::string_view p) {
 
 bool in_unordered_scope(std::string_view p) {
   // Serialization / fingerprint / artifact paths: anywhere bytes that end
-  // up in a cache entry, snapshot, JSON artifact, trace file, or spec hash
-  // are produced in iteration order.
+  // up in a cache entry, JSON artifact, trace file, or spec hash are
+  // produced in iteration order.
   static const std::unordered_set<std::string_view> files = {
-      "src/core/snapshot.cpp",    "src/core/snapshot.hpp",
       "src/core/json_writer.cpp", "src/core/json_writer.hpp",
       "src/core/trace_io.cpp",    "src/core/trace_io.hpp",
       "src/core/spec_hash.cpp",   "src/core/spec_hash.hpp",

@@ -7,7 +7,7 @@
 // violation of the repo's byte-identity contract:
 //
 //   stdout-discipline    harness science output only via ctx.print/emit
-//   atomic-writes        cache/snapshot/artifact writes only through
+//   atomic-writes        cache/artifact writes only through
 //                        core/atomic_file
 //   no-ambient-entropy   no wall clocks or ambient randomness in the
 //                        simulator core (RNG flows from run_seed)
