@@ -135,9 +135,8 @@ template <typename MakeBench, typename Rep>
       rep,
       [trace_slots](auto& /*bench*/, ompsim::SimTeam& team,
                     sim::Simulator& sim, const RunSlot& slot) {
-        freqlog::SimFreqReader reader(sim.freq(), sim.machine().n_cores());
-        trace_slots[slot.run].append(
-            freqlog::sample_sim(reader, 0.0, team.now(), 0.01));
+        trace_slots[slot.run].append(freqlog::sample_sim(
+            sim.freq(), sim.machine().n_cores(), 0.0, team.now(), 0.01));
       });
   for (const auto& tr : traces) out.trace.append(tr);
   return out;

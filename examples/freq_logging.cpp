@@ -1,53 +1,19 @@
 // Example: frequency logging during a benchmark, the paper's Section 5.4
-// methodology as a library workflow.
-//
-// Native mode (default): starts the background logger on this host (sysfs
-// CPUFreq, pinned to a spare core when possible) while a small OpenMP
-// kernel runs, then reports the trace. Falls back to the simulator
-// automatically when sysfs frequencies are unreadable (containers, etc.).
+// methodology as a library workflow, on a simulated Vera node: schedbench
+// runs on a team split across both NUMA domains, then every core's
+// frequency is sampled at 100 Hz along the team's simulated timeline and
+// the trace is summarized (the paper's dip regions).
 
 #include <cstdio>
 
-#include "bench_suite/native.hpp"
 #include "bench_suite/schedbench_sim.hpp"
 #include "freqlog/logger.hpp"
-#include "topo/affinity.hpp"
 
 int main() {
   using namespace omv;
 
-  freqlog::SysfsFreqReader sysfs;
-  if (sysfs.available()) {
-    std::printf("Native CPUFreq available (%zu cores): logging while a "
-                "parallel kernel runs...\n",
-                sysfs.n_cores());
-    // Pin the logger away from core 0 if we have more than one CPU.
-    std::optional<std::size_t> logger_cpu;
-    if (topo::usable_cpu_count() > 1) logger_cpu = sysfs.n_cores() - 1;
-    freqlog::BackgroundLogger logger(sysfs, /*interval_s=*/0.01, logger_cpu);
-
-    bench::NativeConfig cfg;
-    cfg.n_threads = bench::native_max_threads();
-    auto params = bench::EpccParams::schedbench();
-    params.itersperthr = 512;
-    params.delay_us = 5.0;
-    bench::NativeSchedBench sb(cfg, params);
-    for (int rep = 0; rep < 5; ++rep) {
-      (void)sb.rep_time_us("static", 1);
-    }
-    const auto trace = logger.stop();
-    const auto e = trace.extremes();
-    std::printf("trace: %zu samples, min %.2f / mean %.2f / max %.2f GHz\n",
-                trace.size(), e.min, e.mean, e.max);
-    if (e.max > 0.0) {
-      std::printf("%.1f%% of samples below 95%% of the observed max\n",
-                  trace.fraction_below(e.max, 0.95) * 100.0);
-    }
-    return 0;
-  }
-
-  std::printf("No readable CPUFreq sysfs here — demonstrating against the "
-              "simulated Vera node instead.\n\n");
+  std::printf("Logging core frequencies on a simulated Vera node while "
+              "schedbench runs across both NUMA domains.\n\n");
   sim::SimConfig cfg = sim::SimConfig::vera();
   cfg.freq = sim::FreqConfig::vera_dippy();
   sim::Simulator s(topo::Machine::vera(), cfg);
@@ -64,8 +30,9 @@ int main() {
     (void)sb.rep_time_us(team, ompsim::Schedule::static_, 1);
   }
 
-  freqlog::SimFreqReader reader(s.freq(), s.machine().n_cores());
-  const auto trace = freqlog::sample_sim(reader, 0.0, team.now(), 0.01);
+  const auto trace =
+      freqlog::sample_sim(s.freq(), s.machine().n_cores(), 0.0, team.now(),
+                          0.01);
   const auto e = trace.extremes();
   const double fmax = s.machine().max_ghz();
   std::printf("simulated trace over %.2f s of benchmark time:\n",

@@ -1,57 +1,45 @@
 // Quickstart: measure and characterize the execution-time variability of
-// your own OpenMP region with omnivar, on the machine you are running on.
+// an OpenMP parallel-for with omnivar, on a simulated node.
 //
-//   $ ./quickstart [n_threads]
+//   $ ./quickstart
 //
-// Runs a small parallel kernel under the paper's protocol (several runs x
-// repetitions), prints the per-run statistics, the between-run vs
-// within-run variance split, and the qualitative variability signature.
+// Runs EPCC schedbench's `parallel for schedule(static, 1)` on a 16-thread
+// close-bound team of a simulated Vera node under the paper's protocol
+// (several runs x repetitions), prints the per-run statistics, the
+// between-run vs within-run variance split, and the qualitative
+// variability signature. Every time is simulated, so the output is the
+// same on every run and every host.
 
 #include <cstdio>
-#include <cstdlib>
-#include <vector>
+#include <string>
 
-#include "bench_suite/epcc.hpp"
-#include "bench_suite/native.hpp"
+#include "bench_suite/schedbench_sim.hpp"
 #include "core/characterize.hpp"
-#include "core/experiment.hpp"
 #include "core/report.hpp"
 
-#if defined(_OPENMP)
-#include <omp.h>
-#endif
-
-int main(int argc, char** argv) {
+int main() {
   using namespace omv;
 
-  std::size_t threads = bench::native_max_threads();
-  if (argc > 1) threads = std::strtoul(argv[1], nullptr, 10);
-  std::printf("omnivar quickstart: measuring a parallel-for with %zu "
-              "OpenMP thread(s)\n\n",
-              threads);
+  sim::Simulator vera(topo::Machine::vera(), sim::SimConfig::vera());
+  ompsim::TeamConfig team;
+  team.n_threads = 16;
+  team.places_spec = "cores";
+  team.bind = topo::ProcBind::close;
+  std::printf("omnivar quickstart: measuring a parallel-for "
+              "schedule(static, 1) with %zu threads on a simulated %s "
+              "node\n\n",
+              team.n_threads, vera.machine().name().c_str());
 
-  // The kernel under test: a parallel-for over a calibrated spin delay —
-  // substitute any function returning one repetition's time in
-  // microseconds.
-  const double iters_per_us = bench::calibrate_delay_per_us();
-  const auto kernel = [&](const RepContext&) {
-    return time_micros([&] {
-#if defined(_OPENMP)
-      omp_set_num_threads(static_cast<int>(threads));
-#pragma omp parallel for schedule(static)
-#endif
-      for (int i = 0; i < 256; ++i) {
-        bench::spin_delay(5.0, iters_per_us);
-      }
-    });
-  };
+  // The kernel under test: one repetition is one parallel-for over
+  // 16 x 8192 iterations of a 15 us delay (Table 1's schedbench column).
+  bench::SimSchedBench sched(vera, team);
 
   ExperimentSpec spec;
   spec.name = "quickstart";
   spec.runs = 5;
   spec.reps = 30;
   spec.warmup = 3;
-  const RunMatrix m = run_experiment(spec, kernel);
+  const RunMatrix m = sched.run_protocol(ompsim::Schedule::static_, 1, spec);
 
   report::Table t({"run #", "mean (us)", "min (us)", "max (us)", "cv"});
   for (std::size_t r = 0; r < m.runs(); ++r) {
@@ -71,8 +59,8 @@ int main(int argc, char** argv) {
   std::printf("pooled: mean %.1f us, cv %.4f, norm min/max %.3f/%.3f\n",
               c.pooled.mean, c.pooled.cv, c.pooled.norm_min(),
               c.pooled.norm_max());
-  std::printf("\nHints: pin threads (OMP_PLACES=cores OMP_PROC_BIND=close), "
-              "leave SMT siblings free,\nand spare a couple of cores for "
-              "the OS — see the paper reproduction in bench/.\n");
+  std::printf("\nHints: unbind the team (bind = none), fill the node (32 "
+              "threads) or switch to\nschedule(dynamic) to watch the "
+              "variability move — see the paper reproduction in bench/.\n");
   return 0;
 }

@@ -1,7 +1,6 @@
 #include "bench_suite/epcc.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 namespace omv::bench {
 
@@ -50,40 +49,6 @@ double overhead_us(double rep_time_us, std::size_t innerreps,
   if (innerreps == 0) return 0.0;
   return rep_time_us / static_cast<double>(innerreps) -
          reference_per_instance_us;
-}
-
-namespace {
-// Volatile sink defeats dead-code elimination of the spin loop.
-volatile double g_delay_sink = 0.0;
-
-void spin_iters(std::size_t iters) {
-  double a = 1.0;
-  for (std::size_t i = 0; i < iters; ++i) {
-    a += static_cast<double>(i & 7) * 0.5;
-  }
-  g_delay_sink = a;
-}
-}  // namespace
-
-double calibrate_delay_per_us() {
-  // Time a large fixed iteration count; repeat and take the fastest to
-  // shed warm-up effects.
-  constexpr std::size_t kIters = 2'000'000;
-  double best_us = 1e300;
-  for (int trial = 0; trial < 3; ++trial) {
-    const auto t0 = std::chrono::steady_clock::now();
-    spin_iters(kIters);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double us =
-        std::chrono::duration<double, std::micro>(t1 - t0).count();
-    best_us = std::min(best_us, us);
-  }
-  return best_us > 0.0 ? static_cast<double>(kIters) / best_us : 1000.0;
-}
-
-void spin_delay(double us, double iters_per_us) {
-  if (us <= 0.0) return;
-  spin_iters(static_cast<std::size_t>(us * iters_per_us));
 }
 
 }  // namespace omv::bench

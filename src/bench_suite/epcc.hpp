@@ -64,13 +64,4 @@ enum class SyncConstruct {
 [[nodiscard]] double overhead_us(double rep_time_us, std::size_t innerreps,
                                  double reference_per_instance_us);
 
-// --- Native delay loop ---------------------------------------------------
-
-/// Calibrates the native spin-delay loop: returns iterations per
-/// microsecond. Deterministic work (no syscalls), mirrors EPCC's delay().
-[[nodiscard]] double calibrate_delay_per_us();
-
-/// Spins for roughly `us` microseconds using the calibration factor.
-void spin_delay(double us, double iters_per_us);
-
 }  // namespace omv::bench

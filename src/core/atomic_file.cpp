@@ -89,9 +89,4 @@ bool read_file(const std::string& path, std::string& out) {
   return true;
 }
 
-bool remove_file_if_exists(const std::string& path) noexcept {
-  std::error_code ec;
-  return std::filesystem::remove(path, ec) && !ec;
-}
-
 }  // namespace omv::core

@@ -32,7 +32,4 @@ void atomic_write_file(const std::string& path, std::string_view bytes,
 /// unreadable (no throw — absence is an expected cache miss).
 [[nodiscard]] bool read_file(const std::string& path, std::string& out);
 
-/// Best-effort unlink; returns true when the file existed and was removed.
-bool remove_file_if_exists(const std::string& path) noexcept;
-
 }  // namespace omv::core

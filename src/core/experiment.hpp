@@ -4,9 +4,8 @@
 // Encodes the paper's measurement protocol: for each configuration, perform
 // `runs` independent runs; within each run execute `warmup` discarded
 // repetitions followed by `reps` timed repetitions. The kernel is an
-// arbitrary callable returning the measured time of one repetition (the EPCC
-// benchmarks measure internally; wall-clock helpers are provided for ad-hoc
-// kernels).
+// arbitrary callable returning the measured time of one repetition (the
+// simulated EPCC benchmarks return simulated microseconds).
 //
 // Every run derives its entire state from derive_run_seed(spec.seed, run),
 // so the runs of one configuration are independent: run_experiment_parallel
@@ -14,7 +13,6 @@
 // run, and reassembles the rows in protocol order — bit-identical to the
 // serial run_experiment loop for deterministic kernels, at any width.
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -86,21 +84,6 @@ using RunKernelFactory = std::function<RepKernel(const RunSlot&)>;
 [[nodiscard]] RunMatrix run_experiment_parallel(
     const ExperimentSpec& spec, const RunKernelFactory& make_kernel,
     core::Executor& executor);
-
-/// Wall-clock helper: runs `fn` once and returns elapsed seconds.
-template <typename F>
-[[nodiscard]] double time_seconds(F&& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
-  std::forward<F>(fn)();
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
-/// Wall-clock helper in microseconds (the paper's reporting unit).
-template <typename F>
-[[nodiscard]] double time_micros(F&& fn) {
-  return time_seconds(std::forward<F>(fn)) * 1e6;
-}
 
 /// Derives the per-run seed used by run_experiment (exposed so external
 /// harnesses can reproduce individual runs).

@@ -1,10 +1,7 @@
 #include "freqlog/logger.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <map>
-
-#include "topo/affinity.hpp"
 
 namespace omv::freqlog {
 
@@ -93,59 +90,19 @@ std::size_t FreqTrace::episode_count(
   return episodes;
 }
 
-FreqTrace sample_sim(SimFreqReader& reader, double t0, double t1,
-                     double interval) {
+FreqTrace sample_sim(sim::FreqModel& model, std::size_t n_cores, double t0,
+                     double t1, double interval) {
   FreqTrace trace;
   if (interval <= 0.0 || t1 <= t0) return trace;
   // Integer stepping avoids floating-point drift deciding the sample count.
   const auto steps = static_cast<std::size_t>((t1 - t0) / interval);
   for (std::size_t i = 0; i < steps; ++i) {
     const double t = t0 + static_cast<double>(i) * interval;
-    reader.set_time(t);
-    for (std::size_t c = 0; c < reader.n_cores(); ++c) {
-      if (const auto g = reader.read_ghz(c)) {
-        trace.add({t, c, *g});
-      }
+    for (std::size_t c = 0; c < n_cores; ++c) {
+      trace.add({t, c, model.sample_ghz(c, t)});
     }
   }
   return trace;
 }
-
-BackgroundLogger::BackgroundLogger(FreqReader& reader, double interval_s,
-                                   std::optional<std::size_t> logger_cpu)
-    : reader_(reader), interval_s_(interval_s), logger_cpu_(logger_cpu) {
-  thread_ = std::thread([this] { run(); });
-}
-
-void BackgroundLogger::run() {
-  if (logger_cpu_) {
-    topo::pin_current_thread(topo::CpuSet::single(*logger_cpu_));
-  }
-  const auto start = std::chrono::steady_clock::now();
-  while (!stop_.load(std::memory_order_relaxed)) {
-    const double t =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    for (std::size_t c = 0; c < reader_.n_cores(); ++c) {
-      if (const auto g = reader_.read_ghz(c)) {
-        trace_.add({t, c, *g});
-      }
-    }
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(interval_s_));
-  }
-}
-
-FreqTrace BackgroundLogger::stop() {
-  if (!joined_) {
-    stop_.store(true, std::memory_order_relaxed);
-    if (thread_.joinable()) thread_.join();
-    joined_ = true;
-  }
-  return trace_;
-}
-
-BackgroundLogger::~BackgroundLogger() { stop(); }
 
 }  // namespace omv::freqlog

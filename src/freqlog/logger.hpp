@@ -1,20 +1,17 @@
 #pragma once
-// Frequency logger + trace analysis.
+// Frequency logging + trace analysis.
 //
 // Mirrors the paper's methodology: a logger samples every core's frequency
-// at a fixed interval while the benchmark runs. Natively this is a
-// background thread pinned to a spare core (the paper used a Python script
-// on a separate core); against the simulator it samples the frequency model
-// along simulated time. The trace analysis quantifies the paper's "brown /
-// grey regions": the fraction of samples below a threshold of fmax.
+// at a fixed interval while the benchmark runs (the paper used a Python
+// script on a separate core reading sysfs). Here the logger is sample_sim,
+// which samples the simulator's frequency model along simulated time. The
+// trace analysis quantifies the paper's "brown / grey regions": the
+// fraction of samples below a threshold of fmax.
 
-#include <atomic>
 #include <cstddef>
-#include <thread>
 #include <vector>
 
-#include "freqlog/freq_reader.hpp"
-#include "topo/cpuset.hpp"
+#include "sim/freq.hpp"
 
 namespace omv::freqlog {
 
@@ -71,36 +68,10 @@ class FreqTrace {
   std::vector<FreqSample> samples_;
 };
 
-/// Samples all cores of a reader at a simulated-time grid (simulator mode:
-/// no threads involved, fully deterministic).
-[[nodiscard]] FreqTrace sample_sim(SimFreqReader& reader, double t0, double t1,
-                                   double interval);
-
-/// Background logger thread (native mode): samples all cores every
-/// `interval_s` of wall time, optionally pinned to `logger_cpu` so the
-/// logger itself does not disturb the benchmark (the paper's separate core).
-class BackgroundLogger {
- public:
-  BackgroundLogger(FreqReader& reader, double interval_s,
-                   std::optional<std::size_t> logger_cpu = std::nullopt);
-  ~BackgroundLogger();
-
-  BackgroundLogger(const BackgroundLogger&) = delete;
-  BackgroundLogger& operator=(const BackgroundLogger&) = delete;
-
-  /// Stops sampling and returns the trace (idempotent).
-  FreqTrace stop();
-
- private:
-  void run();
-
-  FreqReader& reader_;
-  double interval_s_;
-  std::optional<std::size_t> logger_cpu_;
-  std::atomic<bool> stop_{false};
-  std::thread thread_;
-  FreqTrace trace_;
-  bool joined_ = false;
-};
+/// Samples cores 0..n_cores-1 of `model` (FreqModel::sample_ghz) at the
+/// simulated times t0, t0 + interval, ... below t1, every core per time
+/// point. Deterministic: no threads, no wall clock.
+[[nodiscard]] FreqTrace sample_sim(sim::FreqModel& model, std::size_t n_cores,
+                                   double t0, double t1, double interval);
 
 }  // namespace omv::freqlog

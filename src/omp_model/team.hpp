@@ -8,9 +8,9 @@
 // (barriers advance every clock to the slowest arrival plus the barrier
 // cost — the noise-amplification mechanism at the heart of the paper).
 //
-// Thread placement comes from the same OMP_PLACES / OMP_PROC_BIND
-// implementation the native backend uses; unpinned teams are re-placed by
-// the OS model between repetitions.
+// Thread placement comes from the topo layer's OMP_PLACES / OMP_PROC_BIND
+// implementation; unpinned teams are re-placed by the OS model between
+// repetitions.
 
 #include <cstdint>
 #include <span>

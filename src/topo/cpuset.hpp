@@ -1,6 +1,6 @@
 #pragma once
 // Dynamic CPU sets, the common currency between the places parser, the
-// proc_bind mapper, the native affinity layer and the simulator.
+// proc_bind mapper and the simulator.
 
 #include <bit>
 #include <cstddef>

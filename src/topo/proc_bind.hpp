@@ -2,9 +2,9 @@
 // OMP_PROC_BIND thread-to-place assignment (OpenMP 5.0 §2.6.2).
 //
 // Implements the `close`, `spread` and `primary` policies plus `none`
-// (unbound). The same mapping drives both the native backend (pthread
-// affinity masks) and the simulator, so pinning experiments exercise the
-// shipped production code path.
+// (unbound). The simulator's teams place their threads through this
+// mapping, so pinning experiments exercise the OpenMP 5.0 assignment rules
+// rather than an ad-hoc placement.
 
 #include <cstddef>
 #include <string>

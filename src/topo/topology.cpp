@@ -1,7 +1,6 @@
 #include "topo/topology.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <stdexcept>
 #include <string>
 
@@ -226,52 +225,6 @@ Machine Machine::vera() {
   return uniform("vera", /*sockets=*/2, /*numa_per_socket=*/1,
                  /*cores_per_numa=*/16, /*smt=*/1, /*base_ghz=*/2.1,
                  /*max_ghz=*/3.7);
-}
-
-std::optional<Machine> Machine::detect_native() {
-  // Best-effort parse of /sys/devices/system/cpu/cpuN/topology.
-  std::vector<HwThread> threads;
-  for (std::size_t cpu = 0;; ++cpu) {
-    const std::string base =
-        "/sys/devices/system/cpu/cpu" + std::to_string(cpu) + "/topology/";
-    std::ifstream core_f(base + "core_id");
-    std::ifstream pkg_f(base + "physical_package_id");
-    if (!core_f || !pkg_f) {
-      if (cpu == 0) return std::nullopt;
-      break;
-    }
-    std::size_t core_id = 0;
-    std::size_t pkg = 0;
-    core_f >> core_id;
-    pkg_f >> pkg;
-    HwThread t;
-    t.os_id = cpu;
-    t.socket = pkg;
-    t.numa = pkg;  // refined below if NUMA info exists; socket is a safe default.
-    t.core = pkg * 4096 + core_id;  // globalize per-socket core ids.
-    threads.push_back(t);
-  }
-  if (threads.empty()) return std::nullopt;
-  // Renumber cores densely and set smt_index by arrival order per core.
-  std::vector<std::size_t> core_ids;
-  for (const auto& t : threads) core_ids.push_back(t.core);
-  std::sort(core_ids.begin(), core_ids.end());
-  core_ids.erase(std::unique(core_ids.begin(), core_ids.end()),
-                 core_ids.end());
-  std::vector<std::size_t> seen(core_ids.size(), 0);
-  for (auto& t : threads) {
-    const auto it =
-        std::lower_bound(core_ids.begin(), core_ids.end(), t.core);
-    const auto dense =
-        static_cast<std::size_t>(it - core_ids.begin());
-    t.core = dense;
-    t.smt_index = seen[dense]++;
-  }
-  try {
-    return Machine("native", std::move(threads));
-  } catch (const std::invalid_argument&) {
-    return std::nullopt;
-  }
 }
 
 CpuSet Machine::core_threads(std::size_t core) const {

@@ -3,8 +3,7 @@
 // threads (logical CPUs). Supports heterogeneous machines: cores belong to a
 // *core class* (e.g. big.LITTLE P/E clusters) with a per-class frequency
 // range, and SMT width may differ per core (partially SMT-disabled nodes).
-// Includes presets for the paper's two platforms and best-effort native
-// detection from Linux sysfs.
+// Includes presets for the paper's two platforms.
 
 #include <cstddef>
 #include <optional>
@@ -78,10 +77,6 @@ class Machine {
   /// socket, base 2.1 GHz, boost 3.7 GHz. 32 cores / 32 HW threads.
   /// Thin wrapper over uniform(); mirrored by the catalog's "vera" preset.
   static Machine vera();
-
-  /// Detects the current host from /sys/devices/system/cpu (Linux). Returns
-  /// nullopt when the information is unavailable.
-  static std::optional<Machine> detect_native();
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] std::size_t n_threads() const noexcept {

@@ -61,14 +61,6 @@ TEST_F(AtomicFileTest, ReadAbsentFileReturnsFalse) {
   EXPECT_EQ(got, "untouched");
 }
 
-TEST_F(AtomicFileTest, RemoveIfExists) {
-  const std::string path = dir_ + "/r.txt";
-  EXPECT_FALSE(remove_file_if_exists(path));
-  atomic_write_file(path, "x");
-  EXPECT_TRUE(remove_file_if_exists(path));
-  EXPECT_FALSE(std::filesystem::exists(path));
-}
-
 TEST_F(AtomicFileTest, WriteIntoMissingDirectoryThrows) {
   EXPECT_THROW(atomic_write_file(dir_ + "/nope/deep/a.txt", "x"),
                std::runtime_error);

@@ -4,8 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
-
 namespace omv::bench {
 namespace {
 
@@ -52,22 +50,6 @@ TEST(OverheadUs, EpccDefinition) {
   // overhead = 15 - 10 = 5us.
   EXPECT_DOUBLE_EQ(overhead_us(1500.0, 100, 10.0), 5.0);
   EXPECT_DOUBLE_EQ(overhead_us(1500.0, 0, 10.0), 0.0);
-}
-
-TEST(DelayLoop, CalibrationIsPositive) {
-  const double ipu = calibrate_delay_per_us();
-  EXPECT_GT(ipu, 0.0);
-}
-
-// Note: the wall-clock-sensitive spin-delay accuracy check lives in
-// test_epcc_timing.cpp (labeled `integration`, excluded from the quick
-// lane) — under a parallel ctest run the scheduler can stretch any single
-// spin batch far past its target, which made it flaky here.
-
-TEST(DelayLoop, ZeroDelayReturnsImmediately) {
-  spin_delay(0.0, 1000.0);  // must not hang or crash
-  spin_delay(-5.0, 1000.0);
-  SUCCEED();
 }
 
 }  // namespace

@@ -74,16 +74,6 @@ TEST(Experiment, KernelSeesDerivedRunSeed) {
   EXPECT_EQ(seen[1], derive_run_seed(9, 1));
 }
 
-TEST(Experiment, TimeHelpersArePositive) {
-  const double s = time_seconds([] {
-    volatile int x = 0;
-    for (int i = 0; i < 1000; ++i) x = x + i;
-  });
-  EXPECT_GE(s, 0.0);
-  const double us = time_micros([] {});
-  EXPECT_GE(us, 0.0);
-}
-
 TEST(Experiment, LabelPropagates) {
   ExperimentSpec spec;
   spec.name = "my-exp";

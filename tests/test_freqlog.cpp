@@ -1,11 +1,8 @@
-// Tests for freqlog: trace analysis, simulator sampling, background logger.
+// Tests for freqlog: trace analysis and simulator sampling.
 
 #include "freqlog/logger.hpp"
 
 #include <gtest/gtest.h>
-
-#include <chrono>
-#include <thread>
 
 namespace omv::freqlog {
 namespace {
@@ -76,24 +73,11 @@ TEST(FreqTrace, Append) {
   EXPECT_EQ(a.size(), 3u);
 }
 
-TEST(SimFreqReader, SamplesModel) {
-  topo::Machine m = topo::Machine::vera();
-  sim::FreqModel model(m, sim::FreqConfig::flat());
-  model.begin_run(1);
-  SimFreqReader reader(model, m.n_cores());
-  EXPECT_EQ(reader.n_cores(), 32u);
-  reader.set_time(1.0);
-  const auto g = reader.read_ghz(0);
-  ASSERT_TRUE(g.has_value());
-  EXPECT_DOUBLE_EQ(*g, m.max_ghz());
-}
-
 TEST(SampleSim, GridSampling) {
   topo::Machine m = topo::Machine::vera();
   sim::FreqModel model(m, sim::FreqConfig::flat());
   model.begin_run(1);
-  SimFreqReader reader(model, m.n_cores());
-  const auto trace = sample_sim(reader, 0.0, 1.0, 0.1);
+  const auto trace = sample_sim(model, m.n_cores(), 0.0, 1.0, 0.1);
   // 10 time points x 32 cores.
   EXPECT_EQ(trace.size(), 320u);
   EXPECT_DOUBLE_EQ(trace.extremes().min, m.max_ghz());
@@ -102,8 +86,7 @@ TEST(SampleSim, GridSampling) {
 TEST(SampleSim, ZeroIntervalSafe) {
   topo::Machine m = topo::Machine::vera();
   sim::FreqModel model(m, sim::FreqConfig::flat());
-  SimFreqReader reader(model, m.n_cores());
-  EXPECT_EQ(sample_sim(reader, 0.0, 1.0, 0.0).size(), 0u);
+  EXPECT_EQ(sample_sim(model, m.n_cores(), 0.0, 1.0, 0.0).size(), 0u);
 }
 
 TEST(SampleSim, DetectsSimulatedDips) {
@@ -113,47 +96,9 @@ TEST(SampleSim, DetectsSimulatedDips) {
   sim::FreqModel model(m, sim::FreqConfig::vera_dippy());
   model.begin_run(3);
   model.set_activity_domains(2);
-  SimFreqReader reader(model, m.n_cores());
-  const auto trace = sample_sim(reader, 0.0, 60.0, 0.05);
+  const auto trace = sample_sim(model, m.n_cores(), 0.0, 60.0, 0.05);
   EXPECT_GT(trace.fraction_below(m.max_ghz(), 0.95), 0.0);
   EXPECT_GT(trace.episode_count(m.max_ghz(), 0.95), 0u);
-}
-
-TEST(SysfsFreqReader, GracefulWhenUnavailable) {
-  SysfsFreqReader reader;
-  // Must not crash; may or may not be available in the CI container.
-  if (reader.available() && reader.n_cores() > 0) {
-    const auto g = reader.read_ghz(0);
-    if (g) {
-      EXPECT_GT(*g, 0.0);
-    }
-  } else {
-    SUCCEED();
-  }
-}
-
-TEST(BackgroundLogger, CollectsSamplesAndStops) {
-  topo::Machine m = topo::Machine::vera();
-  sim::FreqModel model(m, sim::FreqConfig::flat());
-  model.begin_run(1);
-  SimFreqReader reader(model, 4);
-  BackgroundLogger logger(reader, 0.001);
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  const auto trace = logger.stop();
-  EXPECT_GT(trace.size(), 0u);
-  // Second stop is idempotent.
-  const auto again = logger.stop();
-  EXPECT_EQ(again.size(), trace.size());
-}
-
-TEST(BackgroundLogger, PinnedLoggerStillWorks) {
-  topo::Machine m = topo::Machine::vera();
-  sim::FreqModel model(m, sim::FreqConfig::flat());
-  model.begin_run(1);
-  SimFreqReader reader(model, 2);
-  BackgroundLogger logger(reader, 0.001, /*logger_cpu=*/0);
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  EXPECT_GT(logger.stop().size(), 0u);
 }
 
 }  // namespace

@@ -369,14 +369,5 @@ TEST(Machine, CustomUniform) {
   EXPECT_EQ(m.n_sockets(), 1u);
 }
 
-TEST(Machine, DetectNativeIsOptional) {
-  // Must not throw regardless of host support.
-  const auto m = Machine::detect_native();
-  if (m) {
-    EXPECT_GT(m->n_threads(), 0u);
-    EXPECT_GT(m->n_cores(), 0u);
-  }
-}
-
 }  // namespace
 }  // namespace omv::topo

@@ -236,8 +236,7 @@ FreqTrace dippy_trace(const topo::Machine& m, const sim::FreqConfig& freq) {
   sim::FreqModel model(m, freq);
   model.begin_run(3);
   model.set_activity_domains(2);
-  SimFreqReader reader(model, m.n_cores());
-  return sample_sim(reader, 0.0, 60.0, 0.01);
+  return sample_sim(model, m.n_cores(), 0.0, 60.0, 0.01);
 }
 
 std::vector<double> per_core_fmax(const topo::Machine& m) {
