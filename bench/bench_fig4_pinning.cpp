@@ -137,7 +137,7 @@ int run_fig4(cli::RunContext& ctx) {
     ctx.verdict(bf.significant,
                 "variance reduction statistically significant "
                 "(Brown-Forsythe p=" +
-                    report::fmt(bf.p_value, 4) + ")");
+                    report::fmt_fixed(bf.p_value, 4) + ")");
     ctx.print("unpinned signature: %s\n\n",
               characterize(mb).to_string().c_str());
   }

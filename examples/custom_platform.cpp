@@ -12,6 +12,7 @@
 #include <fstream>
 
 #include "bench_suite/syncbench_sim.hpp"
+#include "core/executor.hpp"
 #include "core/report.hpp"
 #include "scenario/registry.hpp"
 
@@ -60,6 +61,7 @@ int main() {
               s.machine().n_cores(), s.machine().n_numa(),
               s.machine().max_smt_per_core());
 
+  core::Executor serial(1);
   report::Series series("threads",
                         {"close_us", "close_cv", "spread_us", "spread_cv"});
   for (std::size_t t : {4ul, 8ul, 16ul, 24ul, 36ul, 46ul}) {
@@ -71,7 +73,7 @@ int main() {
       team.bind = bind;
       bench::SimSyncBench sb(s, team);
       const auto m =
-          sb.run_protocol(bench::SyncConstruct::reduction, espec);
+          sb.run_protocol(bench::SyncConstruct::reduction, espec, serial);
       const double per_instance =
           m.grand_mean() /
           static_cast<double>(sb.innerreps(bench::SyncConstruct::reduction));
@@ -80,7 +82,7 @@ int main() {
     }
     series.add(static_cast<double>(t), std::move(row));
   }
-  std::printf("%s\n", series.render(report::Format::ascii, 4).c_str());
+  std::printf("%s\n", series.render(4).c_str());
   std::printf(
       "Reading: spread pays NUMA-span barrier costs earlier; close defers\n"
       "them until the team outgrows a domain. The cv columns show where\n"

@@ -11,6 +11,7 @@
 #include "bench_suite/syncbench_sim.hpp"
 #include "core/advisor.hpp"
 #include "core/characterize.hpp"
+#include "core/executor.hpp"
 #include "core/report.hpp"
 
 int main() {
@@ -21,6 +22,7 @@ int main() {
   spec.runs = 8;
   spec.reps = 40;
   spec.seed = 99;
+  core::Executor serial(1);
 
   // Step 1: the "bad" configuration — unbound threads.
   ompsim::TeamConfig bad;
@@ -28,7 +30,7 @@ int main() {
   bad.bind = topo::ProcBind::none;
   bench::SimSyncBench bad_bench(dardel, bad);
   const auto m_bad =
-      bad_bench.run_protocol(bench::SyncConstruct::reduction, spec);
+      bad_bench.run_protocol(bench::SyncConstruct::reduction, spec, serial);
   const auto ch_bad = characterize(m_bad);
   std::printf("observed (unpinned, 128 threads): mean %.1f us, cv %.3f, "
               "signature %s\n\n",
@@ -61,7 +63,7 @@ int main() {
   good.bind = topo::ProcBind::close;
   bench::SimSyncBench good_bench(dardel, good);
   const auto m_good =
-      good_bench.run_protocol(bench::SyncConstruct::reduction, spec);
+      good_bench.run_protocol(bench::SyncConstruct::reduction, spec, serial);
   const auto ch_good = characterize(m_good);
 
   std::printf("\nafter applying '%s' (%zu threads, close binding):\n",

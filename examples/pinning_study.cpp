@@ -9,6 +9,7 @@
 
 #include "bench_suite/syncbench_sim.hpp"
 #include "core/characterize.hpp"
+#include "core/executor.hpp"
 #include "core/report.hpp"
 #include "core/stat_tests.hpp"
 
@@ -21,6 +22,7 @@ int main() {
   spec.runs = 10;
   spec.reps = 50;
   spec.seed = 42;
+  core::Executor serial(1);
 
   // Pinned: OMP_PLACES=threads, OMP_PROC_BIND=close.
   ompsim::TeamConfig pinned;
@@ -29,14 +31,14 @@ int main() {
   pinned.bind = topo::ProcBind::close;
   bench::SimSyncBench pinned_bench(dardel, pinned);
   const auto m_pinned =
-      pinned_bench.run_protocol(bench::SyncConstruct::reduction, spec);
+      pinned_bench.run_protocol(bench::SyncConstruct::reduction, spec, serial);
 
   // Unpinned: the OS places and migrates threads.
   ompsim::TeamConfig unpinned = pinned;
   unpinned.bind = topo::ProcBind::none;
   bench::SimSyncBench unpinned_bench(dardel, unpinned);
-  const auto m_unpinned =
-      unpinned_bench.run_protocol(bench::SyncConstruct::reduction, spec);
+  const auto m_unpinned = unpinned_bench.run_protocol(
+      bench::SyncConstruct::reduction, spec, serial);
 
   report::Table t({"config", "grand mean (us)", "pooled cv", "max/min",
                    "signature"});

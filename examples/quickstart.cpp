@@ -8,13 +8,16 @@
 // (several runs x repetitions), prints the per-run statistics, the
 // between-run vs within-run variance split, and the qualitative
 // variability signature. Every time is simulated, so the output is the
-// same on every run and every host.
+// same on every run and every host. The runs execute on a one-worker
+// executor, which runs them inline in order; a wider executor runs them
+// concurrently and prints the same bytes.
 
 #include <cstdio>
 #include <string>
 
 #include "bench_suite/schedbench_sim.hpp"
 #include "core/characterize.hpp"
+#include "core/executor.hpp"
 #include "core/report.hpp"
 
 int main() {
@@ -39,7 +42,9 @@ int main() {
   spec.runs = 5;
   spec.reps = 30;
   spec.warmup = 3;
-  const RunMatrix m = sched.run_protocol(ompsim::Schedule::static_, 1, spec);
+  core::Executor serial(1);
+  const RunMatrix m =
+      sched.run_protocol(ompsim::Schedule::static_, 1, spec, serial);
 
   report::Table t({"run #", "mean (us)", "min (us)", "max (us)", "cv"});
   for (std::size_t r = 0; r < m.runs(); ++r) {

@@ -44,11 +44,4 @@ std::size_t calibrate_innerreps(double instance_time_us, double test_time_us) {
   return std::clamp<std::size_t>(static_cast<std::size_t>(reps), 1, 1000000);
 }
 
-double overhead_us(double rep_time_us, std::size_t innerreps,
-                   double reference_per_instance_us) {
-  if (innerreps == 0) return 0.0;
-  return rep_time_us / static_cast<double>(innerreps) -
-         reference_per_instance_us;
-}
-
 }  // namespace omv::bench

@@ -59,9 +59,4 @@ enum class SyncConstruct {
 [[nodiscard]] std::size_t calibrate_innerreps(double instance_time_us,
                                               double test_time_us);
 
-/// Overhead per construct instance given a measured outer repetition:
-/// rep_time / innerreps - reference_per_instance.
-[[nodiscard]] double overhead_us(double rep_time_us, std::size_t innerreps,
-                                 double reference_per_instance_us);
-
 }  // namespace omv::bench

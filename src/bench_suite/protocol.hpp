@@ -1,13 +1,15 @@
 #pragma once
 // Shared sharded-protocol plumbing for the simulator-backed benchmarks.
 //
-// Every Sim* benchmark parallelizes the same way: each run gets a private
-// clone of the Simulator (same machine + config), a private benchmark
-// object and a private SimTeam, and SimTeam::begin_run re-derives all
-// per-run state from the run seed — which is what makes the sharded
-// result bit-identical to the serial run_protocol path. This header is
-// the single implementation of that per-run cloning contract; changing
-// the contract here changes it for every benchmark at once.
+// Every Sim* benchmark runs its protocol the same way: each run gets a
+// private clone of the Simulator (same machine + config), a private
+// benchmark object and a private SimTeam, and SimTeam::begin_run
+// re-derives all per-run state from the run seed. So no run sees another's
+// state, the base Simulator is only read, and the matrix is the same bytes
+// at every executor width — a one-worker executor is the serial program.
+// This header is the single implementation of that per-run cloning
+// contract; changing the contract here changes it for every benchmark at
+// once.
 
 #include <memory>
 #include <type_traits>

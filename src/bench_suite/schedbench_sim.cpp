@@ -33,18 +33,6 @@ double SimSchedBench::rep_time_us(ompsim::SimTeam& team,
 }
 
 RunMatrix SimSchedBench::run_protocol(ompsim::Schedule kind, std::size_t chunk,
-                                      const ExperimentSpec& spec) {
-  ompsim::SimTeam team(*sim_, team_cfg_, spec.seed);
-  RunHooks hooks;
-  hooks.before_run = [&](std::size_t, std::uint64_t run_seed) {
-    team.begin_run(run_seed);
-  };
-  return run_experiment(
-      spec, [&](const RepContext&) { return rep_time_us(team, kind, chunk); },
-      hooks);
-}
-
-RunMatrix SimSchedBench::run_protocol(ompsim::Schedule kind, std::size_t chunk,
                                       const ExperimentSpec& spec,
                                       core::Executor& executor) {
   return run_protocol_sharded(

@@ -29,14 +29,10 @@ class SimSchedBench {
   [[nodiscard]] double rep_time_us(ompsim::SimTeam& team,
                                    ompsim::Schedule kind, std::size_t chunk);
 
-  /// Full paper protocol for (kind, chunk); times in microseconds.
-  [[nodiscard]] RunMatrix run_protocol(ompsim::Schedule kind,
-                                       std::size_t chunk,
-                                       const ExperimentSpec& spec);
-
-  /// As run_protocol, but shards the spec's runs onto `executor` (one
-  /// task per run; inline at one worker); bit-identical to the serial
-  /// overload.
+  /// Full paper protocol for (kind, chunk); times in microseconds. The
+  /// runs are tasks on `executor` (inline at one worker), each on a
+  /// private Simulator clone, so the matrix is the same bytes at every
+  /// width (see run_protocol_sharded).
   [[nodiscard]] RunMatrix run_protocol(ompsim::Schedule kind,
                                        std::size_t chunk,
                                        const ExperimentSpec& spec,
@@ -44,8 +40,6 @@ class SimSchedBench {
 
   /// The coarsening factor used for a given chunk size (1 = exact).
   [[nodiscard]] std::size_t coarsen_for(std::size_t chunk) const;
-
-  [[nodiscard]] const EpccParams& params() const noexcept { return params_; }
 
  private:
   sim::Simulator* sim_;

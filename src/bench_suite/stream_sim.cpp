@@ -1,6 +1,5 @@
 #include "bench_suite/stream_sim.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "bench_suite/protocol.hpp"
@@ -103,35 +102,6 @@ double SimStream::kernel_time_s(ompsim::SimTeam& team, StreamKernel k) {
   }
   team.barrier();
   return team.now() - t0;
-}
-
-StreamRunResult SimStream::run_kernel(ompsim::SimTeam& team, StreamKernel k,
-                                      std::size_t reps) {
-  StreamRunResult r;
-  if (reps == 0) return r;
-  double sum = 0.0;
-  r.min_s = 1e300;
-  r.max_s = 0.0;
-  for (std::size_t i = 0; i < reps; ++i) {
-    const double t = kernel_time_s(team, k);
-    sum += t;
-    r.min_s = std::min(r.min_s, t);
-    r.max_s = std::max(r.max_s, t);
-  }
-  r.avg_s = sum / static_cast<double>(reps);
-  return r;
-}
-
-RunMatrix SimStream::run_protocol(StreamKernel k, const ExperimentSpec& spec) {
-  ompsim::SimTeam team(*sim_, team_cfg_, spec.seed);
-  RunHooks hooks;
-  hooks.before_run = [&](std::size_t, std::uint64_t run_seed) {
-    team.begin_run(run_seed);
-  };
-  return run_experiment(
-      spec,
-      [&](const RepContext&) { return kernel_time_s(team, k) * 1e3; },
-      hooks);
 }
 
 RunMatrix SimStream::run_protocol(StreamKernel k, const ExperimentSpec& spec,

@@ -28,21 +28,6 @@ enum class StreamKernel { copy, mul, add, triad, dot };
 /// doubles; write-allocate traffic folded into the store stream).
 [[nodiscard]] double stream_bytes_per_elem(StreamKernel k) noexcept;
 
-/// Per-run result: min/avg/max over the in-run kernel repetitions —
-/// BabelStream's native reporting, which the paper normalizes to the
-/// average (Section 4.2).
-struct StreamRunResult {
-  double min_s = 0.0;
-  double avg_s = 0.0;
-  double max_s = 0.0;
-  [[nodiscard]] double norm_min() const {
-    return avg_s > 0.0 ? min_s / avg_s : 0.0;
-  }
-  [[nodiscard]] double norm_max() const {
-    return avg_s > 0.0 ? max_s / avg_s : 0.0;
-  }
-};
-
 /// BabelStream, simulator backend.
 class SimStream {
  public:
@@ -54,25 +39,13 @@ class SimStream {
   /// Simulates one timed execution of kernel `k`, returning seconds.
   [[nodiscard]] double kernel_time_s(ompsim::SimTeam& team, StreamKernel k);
 
-  /// Runs `reps` repetitions of kernel `k` within an existing run.
-  [[nodiscard]] StreamRunResult run_kernel(ompsim::SimTeam& team,
-                                           StreamKernel k, std::size_t reps);
-
   /// Full protocol: for each run, `reps` repetitions; RunMatrix of kernel
-  /// times in milliseconds.
-  [[nodiscard]] RunMatrix run_protocol(StreamKernel k,
-                                       const ExperimentSpec& spec);
-
-  /// As run_protocol, but shards the spec's runs onto `executor` (one
-  /// task per run; inline at one worker); bit-identical to the serial
-  /// overload.
+  /// times in milliseconds. The runs are tasks on `executor` (inline at
+  /// one worker), each on a private Simulator clone, so the matrix is the
+  /// same bytes at every width (see run_protocol_sharded).
   [[nodiscard]] RunMatrix run_protocol(StreamKernel k,
                                        const ExperimentSpec& spec,
                                        core::Executor& executor);
-
-  [[nodiscard]] std::size_t array_elems() const noexcept {
-    return array_elems_;
-  }
 
  private:
   sim::Simulator* sim_;

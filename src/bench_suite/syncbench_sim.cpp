@@ -125,23 +125,6 @@ double SimSyncBench::rep_time_us(ompsim::SimTeam& team, SyncConstruct c) {
   return (team.now() - t0) * 1e6;
 }
 
-double SimSyncBench::overhead_from_rep_us(double rep_time_us,
-                                          SyncConstruct c) const {
-  return overhead_us(rep_time_us, innerreps(c),
-                     params_.delay_us * sim_->costs().work_scale);
-}
-
-RunMatrix SimSyncBench::run_protocol(SyncConstruct c,
-                                     const ExperimentSpec& spec) {
-  ompsim::SimTeam team(*sim_, team_cfg_, spec.seed);
-  RunHooks hooks;
-  hooks.before_run = [&](std::size_t, std::uint64_t run_seed) {
-    team.begin_run(run_seed);
-  };
-  return run_experiment(
-      spec, [&](const RepContext&) { return rep_time_us(team, c); }, hooks);
-}
-
 RunMatrix SimSyncBench::run_protocol(SyncConstruct c,
                                      const ExperimentSpec& spec,
                                      core::Executor& executor) {

@@ -35,29 +35,14 @@ class SimSyncBench {
   /// its duration in microseconds. Advances the team's clocks.
   [[nodiscard]] double rep_time_us(ompsim::SimTeam& team, SyncConstruct c);
 
-  /// Overhead per instance for a measured repetition (EPCC definition;
-  /// the serial reference is the pure delay payload).
-  [[nodiscard]] double overhead_from_rep_us(double rep_time_us,
-                                            SyncConstruct c) const;
-
   /// Runs the full paper protocol (spec.runs x spec.reps) for construct `c`
-  /// and returns the RunMatrix of repetition times (microseconds).
-  [[nodiscard]] RunMatrix run_protocol(SyncConstruct c,
-                                       const ExperimentSpec& spec);
-
-  /// As run_protocol, but shards the spec's runs onto `executor` (one
-  /// task per run; inline at one worker). Each run executes on
-  /// a private Simulator + team whose state begin_run re-derives entirely
-  /// from the run seed, so the RunMatrix is bit-identical to the serial
-  /// overload.
+  /// and returns the RunMatrix of repetition times (microseconds). The
+  /// runs are tasks on `executor` (inline at one worker), each on a
+  /// private Simulator clone, so the matrix is the same bytes at every
+  /// width (see run_protocol_sharded).
   [[nodiscard]] RunMatrix run_protocol(SyncConstruct c,
                                        const ExperimentSpec& spec,
                                        core::Executor& executor);
-
-  [[nodiscard]] const EpccParams& params() const noexcept { return params_; }
-  [[nodiscard]] const ompsim::TeamConfig& team_config() const noexcept {
-    return team_cfg_;
-  }
 
  private:
   void dispatch(ompsim::SimTeam& team, SyncConstruct c, double work_s,

@@ -263,7 +263,7 @@ RunMatrix RunContext::protocol(const std::string& label,
 
 void RunContext::series(const std::string& name, const report::Series& s,
                         int digits) {
-  emit(s.render(report::Format::ascii, digits) + "\n");
+  emit(s.render(digits) + "\n");
   series_.push_back({name, s.x_name(), s.names(), s.points()});
 }
 
@@ -284,13 +284,6 @@ void RunContext::verdict(bool ok, const std::string& text) {
 
 void RunContext::metric(const std::string& name, double value) {
   metrics_.push_back({name, value});
-}
-
-bool RunContext::all_ok() const noexcept {
-  for (const auto& v : verdicts_) {
-    if (!v.ok) return false;
-  }
-  return true;
 }
 
 std::string RunContext::artifact_json(const std::string& description) const {
@@ -978,6 +971,13 @@ int run_campaign(int argc, char** argv) {
 
   const std::vector<Unit> units = build_units(selected, scns);
   if (o.plan) return print_plan(units);
+  if (!o.out_dir.empty()) {
+    // A campaign killed mid-write leaves "<file>.tmp.<pid>" temps that no
+    // run would ever rename; clear those of dead writers before this run
+    // commits anything.
+    core::remove_dead_writer_temps(o.out_dir);
+    core::remove_dead_writer_temps(o.out_dir + "/cache");
+  }
 
   core::Executor executor(force_serial_when_faults_armed(resolve_width(o)));
   CampaignSettings settings;

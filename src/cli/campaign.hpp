@@ -201,9 +201,6 @@ class RunContext {
   /// fingerprint; deduplicated) for the artifact's provenance block.
   void note_platform(const std::string& name,
                      const std::string& fingerprint);
-  [[nodiscard]] const std::string& harness() const noexcept {
-    return harness_;
-  }
   [[nodiscard]] bool caching() const noexcept { return !out_dir_.empty(); }
 
   /// Hook persisting extra per-cell data next to the RunMatrix CSV; `stem`
@@ -223,7 +220,7 @@ class RunContext {
                                    const ExtraLoad& load_extra = nullptr);
 
   /// Prints the series exactly as the harnesses always did
-  /// (printf("%s\n", render(ascii, digits))) and records it for the
+  /// (printf("%s\n", render(digits))) and records it for the
   /// artifact at full precision.
   void series(const std::string& name, const report::Series& s,
               int digits = 4);
@@ -243,12 +240,8 @@ class RunContext {
 
   [[nodiscard]] std::size_t cache_hits() const noexcept { return hits_; }
   [[nodiscard]] std::size_t cache_misses() const noexcept { return misses_; }
-  [[nodiscard]] bool all_ok() const noexcept;
   [[nodiscard]] const std::vector<VerdictRecord>& verdicts() const noexcept {
     return verdicts_;
-  }
-  [[nodiscard]] const std::vector<CellRecord>& cells() const noexcept {
-    return cells_;
   }
 
   /// The deterministic artifact document (schema omnivar-artifact-v2:

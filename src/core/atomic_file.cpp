@@ -1,12 +1,16 @@
 #include "core/atomic_file.hpp"
 
+#include <cerrno>
+#include <charconv>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 
 #include "core/faultinject.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
+#include <signal.h>
 #include <unistd.h>
 #endif
 
@@ -72,6 +76,39 @@ void atomic_write_file(const std::string& path, std::string_view bytes,
     throw std::runtime_error("cannot commit '" + path +
                              "': rename failed: " + why);
   }
+}
+
+std::size_t remove_dead_writer_temps(const std::string& dir) noexcept {
+  std::size_t removed = 0;
+#if defined(__unix__) || defined(__APPLE__)
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    // Only a "<digits>" tail after the last ".tmp." parses, so a match in
+    // the directory part of the path never does.
+    const std::string& path = it->path().native();
+    const auto dot = path.rfind(".tmp.");
+    if (dot == std::string::npos) continue;
+    const char* first = path.data() + dot + 5;
+    const char* last = path.data() + path.size();
+    long long pid = 0;
+    const auto [ptr, err] = std::from_chars(first, last, pid);
+    // A pid kill() reads as one process: 0 and negative values address
+    // process groups.
+    if (err != std::errc{} || ptr != last || pid <= 0 ||
+        pid > std::numeric_limits<pid_t>::max()) {
+      continue;
+    }
+    std::error_code file_ec;
+    if (!it->is_regular_file(file_ec)) continue;
+    if (::kill(static_cast<pid_t>(pid), 0) == 0 || errno != ESRCH) continue;
+    if (fs::remove(it->path(), file_ec)) ++removed;
+  }
+#else
+  (void)dir;
+#endif
+  return removed;
 }
 
 bool read_file(const std::string& path, std::string& out) {

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/stat_tests.hpp"
-
 namespace omv::stats {
 
 std::vector<double> autocorrelation(std::span<const double> xs,
@@ -55,24 +53,6 @@ Periodicity dominant_period(std::span<const double> xs, std::size_t max_lag) {
     p.correlation = p.lag ? p.correlation : 0.0;
   }
   return p;
-}
-
-LjungBox ljung_box(std::span<const double> xs, std::size_t lags) {
-  LjungBox lb;
-  const auto r = autocorrelation(xs, lags);
-  if (r.empty()) return lb;
-  const double n = static_cast<double>(xs.size());
-  double q = 0.0;
-  for (std::size_t k = 0; k < r.size(); ++k) {
-    q += r[k] * r[k] / (n - static_cast<double>(k + 1));
-  }
-  lb.statistic = n * (n + 2.0) * q;
-  // Chi-square upper tail with df = lags via Wilson-Hilferty.
-  const double df = static_cast<double>(r.size());
-  const double z = (std::cbrt(lb.statistic / df) - (1.0 - 2.0 / (9.0 * df))) /
-                   std::sqrt(2.0 / (9.0 * df));
-  lb.p_value = 1.0 - normal_cdf(z);
-  return lb;
 }
 
 }  // namespace omv::stats

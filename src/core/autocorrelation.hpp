@@ -15,8 +15,8 @@ namespace omv::stats {
 
 /// Sample autocorrelation at lags 1..max_lag (lag 0 omitted; it is 1).
 /// Returns an empty vector when the series is shorter than 3, constant, or
-/// contains NaN (a poisoned series has no meaningful correlogram; the
-/// derived analyses below then report "no structure" instead of garbage).
+/// contains NaN (a poisoned series has no meaningful correlogram;
+/// dominant_period below then reports "no structure" instead of garbage).
 [[nodiscard]] std::vector<double> autocorrelation(std::span<const double> xs,
                                                   std::size_t max_lag);
 
@@ -31,15 +31,5 @@ struct Periodicity {
 /// nothing is significant. A peak requires r(lag) to be a local maximum.
 [[nodiscard]] Periodicity dominant_period(std::span<const double> xs,
                                           std::size_t max_lag = 50);
-
-/// Ljung–Box portmanteau statistic over the first `lags` autocorrelations
-/// with an approximate p-value (chi-square via Wilson–Hilferty). Low p =>
-/// the series is not white noise (some temporal structure exists).
-struct LjungBox {
-  double statistic = 0.0;
-  double p_value = 1.0;
-};
-[[nodiscard]] LjungBox ljung_box(std::span<const double> xs,
-                                 std::size_t lags = 10);
 
 }  // namespace omv::stats

@@ -53,20 +53,4 @@ ConfidenceInterval bootstrap_mean_ci(std::span<const double> xs,
       resamples, level, seed);
 }
 
-ConfidenceInterval bootstrap_median_ci(std::span<const double> xs,
-                                       std::size_t resamples, double level,
-                                       std::uint64_t seed) {
-  return bootstrap_ci(
-      xs, [](std::span<const double> s) { return percentile(s, 50.0); },
-      resamples, level, seed);
-}
-
-ConfidenceInterval bootstrap_cv_ci(std::span<const double> xs,
-                                   std::size_t resamples, double level,
-                                   std::uint64_t seed) {
-  return bootstrap_ci(
-      xs, [](std::span<const double> s) { return summarize(s).cv; },
-      resamples, level, seed);
-}
-
 }  // namespace omv::stats

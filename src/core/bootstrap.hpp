@@ -38,15 +38,4 @@ using Statistic = std::function<double(std::span<const double>)>;
                                                    double level = 0.95,
                                                    std::uint64_t seed = 42);
 
-/// Convenience: CI of the median.
-[[nodiscard]] ConfidenceInterval bootstrap_median_ci(
-    std::span<const double> xs, std::size_t resamples = 2000,
-    double level = 0.95, std::uint64_t seed = 42);
-
-/// Convenience: CI of the coefficient of variation.
-[[nodiscard]] ConfidenceInterval bootstrap_cv_ci(std::span<const double> xs,
-                                                 std::size_t resamples = 2000,
-                                                 double level = 0.95,
-                                                 std::uint64_t seed = 42);
-
 }  // namespace omv::stats

@@ -38,23 +38,6 @@ double OnlineStats::cv() const noexcept {
   return mean_ != 0.0 ? stddev() / mean_ : 0.0;
 }
 
-void OnlineStats::merge(const OnlineStats& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double nab = na + nb;
-  mean_ += delta * nb / nab;
-  m2_ += other.m2_ + delta * delta * na * nb / nab;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 std::vector<double> sorted_copy(std::span<const double> xs) {
   std::vector<double> v(xs.begin(), xs.end());
   std::sort(v.begin(), v.end());
@@ -117,21 +100,6 @@ double mad(std::span<const double> xs) {
   for (auto& x : v) x = std::abs(x - med);
   // 1.4826 makes MAD a consistent estimator of sigma under normality.
   return 1.4826 * percentile_in_place(v, 50.0);
-}
-
-double geomean(std::span<const double> xs) {
-  // Non-positive values are skipped by design (documented); NaN is not a
-  // "value outside the domain" but a poisoned input — propagate it.
-  if (has_nan(xs)) return std::numeric_limits<double>::quiet_NaN();
-  double sum_log = 0.0;
-  std::size_t n = 0;
-  for (double x : xs) {
-    if (x > 0.0) {
-      sum_log += std::log(x);
-      ++n;
-    }
-  }
-  return n ? std::exp(sum_log / static_cast<double>(n)) : 0.0;
 }
 
 Summary summarize(std::span<const double> xs) {

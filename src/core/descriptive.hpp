@@ -36,9 +36,6 @@ class OnlineStats {
   /// Largest observation (-inf if empty).
   [[nodiscard]] double max() const noexcept { return max_; }
 
-  /// Merges another accumulator (parallel reduction of partial stats).
-  void merge(const OnlineStats& other) noexcept;
-
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
@@ -71,13 +68,6 @@ class OnlineStats {
 /// Median absolute deviation, scaled by 1.4826 so it estimates sigma for
 /// normal data (robust spread estimate). NaN inputs propagate to NaN.
 [[nodiscard]] double mad(std::span<const double> xs);
-
-/// Geometric mean. Non-positive values are *silently skipped* — callers
-/// averaging data that can legitimately contain zeros or negatives (e.g.
-/// differences) must filter or transform first; the mean is taken over the
-/// positive subset only. Returns 0 for empty/all-skipped input; NaN inputs
-/// propagate to NaN.
-[[nodiscard]] double geomean(std::span<const double> xs);
 
 /// True when any element is NaN (the poisoned-sample check used by the
 /// batch statistics above).

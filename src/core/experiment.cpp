@@ -39,14 +39,11 @@ std::vector<double> execute_run(const ExperimentSpec& spec,
   return times;
 }
 
-RunMatrix run_experiment(const ExperimentSpec& spec, const RepKernel& kernel,
-                         const RunHooks& hooks) {
+RunMatrix run_experiment(const ExperimentSpec& spec,
+                         const RepKernel& kernel) {
   RunMatrix matrix(spec.name);
   for (std::size_t r = 0; r < spec.runs; ++r) {
-    const std::uint64_t run_seed = derive_run_seed(spec.seed, r);
-    if (hooks.before_run) hooks.before_run(r, run_seed);
-    matrix.add_run(execute_run(spec, kernel, r, run_seed));
-    if (hooks.after_run) hooks.after_run(r);
+    matrix.add_run(execute_run(spec, kernel, r, derive_run_seed(spec.seed, r)));
   }
   return matrix;
 }

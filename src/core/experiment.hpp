@@ -9,9 +9,9 @@
 //
 // Every run derives its entire state from derive_run_seed(spec.seed, run),
 // so the runs of one configuration are independent: run_experiment_parallel
-// shards them onto the process's executor (core/executor.hpp), one task per
-// run, and reassembles the rows in protocol order — bit-identical to the
-// serial run_experiment loop for deterministic kernels, at any width.
+// shards them onto an executor (core/executor.hpp), one task per run, and
+// reassembles the rows in protocol order — the same bytes at any width. A
+// one-worker executor runs each run inline, in order: the serial program.
 
 #include <cstdint>
 #include <functional>
@@ -42,16 +42,12 @@ struct RepContext {
 /// unit (the EPCC harness returns microseconds).
 using RepKernel = std::function<double(const RepContext&)>;
 
-/// Optional per-run hooks (e.g. re-create a thread team, reset a simulator).
-struct RunHooks {
-  std::function<void(std::size_t run, std::uint64_t run_seed)> before_run;
-  std::function<void(std::size_t run)> after_run;
-};
-
-/// Executes the protocol and collects the RunMatrix.
+/// Executes the protocol in one loop, every run through one shared
+/// `kernel`, and collects the RunMatrix. No benchmark runs it: the tests
+/// keep it as the serial oracle that run_experiment_parallel must match
+/// bit for bit.
 [[nodiscard]] RunMatrix run_experiment(const ExperimentSpec& spec,
-                                       const RepKernel& kernel,
-                                       const RunHooks& hooks = {});
+                                       const RepKernel& kernel);
 
 /// Executes the warmup + timed repetitions of run `run` and returns its
 /// repetition times. This is the single arithmetic shared by the serial
@@ -75,8 +71,7 @@ struct RunSlot {
 /// Builds the kernel executing every repetition (warmup + timed) of one
 /// run. Invoked once per run, possibly concurrently with other runs, so
 /// each run gets a private kernel that may own mutable state (simulators,
-/// thread teams) without synchronization. RunHooks have no sharded form:
-/// their sequential shared-state semantics is what the factory replaces.
+/// thread teams) without synchronization.
 using RunKernelFactory = std::function<RepKernel(const RunSlot&)>;
 
 /// run_experiment with one `executor` task per run. The first exception a

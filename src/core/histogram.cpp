@@ -48,10 +48,6 @@ void Histogram::add_all(std::span<const double> xs) noexcept {
   for (double x : xs) add(x);
 }
 
-double Histogram::bin_center(std::size_t bin) const {
-  return lo_ + (static_cast<double>(bin) + 0.5) * width_;
-}
-
 std::vector<double> Histogram::smoothed(std::size_t radius) const {
   std::vector<double> out(counts_.size(), 0.0);
   const auto n = static_cast<std::ptrdiff_t>(counts_.size());
@@ -65,19 +61,6 @@ std::vector<double> Histogram::smoothed(std::size_t radius) const {
       ++cnt;
     }
     out[static_cast<std::size_t>(i)] = sum / static_cast<double>(cnt);
-  }
-  return out;
-}
-
-std::string Histogram::sparkline() const {
-  static const char* kGlyphs[] = {" ", "▁", "▂", "▃", "▄", "▅", "▆", "▇", "█"};
-  std::size_t maxc = 0;
-  for (auto c : counts_) maxc = std::max(maxc, c);
-  std::string out;
-  for (auto c : counts_) {
-    std::size_t level =
-        maxc == 0 ? 0 : (c * 8 + maxc - 1) / maxc;  // ceil to 0..8
-    out += kGlyphs[std::min<std::size_t>(level, 8)];
   }
   return out;
 }

@@ -1,10 +1,9 @@
 #pragma once
 // Fixed-width histograms with automatic bin selection, used by the modality
-// detector and the report renderer (ASCII distribution sketches).
+// detector.
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace omv::stats {
@@ -35,9 +34,6 @@ class Histogram {
     return counts_.at(bin);
   }
   [[nodiscard]] std::size_t total() const noexcept { return total_; }
-  /// Center of bin `bin`.
-  [[nodiscard]] double bin_center(std::size_t bin) const;
-  [[nodiscard]] double bin_width() const noexcept { return width_; }
   [[nodiscard]] double lo() const noexcept { return lo_; }
   [[nodiscard]] double hi() const noexcept { return hi_; }
   [[nodiscard]] const std::vector<std::size_t>& counts() const noexcept {
@@ -47,9 +43,6 @@ class Histogram {
   /// Counts smoothed with a centered moving average of half-width `radius`
   /// (used for peak counting; returns densities, not counts).
   [[nodiscard]] std::vector<double> smoothed(std::size_t radius) const;
-
-  /// One-line ASCII sketch (unicode block glyphs), for logs and reports.
-  [[nodiscard]] std::string sparkline() const;
 
  private:
   double lo_;

@@ -1,7 +1,5 @@
 #include "core/outliers.hpp"
 
-#include <cmath>
-
 #include "core/descriptive.hpp"
 
 namespace omv::stats {
@@ -45,14 +43,6 @@ OutlierReport tukey_outliers(std::span<const double> xs, double k) {
   const double q3 = percentile_sorted(sorted, 75.0);
   const double iqr = q3 - q1;
   return scan(xs, q1 - k * iqr, q3 + k * iqr);
-}
-
-OutlierReport mad_outliers(std::span<const double> xs, double z) {
-  if (xs.size() < 4) return {};
-  const double med = percentile(xs, 50.0);
-  const double m = mad(xs);
-  if (m <= 0.0) return tukey_outliers(xs);
-  return scan(xs, med - z * m, med + z * m);
 }
 
 const char* tail_name(Tail t) noexcept {

@@ -1,10 +1,9 @@
 #pragma once
 // Outlier detection for timing samples.
 //
-// Two detectors: Tukey fences (IQR-based, the textbook boxplot rule) and a
-// robust MAD-z detector (better when >25% of the data are affected). Both
-// classify which tail the outliers sit in — timing noise almost always
-// produces a *high* tail (delays), so a low tail hints at measurement error.
+// Tukey fences (IQR-based, the textbook boxplot rule), classifying which
+// tail the outliers sit in — timing noise almost always produces a *high*
+// tail (delays), so a low tail hints at measurement error.
 
 #include <cstddef>
 #include <span>
@@ -36,11 +35,6 @@ struct OutlierReport {
 /// k = 1.5 is the standard "outlier", k = 3 the "far out" rule.
 [[nodiscard]] OutlierReport tukey_outliers(std::span<const double> xs,
                                            double k = 1.5);
-
-/// MAD-z detector: |x - median| / MAD > z flags an outlier. Falls back to
-/// Tukey when MAD is 0 (more than half the sample identical).
-[[nodiscard]] OutlierReport mad_outliers(std::span<const double> xs,
-                                         double z = 3.5);
 
 /// Human-readable tail name.
 [[nodiscard]] const char* tail_name(Tail t) noexcept;

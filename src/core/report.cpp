@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <ostream>
 #include <sstream>
 #include <stdexcept>
 
@@ -41,68 +40,27 @@ void render_padded(std::ostringstream& os, const std::string& s,
 
 }  // namespace
 
-std::string Table::render(Format f) const {
+std::string Table::render() const {
   std::ostringstream os;
-  switch (f) {
-    case Format::csv: {
-      for (std::size_t c = 0; c < header_.size(); ++c) {
-        if (c) os << ',';
-        os << header_[c];
-      }
-      os << '\n';
-      for (const auto& row : rows_) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-          if (c) os << ',';
-          os << row[c];
-        }
-        os << '\n';
-      }
-      break;
+  const auto w = column_widths(header_, rows_);
+  for (std::size_t c = 0; c < header_.size(); ++c) {
+    if (c) os << "  ";
+    render_padded(os, header_[c], w[c]);
+  }
+  os << '\n';
+  std::size_t total = 0;
+  for (std::size_t c = 0; c < w.size(); ++c) {
+    total += w[c] + (c ? 2 : 0);
+  }
+  os << std::string(total, '-') << '\n';
+  for (const auto& row : rows_) {
+    for (std::size_t c = 0; c < row.size(); ++c) {
+      if (c) os << "  ";
+      render_padded(os, row[c], w[c]);
     }
-    case Format::markdown: {
-      os << '|';
-      for (const auto& h : header_) os << ' ' << h << " |";
-      os << "\n|";
-      for (std::size_t c = 0; c < header_.size(); ++c) os << "---|";
-      os << '\n';
-      for (const auto& row : rows_) {
-        os << '|';
-        for (const auto& cell : row) os << ' ' << cell << " |";
-        os << '\n';
-      }
-      break;
-    }
-    case Format::ascii: {
-      const auto w = column_widths(header_, rows_);
-      for (std::size_t c = 0; c < header_.size(); ++c) {
-        if (c) os << "  ";
-        render_padded(os, header_[c], w[c]);
-      }
-      os << '\n';
-      std::size_t total = 0;
-      for (std::size_t c = 0; c < w.size(); ++c) {
-        total += w[c] + (c ? 2 : 0);
-      }
-      os << std::string(total, '-') << '\n';
-      for (const auto& row : rows_) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-          if (c) os << "  ";
-          render_padded(os, row[c], w[c]);
-        }
-        os << '\n';
-      }
-      break;
-    }
+    os << '\n';
   }
   return os.str();
-}
-
-void Table::print(std::ostream& os, Format f) const { os << render(f); }
-
-std::string fmt(double v, int digits) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", digits, v);
-  return buf;
 }
 
 std::string fmt_fixed(double v, int digits) {
@@ -132,7 +90,7 @@ void Series::add(double x, std::vector<double> ys) {
   points_.emplace_back(x, std::move(ys));
 }
 
-std::string Series::render(Format f, int digits) const {
+std::string Series::render(int digits) const {
   Table t([&] {
     std::vector<std::string> header{x_name_};
     header.insert(header.end(), names_.begin(), names_.end());
@@ -143,7 +101,7 @@ std::string Series::render(Format f, int digits) const {
     for (double y : ys) row.push_back(fmt_fixed(y, digits));
     t.add_row(std::move(row));
   }
-  return t.render(f);
+  return t.render();
 }
 
 }  // namespace omv::report

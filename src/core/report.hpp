@@ -1,16 +1,12 @@
 #pragma once
-// Report rendering: ASCII / Markdown / CSV tables and series, used by every
-// bench harness to print paper-style tables and figure data.
+// Report rendering: aligned ASCII tables and series, used by every bench
+// harness to print paper-style tables and figure data.
 
 #include <cstddef>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
 namespace omv::report {
-
-/// Output format for tables and series.
-enum class Format { ascii, markdown, csv };
 
 /// A rectangular table with a header row. Cells are preformatted strings;
 /// numeric helpers below format doubles consistently.
@@ -33,19 +29,13 @@ class Table {
     return rows_;
   }
 
-  /// Renders to a string in the requested format.
-  [[nodiscard]] std::string render(Format f = Format::ascii) const;
-
-  /// Renders to a stream.
-  void print(std::ostream& os, Format f = Format::ascii) const;
+  /// Renders as space-aligned columns under a dashed rule.
+  [[nodiscard]] std::string render() const;
 
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;
 };
-
-/// Formats a double with `digits` significant decimal places.
-[[nodiscard]] std::string fmt(double v, int digits = 2);
 
 /// Formats a double in fixed notation with `digits` decimals.
 [[nodiscard]] std::string fmt_fixed(double v, int digits = 2);
@@ -65,8 +55,9 @@ class Series {
   /// Appends one x value with its series values (must match series count).
   void add(double x, std::vector<double> ys);
 
-  [[nodiscard]] std::string render(Format f = Format::ascii,
-                                   int digits = 4) const;
+  /// Renders as a Table: x in fixed notation with no decimals, each
+  /// series value with `digits` decimals.
+  [[nodiscard]] std::string render(int digits = 4) const;
 
   /// Raw data (artifact serialization: full precision, not the rendered
   /// fixed-digit strings).

@@ -8,19 +8,6 @@ void RunMatrix::add_run(std::vector<double> rep_times) {
   data_.push_back(std::move(rep_times));
 }
 
-void RunMatrix::append_runs(const RunMatrix& other) {
-  if (&other == this) {
-    // Self-append: inserting a vector's own range while it may reallocate
-    // is UB; duplicate through a copy instead.
-    std::vector<std::vector<double>> copy(data_);
-    data_.insert(data_.end(), std::make_move_iterator(copy.begin()),
-                 std::make_move_iterator(copy.end()));
-    return;
-  }
-  data_.reserve(data_.size() + other.data_.size());
-  data_.insert(data_.end(), other.data_.begin(), other.data_.end());
-}
-
 stats::Summary RunMatrix::run_summary(std::size_t r) const {
   return stats::summarize(run(r));
 }

@@ -32,13 +32,6 @@ class RunMatrix {
   /// Appends a completed run. Runs may have different repetition counts.
   void add_run(std::vector<double> rep_times);
 
-  /// Appends every run of `other` after this matrix's runs. Public merge
-  /// surface for external harnesses that split one configuration's runs
-  /// across pools or processes; run_experiment_parallel does not need it
-  /// (its tasks write into pre-sized row slots instead). The label of
-  /// `other` is ignored.
-  void append_runs(const RunMatrix& other);
-
   /// Number of runs recorded.
   [[nodiscard]] std::size_t runs() const noexcept { return data_.size(); }
   /// Repetition times of run `r`.

@@ -1,19 +1,11 @@
 #include "omp_model/worksharing.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 #include <vector>
 
 #include "omp_model/earliest_clock.hpp"
 
 namespace omv::ompsim {
-
-Schedule parse_schedule(const std::string& s) {
-  if (s == "static") return Schedule::static_;
-  if (s == "dynamic") return Schedule::dynamic;
-  if (s == "guided") return Schedule::guided;
-  throw std::invalid_argument("unknown schedule '" + s + "'");
-}
 
 const char* schedule_name(Schedule s) noexcept {
   switch (s) {

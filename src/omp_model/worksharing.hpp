@@ -20,7 +20,6 @@
 // size is closed-form and handing it to the earliest thread is O(log T).
 
 #include <cstddef>
-#include <string>
 
 #include "omp_model/team.hpp"
 
@@ -29,8 +28,7 @@ namespace omv::ompsim {
 /// Loop schedule kinds (OpenMP 5.0 `schedule` clause).
 enum class Schedule { static_, dynamic, guided };
 
-/// Parses "static" / "dynamic" / "guided".
-[[nodiscard]] Schedule parse_schedule(const std::string& s);
+/// "static" / "dynamic" / "guided".
 [[nodiscard]] const char* schedule_name(Schedule s) noexcept;
 
 /// Runs one `#pragma omp for schedule(kind, chunk)` region over

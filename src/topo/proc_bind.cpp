@@ -4,29 +4,6 @@
 
 namespace omv::topo {
 
-ProcBind parse_proc_bind(const std::string& s) {
-  if (s == "close") return ProcBind::close;
-  if (s == "spread") return ProcBind::spread;
-  if (s == "primary" || s == "master") return ProcBind::primary;
-  if (s == "none" || s == "false") return ProcBind::none;
-  if (s == "true") return ProcBind::close;  // implementation-defined; gcc uses close-like
-  throw std::invalid_argument("OMP_PROC_BIND: unknown policy '" + s + "'");
-}
-
-const char* proc_bind_name(ProcBind b) noexcept {
-  switch (b) {
-    case ProcBind::none:
-      return "none";
-    case ProcBind::close:
-      return "close";
-    case ProcBind::spread:
-      return "spread";
-    case ProcBind::primary:
-      return "primary";
-  }
-  return "?";
-}
-
 ThreadPlaceMap assign_places(std::size_t n_threads, const PlaceList& places,
                              ProcBind policy, std::size_t primary_place) {
   if (policy == ProcBind::none) return {};

@@ -7,7 +7,6 @@
 // rather than an ad-hoc placement.
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "topo/places.hpp"
@@ -17,13 +16,6 @@ namespace omv::topo {
 /// Binding policy. `none` leaves threads unbound (the paper's
 /// "before thread-pinning" configuration, where the OS may migrate them).
 enum class ProcBind { none, close, spread, primary };
-
-/// Parses "close"/"spread"/"primary"(or "master")/"none"/"true"/"false".
-/// Throws std::invalid_argument otherwise.
-[[nodiscard]] ProcBind parse_proc_bind(const std::string& s);
-
-/// Human-readable policy name.
-[[nodiscard]] const char* proc_bind_name(ProcBind b) noexcept;
 
 /// Assignment of OpenMP threads to places: result[i] is the index into the
 /// place list for OpenMP thread i. Empty when the policy is `none`.

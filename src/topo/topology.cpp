@@ -286,12 +286,4 @@ std::vector<std::size_t> Machine::cores_in_numa(std::size_t numa) const {
   return out;
 }
 
-bool Machine::same_numa(std::size_t a, std::size_t b) const {
-  return thread(a).numa == thread(b).numa;
-}
-
-bool Machine::same_socket(std::size_t a, std::size_t b) const {
-  return thread(a).socket == thread(b).socket;
-}
-
 }  // namespace omv::topo

@@ -109,16 +109,10 @@ class Machine {
   [[nodiscard]] const std::vector<CoreClass>& classes() const noexcept {
     return classes_;
   }
-  [[nodiscard]] std::size_t n_classes() const noexcept {
-    return classes_.size();
-  }
   /// Class index of physical core `core`. Throws std::out_of_range for ids
   /// >= n_cores().
   [[nodiscard]] std::size_t core_class(std::size_t core) const {
     return core_class_.at(core);
-  }
-  [[nodiscard]] double core_base_ghz(std::size_t core) const {
-    return classes_[core_class(core)].base_ghz;
   }
   [[nodiscard]] double core_max_ghz(std::size_t core) const {
     return classes_[core_class(core)].max_ghz;
@@ -159,11 +153,6 @@ class Machine {
     if (s == kNoSibling) return std::nullopt;
     return s;
   }
-
-  /// True when two HW threads live in the same NUMA domain.
-  [[nodiscard]] bool same_numa(std::size_t a, std::size_t b) const;
-  /// True when two HW threads live on the same socket.
-  [[nodiscard]] bool same_socket(std::size_t a, std::size_t b) const;
 
  private:
   void validate_and_index();

@@ -1,9 +1,13 @@
 // Unit tests for the crash-safe file helpers: atomic tmp+rename commits,
-// fault-injected torn/failed writes, and the advisory cache lease.
+// fault-injected torn/failed writes, the sweep of dead writers' temps, and
+// the advisory cache lease.
 
 #include "core/atomic_file.hpp"
 
 #include <gtest/gtest.h>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <string>
@@ -109,6 +113,34 @@ TEST_F(AtomicFileTest, UnnamedSitesAreExemptFromInjection) {
   std::string got;
   ASSERT_TRUE(read_file(path, got));
   EXPECT_EQ(got, "ok");
+}
+
+TEST_F(AtomicFileTest, OnlyTempsOfDeadWritersAreRemoved) {
+  // A reaped child's pid names no live process: the writer a SIGKILL
+  // leaves behind.
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) ::_exit(0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  const std::string dead = std::to_string(child);
+  const std::string self = std::to_string(::getpid());
+
+  const std::string names[] = {
+      "dead.csv.tmp." + dead,            // removed
+      "own.csv.tmp." + self,             // this process may rename it
+      "word.csv.tmp.abc",                // no pid
+      "trailing.csv.tmp." + dead + "x",  // not only digits
+      "near.csv.tmpx." + dead,           // not the temp separator
+  };
+  for (const auto& n : names) atomic_write_file(dir_ + "/" + n, "x");
+
+  EXPECT_EQ(remove_dead_writer_temps(dir_), 1u);
+  EXPECT_FALSE(std::filesystem::exists(dir_ + "/" + names[0]));
+  for (std::size_t i = 1; i < std::size(names); ++i) {
+    EXPECT_TRUE(std::filesystem::exists(dir_ + "/" + names[i])) << names[i];
+  }
+  EXPECT_EQ(remove_dead_writer_temps(dir_ + "/absent"), 0u);
 }
 
 // ------------------------------------------------------------------ lease

@@ -85,26 +85,10 @@ TEST(DominantPeriod, LongerPeriodDetected) {
   EXPECT_EQ(p.lag, 25u);
 }
 
-TEST(LjungBox, WhiteNoiseHighP) {
-  Rng rng(4);
-  std::vector<double> v;
-  for (int i = 0; i < 1000; ++i) v.push_back(rng.normal(0.0, 1.0));
-  EXPECT_GT(ljung_box(v).p_value, 0.01);
-}
-
-TEST(LjungBox, StructuredSeriesLowP) {
-  const auto v = periodic_series(500, 5, 20.0, 0.5, 6);
-  EXPECT_LT(ljung_box(v).p_value, 1e-4);
-}
-
-TEST(LjungBox, DegenerateInput) {
-  EXPECT_EQ(ljung_box({}).p_value, 1.0);
-}
-
 TEST(Autocorrelation, NanInputYieldsNoCorrelogram) {
   // Regression: `NaN <= 0.0` is false, so a poisoned series used to
   // produce an all-NaN correlogram that peak scans read as "no
-  // periodicity" while ljung_box reported NaN statistics.
+  // periodicity".
   std::vector<double> v;
   for (int i = 0; i < 32; ++i) v.push_back(i % 4);
   v[7] = std::numeric_limits<double>::quiet_NaN();
@@ -112,9 +96,6 @@ TEST(Autocorrelation, NanInputYieldsNoCorrelogram) {
   const auto p = dominant_period(v, 10);
   EXPECT_FALSE(p.significant);
   EXPECT_EQ(p.lag, 0u);
-  const auto lb = ljung_box(v, 10);
-  EXPECT_EQ(lb.statistic, 0.0);
-  EXPECT_EQ(lb.p_value, 1.0);
 }
 
 TEST(Autocorrelation, TinySeriesYieldNoCorrelogram) {

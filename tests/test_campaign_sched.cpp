@@ -491,8 +491,8 @@ TEST_F(CampaignSchedTest, OversizedJobsIsReportedNotFatal) {
 // committed. Every .key marker lands after its data, so a marker present
 // after the kill is a complete entry the re-run serves, and a cell without
 // one is recomputed from scratch; commits are tmp + rename, so the kill can
-// leave nothing torn behind, only "<file>.tmp.<pid>" orphans, and the
-// leases of the dead process are cleared by the re-run.
+// leave nothing torn behind, only "<file>.tmp.<pid>" orphans, which the
+// re-run removes along with the leases of the dead process.
 TEST_F(CampaignSchedTest, KilledCampaignResumesCellByCell) {
   const std::string bin = omnivar_bin();
   const auto campaign = [&](const fs::path& out, const std::string& tag) {
@@ -542,20 +542,12 @@ TEST_F(CampaignSchedTest, KilledCampaignResumesCellByCell) {
         << tag << ": " << committed << " of " << total
         << " cells were committed when the kill landed";
 
-    // Beyond the clean tree, only the killed process's temp files of a
-    // clean-tree file (or of campaign.json) may remain. Its leases are gone
-    // too: a recomputed cell retakes and releases its lease, and a hit
-    // clears the lease of a cell committed just before the kill.
-    auto got = artifact_contents(out);
-    const std::string orphan = ".tmp." + std::to_string(victim);
-    std::erase_if(got, [&](const auto& kv) {
-      const std::string& rel = kv.first;
-      if (!rel.ends_with(orphan)) return false;
-      const std::string base = rel.substr(0, rel.size() - orphan.size());
-      return base == "campaign.json" || expected.count(base) == 1;
-    });
+    // The re-run leaves exactly the clean tree: it removes the killed
+    // process's temp files before computing, a recomputed cell retakes and
+    // releases its lease, and a hit clears the lease of a cell committed
+    // just before the kill.
     SCOPED_TRACE(tag);
-    expect_same_contents(expected, got);
+    expect_same_contents(expected, artifact_contents(out));
   }
   // Kills past the end or before the first commit test nothing.
   EXPECT_GE(mid_campaign, 2u) << "committed cells per kill:" << landed

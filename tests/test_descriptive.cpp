@@ -58,36 +58,6 @@ TEST(OnlineStats, MinMaxTracking) {
   EXPECT_DOUBLE_EQ(s.max(), 10.0);
 }
 
-TEST(OnlineStats, MergeMatchesSequential) {
-  OnlineStats a;
-  OnlineStats b;
-  OnlineStats all;
-  for (int i = 0; i < 50; ++i) {
-    const double x = std::sin(i) * 10.0 + i;
-    (i % 2 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-10);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-10);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(OnlineStats, MergeWithEmpty) {
-  OnlineStats a;
-  a.add(1.0);
-  a.add(2.0);
-  OnlineStats empty;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  OnlineStats c;
-  c.merge(a);
-  EXPECT_EQ(c.count(), 2u);
-  EXPECT_DOUBLE_EQ(c.mean(), 1.5);
-}
-
 TEST(OnlineStats, NumericallyStableNearConstant) {
   OnlineStats s;
   for (int i = 0; i < 100000; ++i) s.add(1e9 + (i % 2) * 1e-3);
@@ -149,18 +119,6 @@ TEST(Mad, RobustToOneOutlier) {
   v.back() = 5000.0;
   EXPECT_NEAR(mad(v), base, 1.5);  // still the same order of magnitude
 }
-
-TEST(Geomean, KnownValue) {
-  const std::vector<double> v{1.0, 4.0, 16.0};
-  EXPECT_NEAR(geomean(v), 4.0, 1e-12);
-}
-
-TEST(Geomean, SkipsNonPositive) {
-  const std::vector<double> v{-1.0, 0.0, 4.0, 4.0};
-  EXPECT_NEAR(geomean(v), 4.0, 1e-12);
-}
-
-TEST(Geomean, EmptyReturnsZero) { EXPECT_EQ(geomean({}), 0.0); }
 
 TEST(Summarize, EmptySample) {
   const auto s = summarize({});
@@ -255,12 +213,6 @@ TEST(NanRobustness, PercentilePropagatesNan) {
 TEST(NanRobustness, MadPropagatesNan) {
   const std::vector<double> v{1.0, 2.0, kNan};
   EXPECT_TRUE(std::isnan(mad(v)));
-}
-
-TEST(NanRobustness, GeomeanPropagatesNanButSkipsNonPositive) {
-  EXPECT_TRUE(std::isnan(geomean(std::vector<double>{1.0, kNan})));
-  // Non-positive values are skipped by design (documented behavior).
-  EXPECT_DOUBLE_EQ(geomean(std::vector<double>{-5.0, 0.0, 4.0, 9.0}), 6.0);
 }
 
 TEST(NanRobustness, SummarizePoisonsEveryMoment) {

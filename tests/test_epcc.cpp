@@ -45,12 +45,5 @@ TEST(CalibrateInnerreps, ClampsToBounds) {
   EXPECT_EQ(calibrate_innerreps(0.0, 1000.0), 1000u);  // degenerate guard
 }
 
-TEST(OverheadUs, EpccDefinition) {
-  // 100 instances took 1500us, reference payload is 10us/instance:
-  // overhead = 15 - 10 = 5us.
-  EXPECT_DOUBLE_EQ(overhead_us(1500.0, 100, 10.0), 5.0);
-  EXPECT_DOUBLE_EQ(overhead_us(1500.0, 0, 10.0), 0.0);
-}
-
 }  // namespace
 }  // namespace omv::bench

@@ -345,6 +345,8 @@ TEST(ParallelRunner, MatchesSerialBitIdentical) {
   }
 }
 
+// A one-worker executor runs each protocol run inline, in order: it is the
+// serial program, and a wider pool must reproduce its matrix exactly.
 TEST(ParallelRunner, SimSyncBenchParallelMatchesSerial) {
   sim::Simulator s(topo::Machine::vera(), sim::SimConfig::vera());
   ompsim::TeamConfig team;
@@ -354,10 +356,12 @@ TEST(ParallelRunner, SimSyncBenchParallelMatchesSerial) {
   spec.runs = 4;
   spec.reps = 5;
   spec.seed = 99;
-  const auto serial = sb.run_protocol(bench::SyncConstruct::reduction, spec);
-  Executor ex(3);
+  Executor one(1);
+  Executor three(3);
+  const auto serial =
+      sb.run_protocol(bench::SyncConstruct::reduction, spec, one);
   const auto parallel =
-      sb.run_protocol(bench::SyncConstruct::reduction, spec, ex);
+      sb.run_protocol(bench::SyncConstruct::reduction, spec, three);
   expect_bit_identical(serial, parallel);
 }
 
@@ -437,30 +441,6 @@ TEST(ParallelRunner, ResolveJobs) {
   EXPECT_GE(core::resolve_jobs(0), 1u);
   EXPECT_EQ(core::resolve_jobs(1), 1u);
   EXPECT_EQ(core::resolve_jobs(7), 7u);
-}
-
-TEST(RunMatrix, AppendRunsMergesShards) {
-  RunMatrix a("shard");
-  a.add_run({1.0, 2.0});
-  RunMatrix b("ignored-label");
-  b.add_run({3.0, 4.0});
-  b.add_run({5.0});
-  a.append_runs(b);
-  ASSERT_EQ(a.runs(), 3u);
-  EXPECT_EQ(a.label(), "shard");
-  EXPECT_EQ(a.run(1)[0], 3.0);
-  EXPECT_EQ(a.run(2)[0], 5.0);
-}
-
-TEST(RunMatrix, SelfAppendDuplicatesRuns) {
-  RunMatrix m("self");
-  m.add_run({1.0});
-  m.add_run({2.0, 3.0});
-  m.append_runs(m);
-  ASSERT_EQ(m.runs(), 4u);
-  EXPECT_EQ(m.run(2)[0], 1.0);
-  EXPECT_EQ(m.run(3)[0], 2.0);
-  EXPECT_EQ(m.run(3)[1], 3.0);
 }
 
 TEST(Deadline, DisarmedByDefault) {

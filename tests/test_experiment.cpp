@@ -36,21 +36,6 @@ TEST(Experiment, WarmupsAreDiscarded) {
   EXPECT_EQ(m.run(0).size(), 3u);
 }
 
-TEST(Experiment, HooksCalledPerRun) {
-  ExperimentSpec spec;
-  spec.runs = 3;
-  spec.reps = 1;
-  spec.warmup = 0;
-  std::vector<std::size_t> before;
-  std::vector<std::size_t> after;
-  RunHooks hooks;
-  hooks.before_run = [&](std::size_t r, std::uint64_t) { before.push_back(r); };
-  hooks.after_run = [&](std::size_t r) { after.push_back(r); };
-  (void)run_experiment(spec, [](const RepContext&) { return 0.0; }, hooks);
-  EXPECT_EQ(before, (std::vector<std::size_t>{0, 1, 2}));
-  EXPECT_EQ(after, (std::vector<std::size_t>{0, 1, 2}));
-}
-
 TEST(Experiment, RunSeedsAreDistinctAndStable) {
   const auto s0 = derive_run_seed(42, 0);
   const auto s1 = derive_run_seed(42, 1);

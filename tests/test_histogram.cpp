@@ -39,12 +39,6 @@ TEST(Histogram, DegenerateRangeWidens) {
   EXPECT_EQ(h.total(), 1u);
 }
 
-TEST(Histogram, BinCenters) {
-  Histogram h(0.0, 10.0, 10);
-  EXPECT_DOUBLE_EQ(h.bin_center(0), 0.5);
-  EXPECT_DOUBLE_EQ(h.bin_center(9), 9.5);
-}
-
 TEST(Histogram, FromDataSpansRange) {
   const std::vector<double> v{1.0, 2.0, 3.0, 4.0};
   const auto h = Histogram::from_data(v, 3);
@@ -77,14 +71,6 @@ TEST(Histogram, SmoothedSpreadsPeaks) {
   EXPECT_GT(sm[6], 0.0);
   EXPECT_DOUBLE_EQ(sm[3], 0.0);
   EXPECT_DOUBLE_EQ(sm[7], 0.0);
-}
-
-TEST(Histogram, SparklineLengthMatchesBins) {
-  Histogram h(0.0, 1.0, 8);
-  h.add(0.5);
-  const auto s = h.sparkline();
-  // UTF-8 glyphs are 3 bytes (or 1 for space): at least 8 chars logically.
-  EXPECT_FALSE(s.empty());
 }
 
 TEST(SturgesBins, KnownValues) {

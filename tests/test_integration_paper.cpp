@@ -9,6 +9,7 @@
 #include "bench_suite/stream_sim.hpp"
 #include "bench_suite/syncbench_sim.hpp"
 #include "core/characterize.hpp"
+#include "core/executor.hpp"
 #include "core/stat_tests.hpp"
 
 namespace omv {
@@ -21,6 +22,12 @@ ompsim::TeamConfig cfg(std::size_t threads, const std::string& places = "",
   if (!places.empty()) c.places_spec = places;
   c.bind = bind;
   return c;
+}
+
+// A one-worker executor: every protocol run executes inline, in order.
+core::Executor& one_worker() {
+  static core::Executor executor(1);
+  return executor;
 }
 
 ExperimentSpec spec(std::uint64_t seed, std::size_t runs = 6,
@@ -43,7 +50,8 @@ TEST(Paper, Fig1SyncbenchTimeGrowsWithThreads) {
   for (std::size_t t : {4u, 16u, 64u, 128u}) {
     bench::SimSyncBench sb(s, cfg(t));
     const auto m =
-        sb.run_protocol(bench::SyncConstruct::reduction, spec(100 + t, 3, 10));
+        sb.run_protocol(bench::SyncConstruct::reduction, spec(100 + t, 3, 10),
+                        one_worker());
     const double per_instance =
         m.grand_mean() /
         static_cast<double>(sb.innerreps(bench::SyncConstruct::reduction));
@@ -71,9 +79,11 @@ TEST(Paper, Fig1SmtEngagementJumpOnDardel) {
   bench::SimSyncBench b128(s, cfg(128));
   bench::SimSyncBench b254(s, cfg(254));
   const auto m128 =
-      b128.run_protocol(bench::SyncConstruct::reduction, spec(7, 3, 10));
+      b128.run_protocol(bench::SyncConstruct::reduction, spec(7, 3, 10),
+                        one_worker());
   const auto m254 =
-      b254.run_protocol(bench::SyncConstruct::reduction, spec(7, 3, 10));
+      b254.run_protocol(bench::SyncConstruct::reduction, spec(7, 3, 10),
+                        one_worker());
   const double per128 =
       m128.grand_mean() /
       static_cast<double>(b128.innerreps(bench::SyncConstruct::reduction));
@@ -89,7 +99,8 @@ TEST(Paper, Fig2StreamScalesDown) {
   for (std::size_t t : {2u, 16u, 128u}) {
     bench::SimStream st(s, cfg(t));
     const auto m =
-        st.run_protocol(bench::StreamKernel::triad, spec(200 + t, 3, 8));
+        st.run_protocol(bench::StreamKernel::triad, spec(200 + t, 3, 8),
+                        one_worker());
     const double mean = m.grand_mean();
     EXPECT_LT(mean, prev * 1.02) << t;
     prev = mean;
@@ -102,7 +113,8 @@ TEST(Paper, Fig3VariabilityGrowsWithThreadCountForSyncbench) {
   auto spread_at = [&](std::size_t t) {
     bench::SimSyncBench sb(s, cfg(t));
     const auto m =
-        sb.run_protocol(bench::SyncConstruct::reduction, spec(300, 8, 30));
+        sb.run_protocol(bench::SyncConstruct::reduction, spec(300, 8, 30),
+                        one_worker());
     double worst = 0.0;
     for (std::size_t r = 0; r < m.runs(); ++r) {
       worst = std::max(worst, m.run_norm_max(r) - m.run_norm_min(r));
@@ -118,10 +130,12 @@ TEST(Paper, SchedbenchLeastSensitiveToScale) {
   sim::Simulator s(topo::Machine::dardel(), sim::SimConfig::dardel());
   bench::SimSchedBench sched(s, cfg(128));
   const auto ms =
-      sched.run_protocol(ompsim::Schedule::dynamic, 1, spec(400, 4, 5));
+      sched.run_protocol(ompsim::Schedule::dynamic, 1, spec(400, 4, 5),
+                         one_worker());
   bench::SimSyncBench sync(s, cfg(128));
   const auto my =
-      sync.run_protocol(bench::SyncConstruct::reduction, spec(400, 4, 30));
+      sync.run_protocol(bench::SyncConstruct::reduction, spec(400, 4, 30),
+                        one_worker());
   const auto ss = ms.pooled_summary();
   const auto sy = my.pooled_summary();
   EXPECT_LT(ss.cv, sy.cv + 0.05);
@@ -134,10 +148,12 @@ TEST(Paper, Fig4PinningRemovesRunToRunVariability) {
   const auto sp = spec(500, 8, 25);
 
   bench::SimSyncBench pinned(s, cfg(128, "", topo::ProcBind::close));
-  const auto mp = pinned.run_protocol(bench::SyncConstruct::reduction, sp);
+  const auto mp =
+      pinned.run_protocol(bench::SyncConstruct::reduction, sp, one_worker());
 
   bench::SimSyncBench unpinned(s, cfg(128, "", topo::ProcBind::none));
-  const auto mu = unpinned.run_protocol(bench::SyncConstruct::reduction, sp);
+  const auto mu =
+      unpinned.run_protocol(bench::SyncConstruct::reduction, sp, one_worker());
 
   EXPECT_LT(mp.run_to_run_cv(), mu.run_to_run_cv());
   // Brown-Forsythe confirms the variance difference is significant.
@@ -149,7 +165,8 @@ TEST(Paper, Fig4UnpinnedSyncbenchSpansOrdersOfMagnitude) {
   sim::Simulator s(topo::Machine::dardel(), sim::SimConfig::dardel());
   bench::SimSyncBench unpinned(s, cfg(128, "", topo::ProcBind::none));
   const auto m =
-      unpinned.run_protocol(bench::SyncConstruct::reduction, spec(600, 8, 30));
+      unpinned.run_protocol(bench::SyncConstruct::reduction, spec(600, 8, 30),
+                            one_worker());
   const auto su = m.pooled_summary();
   EXPECT_GT(su.max / su.min, 50.0);
 }
@@ -158,7 +175,8 @@ TEST(Paper, Fig4UnpinnedIsHeavyTailedOrBimodal) {
   sim::Simulator s(topo::Machine::dardel(), sim::SimConfig::dardel());
   bench::SimSyncBench unpinned(s, cfg(128, "", topo::ProcBind::none));
   const auto m =
-      unpinned.run_protocol(bench::SyncConstruct::reduction, spec(700, 8, 30));
+      unpinned.run_protocol(bench::SyncConstruct::reduction, spec(700, 8, 30),
+                            one_worker());
   const auto c = characterize(m);
   EXPECT_TRUE(c.has(Signature::heavy_tail) || c.has(Signature::bimodal) ||
               c.has(Signature::jittery))
@@ -170,8 +188,10 @@ TEST(Paper, Fig4PinningHelpsStreamToo) {
   const auto sp = spec(800, 6, 20);
   bench::SimStream pinned(s, cfg(128, "", topo::ProcBind::close));
   bench::SimStream unpinned(s, cfg(128, "", topo::ProcBind::none));
-  const auto mp = pinned.run_protocol(bench::StreamKernel::copy, sp);
-  const auto mu = unpinned.run_protocol(bench::StreamKernel::copy, sp);
+  const auto mp =
+      pinned.run_protocol(bench::StreamKernel::copy, sp, one_worker());
+  const auto mu =
+      unpinned.run_protocol(bench::StreamKernel::copy, sp, one_worker());
   EXPECT_LT(mp.pooled_summary().norm_max(), mu.pooled_summary().norm_max());
 }
 
@@ -183,8 +203,10 @@ TEST(Paper, Fig5MtNoisierThanStForSyncbench) {
   // ST: 32 threads on 32 distinct cores. MT: 32 threads on 16 cores.
   bench::SimSyncBench st(s, cfg(32, "{0}:32:1"));
   bench::SimSyncBench mt(s, cfg(32, "{0}:16:1,{128}:16:1"));
-  const auto ms = st.run_protocol(bench::SyncConstruct::reduction, sp);
-  const auto mm = mt.run_protocol(bench::SyncConstruct::reduction, sp);
+  const auto ms =
+      st.run_protocol(bench::SyncConstruct::reduction, sp, one_worker());
+  const auto mm =
+      mt.run_protocol(bench::SyncConstruct::reduction, sp, one_worker());
   // Every run's CV is higher under MT on average; compare pooled CV.
   EXPECT_GT(mm.pooled_summary().cv, ms.pooled_summary().cv * 2.0);
 }
@@ -199,8 +221,10 @@ TEST(Paper, Fig5StAbsorbsNoiseThroughIdleSiblings) {
   const auto sp = spec(1000, 4, 20);
   bench::SimSyncBench st(s, cfg(128, "{0}:128:1"));
   bench::SimSyncBench mt(s, cfg(128, "{0}:64:1,{128}:64:1"));
-  const auto ms = st.run_protocol(bench::SyncConstruct::barrier, sp);
-  const auto mm = mt.run_protocol(bench::SyncConstruct::barrier, sp);
+  const auto ms =
+      st.run_protocol(bench::SyncConstruct::barrier, sp, one_worker());
+  const auto mm =
+      mt.run_protocol(bench::SyncConstruct::barrier, sp, one_worker());
   EXPECT_GT(mm.pooled_summary().cv, ms.pooled_summary().cv);
 }
 
@@ -211,8 +235,8 @@ TEST(Paper, Fig5StreamIndifferentAtLowThreadCounts) {
   const auto sp = spec(1100, 4, 10);
   bench::SimStream st(s, cfg(8, "{0}:8:1"));
   bench::SimStream mt(s, cfg(8, "{0}:4:1,{128}:4:1"));
-  const auto ms = st.run_protocol(bench::StreamKernel::triad, sp);
-  const auto mm = mt.run_protocol(bench::StreamKernel::triad, sp);
+  const auto ms = st.run_protocol(bench::StreamKernel::triad, sp, one_worker());
+  const auto mm = mt.run_protocol(bench::StreamKernel::triad, sp, one_worker());
   // Means within 2x of each other (no dramatic ST win at small scale).
   EXPECT_LT(mm.grand_mean() / ms.grand_mean(), 2.0);
 }
@@ -226,9 +250,9 @@ TEST(Paper, Fig6CrossNumaShowsMoreVariabilityOnVera) {
   bench::SimSchedBench within(s, cfg(16, "{0}:16:1"));
   bench::SimSchedBench across(s, cfg(16, "{0}:8:1,{16}:8:1"));
   const auto mw =
-      within.run_protocol(ompsim::Schedule::static_, 1, sp);
+      within.run_protocol(ompsim::Schedule::static_, 1, sp, one_worker());
   const auto ma =
-      across.run_protocol(ompsim::Schedule::static_, 1, sp);
+      across.run_protocol(ompsim::Schedule::static_, 1, sp, one_worker());
   EXPECT_GT(ma.pooled_summary().cv, mw.pooled_summary().cv);
 }
 
@@ -239,8 +263,10 @@ TEST(Paper, Fig7SyncbenchCrossNumaMirrorsSchedbench) {
   const auto sp = spec(1300, 6, 25);
   bench::SimSyncBench within(s, cfg(16, "{0}:16:1"));
   bench::SimSyncBench across(s, cfg(16, "{0}:8:1,{16}:8:1"));
-  const auto mw = within.run_protocol(bench::SyncConstruct::reduction, sp);
-  const auto ma = across.run_protocol(bench::SyncConstruct::reduction, sp);
+  const auto mw =
+      within.run_protocol(bench::SyncConstruct::reduction, sp, one_worker());
+  const auto ma =
+      across.run_protocol(bench::SyncConstruct::reduction, sp, one_worker());
   EXPECT_GT(ma.pooled_summary().cv, mw.pooled_summary().cv * 0.9);
   EXPECT_GT(ma.grand_mean(), mw.grand_mean());
 }
@@ -273,13 +299,15 @@ TEST(Paper, Table2RunLevelOutlierAppearsAtScaleNotAtFourThreads) {
   for (std::uint64_t seed = 1; seed <= 6 && !found_outlier_at_scale; ++seed) {
     bench::SimSchedBench big(s, cfg(254));
     const auto mb =
-        big.run_protocol(ompsim::Schedule::dynamic, 1, spec(seed, 10, 3));
+        big.run_protocol(ompsim::Schedule::dynamic, 1, spec(seed, 10, 3),
+                         one_worker());
     if (mb.run_mean_spread() > 1.05) {
       found_outlier_at_scale = true;
       // Same seed at 4 threads: tight (cap is load-gated).
       bench::SimSchedBench small(s, cfg(4));
       const auto msm =
-          small.run_protocol(ompsim::Schedule::dynamic, 1, spec(seed, 10, 3));
+          small.run_protocol(ompsim::Schedule::dynamic, 1, spec(seed, 10, 3),
+                             one_worker());
       EXPECT_LT(msm.run_mean_spread(), 1.01);
     }
   }

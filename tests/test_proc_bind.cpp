@@ -17,24 +17,6 @@ PlaceList simple_places(std::size_t n) {
   return p;
 }
 
-TEST(ParseProcBind, AllSpellings) {
-  EXPECT_EQ(parse_proc_bind("close"), ProcBind::close);
-  EXPECT_EQ(parse_proc_bind("spread"), ProcBind::spread);
-  EXPECT_EQ(parse_proc_bind("primary"), ProcBind::primary);
-  EXPECT_EQ(parse_proc_bind("master"), ProcBind::primary);
-  EXPECT_EQ(parse_proc_bind("none"), ProcBind::none);
-  EXPECT_EQ(parse_proc_bind("false"), ProcBind::none);
-  EXPECT_EQ(parse_proc_bind("true"), ProcBind::close);
-  EXPECT_THROW(static_cast<void>(parse_proc_bind("sideways")), std::invalid_argument);
-}
-
-TEST(ProcBindName, Names) {
-  EXPECT_STREQ(proc_bind_name(ProcBind::close), "close");
-  EXPECT_STREQ(proc_bind_name(ProcBind::spread), "spread");
-  EXPECT_STREQ(proc_bind_name(ProcBind::primary), "primary");
-  EXPECT_STREQ(proc_bind_name(ProcBind::none), "none");
-}
-
 TEST(AssignPlaces, NoneReturnsEmpty) {
   EXPECT_TRUE(assign_places(4, simple_places(8), ProcBind::none).empty());
 }

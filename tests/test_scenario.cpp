@@ -142,7 +142,7 @@ TEST(ScenarioAsymmetric, BigLittleComposesIntoOneHeterogeneousMachine) {
   EXPECT_EQ(m.max_smt_per_core(), 2u);
   EXPECT_EQ(m.smt_of_core(0), 2u);  // P
   EXPECT_EQ(m.smt_of_core(4), 1u);  // E
-  ASSERT_EQ(m.n_classes(), 2u);
+  ASSERT_EQ(m.classes().size(), 2u);
   EXPECT_EQ(m.classes()[0].name, "P");
   EXPECT_EQ(m.classes()[1].name, "E");
   EXPECT_EQ(m.core_class(0), 0u);

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/executor.hpp"
+
 namespace omv::bench {
 namespace {
 
@@ -12,6 +14,12 @@ ompsim::TeamConfig team_cfg(std::size_t threads) {
   cfg.n_threads = threads;
   cfg.bind = topo::ProcBind::close;
   return cfg;
+}
+
+// A one-worker executor: every protocol run executes inline, in order.
+core::Executor& one_worker() {
+  static core::Executor executor(1);
+  return executor;
 }
 
 ExperimentSpec quick_spec(std::uint64_t seed, std::size_t runs = 3,
@@ -58,13 +66,15 @@ TEST(SimSchedBench, Table2DardelCalibration) {
   {
     SimSchedBench sb(s, team_cfg(4));
     const auto m =
-        sb.run_protocol(ompsim::Schedule::dynamic, 1, quick_spec(2));
+        sb.run_protocol(ompsim::Schedule::dynamic, 1, quick_spec(2),
+                        one_worker());
     EXPECT_NEAR(m.pooled_summary().median, 124000.0, 6000.0);
   }
   {
     SimSchedBench sb(s, team_cfg(254));
     const auto m =
-        sb.run_protocol(ompsim::Schedule::dynamic, 1, quick_spec(2));
+        sb.run_protocol(ompsim::Schedule::dynamic, 1, quick_spec(2),
+                        one_worker());
     EXPECT_NEAR(m.pooled_summary().median, 154200.0, 10000.0);
   }
 }
@@ -76,13 +86,15 @@ TEST(SimSchedBench, Table2VeraCalibration) {
   {
     SimSchedBench sb(s, team_cfg(4));
     const auto m =
-        sb.run_protocol(ompsim::Schedule::dynamic, 1, quick_spec(3));
+        sb.run_protocol(ompsim::Schedule::dynamic, 1, quick_spec(3),
+                        one_worker());
     EXPECT_NEAR(m.pooled_summary().median, 136500.0, 7000.0);
   }
   {
     SimSchedBench sb(s, team_cfg(30));
     const auto m =
-        sb.run_protocol(ompsim::Schedule::dynamic, 1, quick_spec(3));
+        sb.run_protocol(ompsim::Schedule::dynamic, 1, quick_spec(3),
+                        one_worker());
     EXPECT_NEAR(m.pooled_summary().median, 164700.0, 10000.0);
   }
 }
@@ -146,10 +158,26 @@ TEST(SimSchedBench, ProtocolDeterministic) {
   SimSchedBench a(s1, team_cfg(8));
   SimSchedBench b(s2, team_cfg(8));
   const auto ma = a.run_protocol(ompsim::Schedule::guided, 1,
-                                 quick_spec(5, 2, 3));
+                                 quick_spec(5, 2, 3), one_worker());
   const auto mb = b.run_protocol(ompsim::Schedule::guided, 1,
-                                 quick_spec(5, 2, 3));
+                                 quick_spec(5, 2, 3), one_worker());
   EXPECT_DOUBLE_EQ(ma.pooled_summary().mean, mb.pooled_summary().mean);
+}
+
+// Each run's whole state derives from its run seed, so the matrix is the
+// same bytes at one and four workers.
+TEST(SimSchedBench, ShardedProtocolIsWidthInvariant) {
+  sim::Simulator s(topo::Machine::vera(), sim::SimConfig::vera());
+  SimSchedBench sb(s, team_cfg(8));
+  core::Executor four_workers(4);
+  const auto spec = quick_spec(13, 4, 3);
+  for (const auto kind :
+       {ompsim::Schedule::dynamic, ompsim::Schedule::guided}) {
+    const auto serial = sb.run_protocol(kind, 1, spec, one_worker());
+    const auto sharded = sb.run_protocol(kind, 1, spec, four_workers);
+    ASSERT_EQ(serial.runs(), 4u);
+    EXPECT_EQ(sharded.rows(), serial.rows()) << ompsim::schedule_name(kind);
+  }
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/executor.hpp"
+
 namespace omv::bench {
 namespace {
 
@@ -13,6 +15,12 @@ ompsim::TeamConfig team_cfg(std::size_t threads,
   cfg.n_threads = threads;
   cfg.bind = bind;
   return cfg;
+}
+
+// A one-worker executor: every protocol run executes inline, in order.
+core::Executor& one_worker() {
+  static core::Executor executor(1);
+  return executor;
 }
 
 TEST(StreamKernels, NamesAndTraffic) {
@@ -62,28 +70,6 @@ TEST(SimStream, DotAddsReductionCost) {
   EXPECT_GT(dot, copy);  // same traffic + reduction tree
 }
 
-TEST(SimStream, RunKernelMinAvgMaxOrdering) {
-  sim::Simulator s(topo::Machine::vera(), sim::SimConfig::vera());
-  SimStream st(s, team_cfg(8));
-  ompsim::SimTeam team(s, team_cfg(8), 1);
-  team.begin_run(7);
-  const auto r = st.run_kernel(team, StreamKernel::add, 20);
-  EXPECT_LE(r.min_s, r.avg_s);
-  EXPECT_LE(r.avg_s, r.max_s);
-  EXPECT_GT(r.min_s, 0.0);
-  EXPECT_LE(r.norm_min(), 1.0);
-  EXPECT_GE(r.norm_max(), 1.0);
-}
-
-TEST(SimStream, ZeroRepsSafe) {
-  sim::Simulator s(topo::Machine::vera(), sim::SimConfig::ideal());
-  SimStream st(s, team_cfg(4));
-  ompsim::SimTeam team(s, team_cfg(4), 1);
-  team.begin_run(1);
-  const auto r = st.run_kernel(team, StreamKernel::copy, 0);
-  EXPECT_EQ(r.avg_s, 0.0);
-}
-
 TEST(SimStream, PinningTightensNormalizedSpread) {
   // Fig. 4 third column: unpinned BabelStream shows a much wider
   // min/max spread than pinned.
@@ -94,10 +80,11 @@ TEST(SimStream, PinningTightensNormalizedSpread) {
   spec.seed = 17;
 
   SimStream pinned(s, team_cfg(128, topo::ProcBind::close));
-  const auto mp = pinned.run_protocol(StreamKernel::triad, spec);
+  const auto mp = pinned.run_protocol(StreamKernel::triad, spec, one_worker());
 
   SimStream unpinned(s, team_cfg(128, topo::ProcBind::none));
-  const auto mu = unpinned.run_protocol(StreamKernel::triad, spec);
+  const auto mu =
+      unpinned.run_protocol(StreamKernel::triad, spec, one_worker());
 
   const auto sp = mp.pooled_summary();
   const auto su = mu.pooled_summary();
@@ -113,20 +100,39 @@ TEST(SimStream, ProtocolDeterministic) {
   spec.seed = 9;
   SimStream a(s1, team_cfg(8));
   SimStream b(s2, team_cfg(8));
-  const auto ma = a.run_protocol(StreamKernel::mul, spec);
-  const auto mb = b.run_protocol(StreamKernel::mul, spec);
+  const auto ma = a.run_protocol(StreamKernel::mul, spec, one_worker());
+  const auto mb = b.run_protocol(StreamKernel::mul, spec, one_worker());
   EXPECT_DOUBLE_EQ(ma.pooled_summary().mean, mb.pooled_summary().mean);
+}
+
+// Each run's whole state derives from its run seed, so the matrix is the
+// same bytes at one and four workers.
+TEST(SimStream, ShardedProtocolIsWidthInvariant) {
+  sim::Simulator s(topo::Machine::dardel(), sim::SimConfig::dardel());
+  SimStream st(s, team_cfg(16, topo::ProcBind::none));
+  core::Executor four_workers(4);
+  ExperimentSpec spec;
+  spec.runs = 4;
+  spec.reps = 5;
+  spec.seed = 23;
+  for (const auto k : {StreamKernel::triad, StreamKernel::dot}) {
+    const auto serial = st.run_protocol(k, spec, one_worker());
+    const auto sharded = st.run_protocol(k, spec, four_workers);
+    ASSERT_EQ(serial.runs(), 4u);
+    EXPECT_EQ(sharded.rows(), serial.rows()) << stream_kernel_name(k);
+  }
 }
 
 TEST(SimStream, BandwidthPlausible) {
   // 128 pinned Dardel threads on triad: total bandwidth should land in the
   // hundreds of GB/s (8 domains x ~48 GB/s).
   sim::Simulator s(topo::Machine::dardel(), sim::SimConfig::ideal());
-  SimStream st(s, team_cfg(128));
+  const std::size_t elems = std::size_t{1} << 25;
+  SimStream st(s, team_cfg(128), elems);
   ompsim::SimTeam team(s, team_cfg(128), 1);
   team.begin_run(1);
   const double t = st.kernel_time_s(team, StreamKernel::triad);
-  const double bytes = static_cast<double>(st.array_elems()) *
+  const double bytes = static_cast<double>(elems) *
                        stream_bytes_per_elem(StreamKernel::triad);
   const double gbps = bytes / t / 1e9;
   EXPECT_GT(gbps, 150.0);

@@ -130,14 +130,6 @@ TEST(Machine, PrimaryThreads) {
   EXPECT_FALSE(p.contains(128));
 }
 
-TEST(Machine, SameNumaSocketPredicates) {
-  const auto m = Machine::dardel();
-  EXPECT_TRUE(m.same_numa(0, 15));
-  EXPECT_FALSE(m.same_numa(0, 16));
-  EXPECT_TRUE(m.same_socket(0, 63));
-  EXPECT_FALSE(m.same_socket(0, 64));
-}
-
 TEST(Machine, UniformValidation) {
   EXPECT_THROW(Machine::uniform("x", 0, 1, 1, 1), std::invalid_argument);
   EXPECT_THROW(Machine::uniform("x", 1, 1, 1, 0), std::invalid_argument);
@@ -193,19 +185,19 @@ TEST(Machine, MixedSmtPerCoreQueries) {
 
 TEST(Machine, MixedCoreClassQueries) {
   const Machine m = mixed_machine();
-  ASSERT_EQ(m.n_classes(), 2u);
+  ASSERT_EQ(m.classes().size(), 2u);
   EXPECT_EQ(m.classes()[0].name, "P");
   EXPECT_EQ(m.classes()[1].name, "E");
   EXPECT_EQ(m.core_class(0), 0u);
   EXPECT_EQ(m.core_class(3), 1u);
   EXPECT_DOUBLE_EQ(m.core_max_ghz(0), 3.8);
   EXPECT_DOUBLE_EQ(m.core_max_ghz(2), 2.6);
-  EXPECT_DOUBLE_EQ(m.core_base_ghz(2), 1.8);
+  EXPECT_DOUBLE_EQ(m.classes()[m.core_class(2)].base_ghz, 1.8);
   // Machine-wide range spans the classes: lowest base, highest boost.
   EXPECT_DOUBLE_EQ(m.base_ghz(), 1.8);
   EXPECT_DOUBLE_EQ(m.max_ghz(), 3.8);
   // Homogeneous machines have exactly one implicit class.
-  EXPECT_EQ(Machine::vera().n_classes(), 1u);
+  EXPECT_EQ(Machine::vera().classes().size(), 1u);
   EXPECT_EQ(Machine::vera().core_class(5), 0u);
 }
 
