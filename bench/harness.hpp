@@ -9,10 +9,10 @@
 // override explicitly.
 //
 // Protocol runs are sharded onto the campaign's executor (ctx.executor(),
-// --jobs N / OMNIVAR_JOBS). Results are bit-identical at every width
-// because each run derives its entire state from its run seed. With --out
-// DIR, every protocol cell persists through the spec-hash result cache and
-// the harness emits a JSON artifact (cli/campaign.hpp).
+// --jobs N). Results are bit-identical at every width because each run
+// derives its entire state from its run seed. With --out DIR, every
+// protocol cell persists through the spec-hash result cache and the
+// harness emits a JSON artifact (cli/campaign.hpp).
 
 #include <algorithm>
 #include <cstdio>
@@ -104,8 +104,8 @@ inline Platform vera() {
 }
 
 /// The platforms this invocation contrasts: the paper's Dardel+Vera pair
-/// by default, the single selected scenario under --scenario /
-/// OMNIVAR_SCENARIO. Each is recorded into the artifact's provenance.
+/// by default, the single selected scenario under --scenario. Each is
+/// recorded into the artifact's provenance.
 inline std::vector<Platform> platforms(cli::RunContext& ctx) {
   std::vector<Platform> out;
   if (const auto* s = ctx.scenario()) {
@@ -135,9 +135,9 @@ inline Platform freq_session_platform(cli::RunContext& ctx) {
   return p;
 }
 
-/// True when a --scenario / OMNIVAR_SCENARIO selection replaced the paper
-/// defaults (harnesses derive generic team sizes instead of the paper's
-/// hand-picked ladders).
+/// True when a --scenario selection replaced the paper defaults
+/// (harnesses derive generic team sizes instead of the paper's hand-picked
+/// ladders).
 inline bool scenario_mode(const cli::RunContext& ctx) {
   return ctx.scenario() != nullptr;
 }

@@ -79,12 +79,6 @@ std::string_view engine_version() {
   return kEngineVersion;
 }
 
-void RunContext::configure_supervision(std::size_t retries,
-                                       std::chrono::milliseconds timeout) {
-  supervision_.retries = retries;
-  supervision_.timeout = timeout;
-}
-
 void RunContext::note_platform(const std::string& name,
                                const std::string& fingerprint) {
   for (const auto& [n, f] : platforms_) {
@@ -437,9 +431,8 @@ void print_usage(const char* argv0) {
                "(repeatable)\n"
                "  --jobs N     run units and protocol runs on N workers "
                "(0 = one per\n"
-               "               hardware thread, at most %zu; default: "
-               "OMNIVAR_JOBS,\n"
-               "               else 1 — serial);\n"
+               "               hardware thread, at most %zu; default: 1 — "
+               "serial);\n"
                "               output is replayed in registry x scenario "
                "order, so\n"
                "               stdout/artifacts/cache are byte-identical "
@@ -447,14 +440,14 @@ void print_usage(const char* argv0) {
                "  --cell-jobs N\n"
                "               deprecated alias: the width is the larger of "
                "--jobs and\n"
-               "               --cell-jobs (default: OMNIVAR_CELL_JOBS)\n"
+               "               --cell-jobs\n"
                "  --scenario S run on scenario S: a catalog name or a "
                "scenario-file\n"
                "               path (repeatable: the campaign fans out "
                "over every\n"
-               "               listed scenario; default: OMNIVAR_SCENARIO, "
-               "else the\n"
-               "               paper's Dardel+Vera pair)\n"
+               "               listed scenario; default: the paper's "
+               "Dardel+Vera\n"
+               "               pair)\n"
                "  --scenario-set FILE\n"
                "               append scenario selectors from FILE (one "
                "per line,\n"
@@ -473,17 +466,18 @@ void print_usage(const char* argv0) {
                "  --retry-cells N\n"
                "               retry a failing protocol cell N times (seeded\n"
                "               exponential backoff) before quarantining it\n"
-               "               (default: OMNIVAR_RETRY_CELLS, else 0)\n"
+               "               (default: 0)\n"
                "  --cell-timeout MS\n"
                "               per-cell wall-clock budget, enforced "
                "cooperatively at\n"
                "               repetition boundaries (default: "
-               "OMNIVAR_CELL_TIMEOUT_MS,\n"
-               "               else unlimited)\n"
+               "unlimited)\n"
                "  --fault-spec SPEC\n"
                "               arm deterministic fault injection, e.g.\n"
-               "               'cell_throw@3,torn_write:cache@2' (default:\n"
-               "               OMNIVAR_FAULT_SPEC, else off)\n"
+               "               'cell_throw@3,torn_write:cache@2' (default: "
+               "off)\n"
+               "  --help       print this usage\n"
+               "a flag's value may also follow '=' (--jobs=4)\n"
                "exit codes: 0 ok, 2 usage, 4 cell(s) quarantined, 1 other "
                "failure\n",
                argv0, kMaxJobs);
@@ -503,8 +497,8 @@ void print_scenarios() {
   }
 }
 
-/// Resolves the --scenario / OMNIVAR_SCENARIO selection. Returns false
-/// (with a stderr report) when the selection cannot be resolved.
+/// Resolves one --scenario selection. Returns false (with a stderr report)
+/// when the selection cannot be resolved.
 bool resolve_scenario(const std::string& selection,
                       std::optional<scenario::ScenarioSpec>& out) {
   if (selection.empty()) return true;
@@ -537,17 +531,11 @@ struct HarnessOutcome {
   std::vector<CellFailure> failures;  ///< quarantined cells.
 };
 
-/// Per-harness supervision policy resolved from the CLI/environment.
-struct Supervision {
-  std::size_t retries = 0;
-  std::chrono::milliseconds timeout{0};
-};
-
 /// What every unit of one campaign shares.
 struct CampaignSettings {
   core::Executor* executor = nullptr;
   std::string out_dir;
-  Supervision sup;
+  SupervisorConfig sup;
 };
 
 /// One (harness, scenario) execution unit of the campaign fan-out, in
@@ -580,7 +568,7 @@ HarnessOutcome run_one(const Unit& unit, const CampaignSettings& c,
   // error must mark this harness FAILED, not std::terminate the campaign.
   try {
     RunContext ctx(h.name, *c.executor, c.out_dir, *unit.scn);
-    ctx.configure_supervision(c.sup.retries, c.sup.timeout);
+    ctx.configure_supervision(c.sup);
     ctx.set_output_capture(capture);
     try {
       out.exit_code = h.run(ctx);
@@ -695,12 +683,10 @@ void report_outcome(const HarnessOutcome& o) {
                o.seconds);
 }
 
-/// Resolves and arms the fault-injection plan (--fault-spec /
-/// OMNIVAR_FAULT_SPEC). Returns false on a malformed spec — a usage error:
-/// a typo'd plan must never silently run a healthy campaign that CI then
-/// treats as a fault-survival proof.
-bool resolve_fault_spec(const Options& o) {
-  const std::string spec = effective_fault_spec(o.fault_spec);
+/// Arms the --fault-spec fault-injection plan. Returns false on a
+/// malformed spec — a usage error: a typo'd plan must never silently run a
+/// healthy campaign that CI then treats as a fault-survival proof.
+bool arm_fault_spec(const std::string& spec) {
   try {
     fault::set_active_spec(spec);
   } catch (const std::exception& e) {
@@ -832,13 +818,12 @@ std::size_t force_serial_when_faults_armed(std::size_t width) {
   return width;
 }
 
-/// The executor width: --jobs / OMNIVAR_JOBS, raised by the deprecated
-/// --cell-jobs / OMNIVAR_CELL_JOBS alias.
+/// The executor width: --jobs, raised by the deprecated --cell-jobs alias.
 std::size_t resolve_width(const Options& o) {
-  if (o.cell_jobs != 0 || std::getenv("OMNIVAR_CELL_JOBS") != nullptr) {
+  if (o.cell_jobs != 0) {
     std::fprintf(stderr,
-                 "[omnivar] --cell-jobs / OMNIVAR_CELL_JOBS is deprecated; "
-                 "use --jobs (the width is the larger of the two)\n");
+                 "[omnivar] --cell-jobs is deprecated; use --jobs (the "
+                 "width is the larger of the two)\n");
   }
   return effective_width(o);
 }
@@ -960,7 +945,7 @@ int run_campaign(int argc, char** argv) {
   }
   std::vector<std::optional<scenario::ScenarioSpec>> scns;
   if (!resolve_scenario_list(o, scns)) return kExitUsage;
-  if (!resolve_fault_spec(o)) return kExitUsage;
+  if (!arm_fault_spec(o.fault_spec)) return kExitUsage;
   const auto selected = reg.match(o.only);
   if (selected.empty()) {
     std::fprintf(stderr, "[omnivar] no harness matches");
@@ -983,9 +968,8 @@ int run_campaign(int argc, char** argv) {
   CampaignSettings settings;
   settings.executor = &executor;
   settings.out_dir = o.out_dir;
-  settings.sup = {effective_retry_cells(o.retry_cells),
-                  std::chrono::milliseconds(
-                      effective_cell_timeout_ms(o.cell_timeout_ms))};
+  settings.sup = {o.retry_cells,
+                  std::chrono::milliseconds(o.cell_timeout_ms)};
   for (const auto& scn : scns) {
     if (scn) {
       std::fprintf(stderr, "[omnivar] scenario %s (%s, %s)\n",

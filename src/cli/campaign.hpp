@@ -3,8 +3,8 @@
 // harness.
 //
 // A RunContext is handed to each harness's run function. It provides:
-//   * executor() — the process's one worker pool (--jobs / OMNIVAR_JOBS),
-//     onto which protocol runs are sharded;
+//   * executor() — the process's one worker pool (--jobs), onto which
+//     protocol runs are sharded;
 //   * protocol() — cached protocol execution: each run_protocol invocation
 //     is keyed by a canonical spec fingerprint (harness, label, seed, runs,
 //     reps, warmup, benchmark config); its RunMatrix persists as
@@ -30,11 +30,11 @@
 // a recompute instead of silently serving stale cells. Bump the stamp
 // whenever model changes invalidate archived RunMatrix data.
 //
-// Scenario threading: when a --scenario / OMNIVAR_SCENARIO selection is
-// active, the resolved ScenarioSpec rides on the RunContext; harnesses run
-// on it instead of the paper's Dardel+Vera pair, and its fingerprint is
-// folded into every cell key (via harness::cell_key), so cached cells can
-// never be served across platforms.
+// Scenario threading: when a --scenario selection is active, the resolved
+// ScenarioSpec rides on the RunContext; harnesses run on it instead of
+// the paper's Dardel+Vera pair, and its fingerprint is folded into every
+// cell key (via harness::cell_key), so cached cells can never be served
+// across platforms.
 //
 // Campaign scheduling: every (harness, scenario) unit is one task on the
 // executor, and the protocol runs of its cells are tasks on the same pool.
@@ -47,7 +47,6 @@
 // without computing — protocol() records the plan and returns a
 // placeholder matrix, and all output is discarded.
 
-#include <chrono>
 #include <cstddef>
 #include <functional>
 #include <optional>
@@ -184,13 +183,15 @@ class RunContext {
   }
 
   /// Arms cell supervision: every cold cell computed by this context may
-  /// retry `retries` times with seeded exponential backoff and is bounded
-  /// by the cooperative wall-clock `timeout` (0 = none). A cell that
-  /// exhausts its retries is quarantined: the failure is recorded (see
-  /// failures()), a "[omnivar] FAILED cell ..." line goes to stdout, and
-  /// CellQuarantined unwinds the harness while the campaign continues.
-  void configure_supervision(std::size_t retries,
-                             std::chrono::milliseconds timeout);
+  /// retry `config.retries` times with seeded exponential backoff and is
+  /// bounded by the cooperative wall-clock `config.timeout` (0 = none). A
+  /// cell that exhausts its retries is quarantined: the failure is
+  /// recorded (see failures()), a "[omnivar] FAILED cell ..." line goes to
+  /// stdout, and CellQuarantined unwinds the harness while the campaign
+  /// continues.
+  void configure_supervision(const SupervisorConfig& config) noexcept {
+    supervision_ = config;
+  }
 
   /// Cells quarantined under this context (recorded before the unwind).
   [[nodiscard]] const std::vector<CellFailure>& failures() const noexcept {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -160,23 +159,6 @@ Options parse_options(int argc, char** argv) {
   return o;
 }
 
-std::size_t effective_jobs(std::size_t cli_jobs) {
-  if (cli_jobs != 0) return cli_jobs;
-  if (const char* j = std::getenv("OMNIVAR_JOBS")) {
-    std::size_t n = 0;
-    if (parse_job_count(j, n)) return n;
-    static bool warned = [&] {
-      std::fprintf(stderr,
-                   "omnivar: ignoring malformed OMNIVAR_JOBS='%s' "
-                   "(expected a job count from 0 to %zu); running serial\n",
-                   j, kMaxJobs);
-      return true;
-    }();
-    (void)warned;
-  }
-  return 1;
-}
-
 std::vector<std::string> effective_scenarios(const Options& o) {
   std::vector<std::string> out = o.scenarios;
   if (!o.scenario_set.empty()) {
@@ -195,74 +177,11 @@ std::vector<std::string> effective_scenarios(const Options& o) {
       out.push_back(line);
     }
   }
-  if (out.empty()) {
-    if (const char* s = std::getenv("OMNIVAR_SCENARIO"); s && *s != '\0') {
-      out.emplace_back(s);
-    }
-  }
   return out;
 }
 
-std::size_t effective_cell_jobs(std::size_t cli_cell_jobs) {
-  if (cli_cell_jobs != 0) return cli_cell_jobs;
-  if (const char* j = std::getenv("OMNIVAR_CELL_JOBS")) {
-    std::size_t n = 0;
-    if (parse_job_count(j, n)) return n;
-    static bool warned = [&] {
-      std::fprintf(stderr,
-                   "omnivar: ignoring malformed OMNIVAR_CELL_JOBS='%s' "
-                   "(expected a job count from 0 to %zu)\n",
-                   j, kMaxJobs);
-      return true;
-    }();
-    (void)warned;
-  }
-  return 1;
-}
-
 std::size_t effective_width(const Options& o) {
-  return std::max(effective_jobs(o.jobs), effective_cell_jobs(o.cell_jobs));
-}
-
-std::size_t effective_retry_cells(std::size_t cli_retries) {
-  if (cli_retries != 0) return cli_retries;
-  if (const char* e = std::getenv("OMNIVAR_RETRY_CELLS")) {
-    std::size_t n = 0;
-    if (parse_uint(e, n)) return n;
-    static bool warned = [&] {
-      std::fprintf(stderr,
-                   "omnivar: ignoring malformed OMNIVAR_RETRY_CELLS='%s' "
-                   "(expected a non-negative integer)\n",
-                   e);
-      return true;
-    }();
-    (void)warned;
-  }
-  return 0;
-}
-
-std::size_t effective_cell_timeout_ms(std::size_t cli_ms) {
-  if (cli_ms != 0) return cli_ms;
-  if (const char* e = std::getenv("OMNIVAR_CELL_TIMEOUT_MS")) {
-    std::size_t n = 0;
-    if (parse_uint(e, n)) return n;
-    static bool warned = [&] {
-      std::fprintf(stderr,
-                   "omnivar: ignoring malformed OMNIVAR_CELL_TIMEOUT_MS="
-                   "'%s' (expected milliseconds as a non-negative "
-                   "integer)\n",
-                   e);
-      return true;
-    }();
-    (void)warned;
-  }
-  return 0;
-}
-
-std::string effective_fault_spec(const std::string& cli_spec) {
-  if (!cli_spec.empty()) return cli_spec;
-  if (const char* s = std::getenv("OMNIVAR_FAULT_SPEC")) return s;
-  return {};
+  return std::max({o.jobs, o.cell_jobs, std::size_t{1}});
 }
 
 }  // namespace omv::cli

@@ -3,32 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 
-namespace omv::cli {
+#include "core/faultinject.hpp"
 
-bool glob_match(std::string_view pattern, std::string_view text) {
-  // Iterative two-pointer match with single-star backtracking.
-  std::size_t p = 0;
-  std::size_t t = 0;
-  std::size_t star = std::string_view::npos;
-  std::size_t match = 0;
-  while (t < text.size()) {
-    if (p < pattern.size() &&
-        (pattern[p] == '?' || pattern[p] == text[t])) {
-      ++p;
-      ++t;
-    } else if (p < pattern.size() && pattern[p] == '*') {
-      star = p++;
-      match = t;
-    } else if (star != std::string_view::npos) {
-      p = star + 1;
-      t = ++match;
-    } else {
-      return false;
-    }
-  }
-  while (p < pattern.size() && pattern[p] == '*') ++p;
-  return p == pattern.size();
-}
+namespace omv::cli {
 
 Registry& Registry::instance() {
   static Registry r;
@@ -73,7 +50,7 @@ std::vector<const HarnessInfo*> Registry::match(
       continue;
     }
     for (const auto& g : globs) {
-      if (glob_match(g, h.name)) {
+      if (fault::glob_match(g, h.name)) {
         out.push_back(&h);
         break;
       }

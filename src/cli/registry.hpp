@@ -26,9 +26,6 @@ struct HarnessInfo {
   std::function<int(RunContext&)> run;
 };
 
-/// Glob match supporting '*' (any substring) and '?' (any one character).
-[[nodiscard]] bool glob_match(std::string_view pattern, std::string_view text);
-
 /// Process-wide harness registry (populated by static Registration objects
 /// before main).
 class Registry {
@@ -46,7 +43,7 @@ class Registry {
   [[nodiscard]] const HarnessInfo* find(std::string_view name) const;
 
   /// Harnesses matching any of `globs` (all harnesses when empty), sorted
-  /// by name.
+  /// by name. Globs use fault::glob_match's '*' / '?' dialect.
   [[nodiscard]] std::vector<const HarnessInfo*> match(
       const std::vector<std::string>& globs) const;
 

@@ -7,11 +7,6 @@
 namespace omv::stats {
 
 void OnlineStats::add(double x) noexcept {
-  if (!any_) {
-    min_ = std::numeric_limits<double>::infinity();
-    max_ = -std::numeric_limits<double>::infinity();
-    any_ = true;
-  }
   ++n_;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(n_);

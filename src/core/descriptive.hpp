@@ -9,6 +9,7 @@
 //                    streaming accumulator cannot provide.
 
 #include <cstddef>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -40,9 +41,8 @@ class OnlineStats {
   std::size_t n_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  bool any_ = false;
+  double min_ = std::numeric_limits<double>::infinity();
+  double max_ = -std::numeric_limits<double>::infinity();
 };
 
 /// Linear-interpolation percentile (type-7, the numpy/R default).

@@ -1,6 +1,5 @@
 #include "core/faultinject.hpp"
 
-#include <cstdlib>
 #include <memory>
 
 namespace omv::fault {
@@ -216,18 +215,11 @@ namespace {
 
 std::mutex g_plan_mutex;
 std::unique_ptr<FaultPlan> g_plan;
-bool g_env_read = false;
 
 }  // namespace
 
 FaultPlan& active_plan() {
   std::lock_guard lock(g_plan_mutex);
-  if (!g_plan && !g_env_read) {
-    g_env_read = true;
-    const char* env = std::getenv("OMNIVAR_FAULT_SPEC");
-    g_plan = std::make_unique<FaultPlan>(
-        env ? FaultPlan::parse(env) : FaultPlan());
-  }
   if (!g_plan) g_plan = std::make_unique<FaultPlan>();
   return *g_plan;
 }
@@ -236,13 +228,6 @@ void set_active_spec(std::string_view spec) {
   auto plan = std::make_unique<FaultPlan>(FaultPlan::parse(spec));
   std::lock_guard lock(g_plan_mutex);
   g_plan = std::move(plan);
-  g_env_read = true;
-}
-
-void clear_active_plan() {
-  std::lock_guard lock(g_plan_mutex);
-  g_plan.reset();
-  g_env_read = false;
 }
 
 }  // namespace omv::fault

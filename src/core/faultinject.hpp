@@ -1,8 +1,8 @@
 #pragma once
 // Deterministic fault injection for the campaign engine.
 //
-// A fault plan is parsed from a textual spec (the OMNIVAR_FAULT_SPEC
-// environment variable or the --fault-spec flag) and armed process-wide.
+// A fault plan is parsed from a textual spec (the --fault-spec flag) and
+// armed process-wide.
 // Named sites threaded through the engine — cache commits ("cache", "key",
 // "sidecar"), artifact writes ("artifact", "campaign") and supervised cell
 // execution — consult the plan at each
@@ -56,8 +56,9 @@ class InjectedFault : public std::runtime_error {
   std::string taxonomy_;
 };
 
-/// Glob match supporting '*' (any substring) and '?' (any one character) —
-/// the same dialect as the harness selector globs.
+/// Glob match supporting '*' (any substring) and '?' (any one character).
+/// Fault clauses match sites and cell labels with it, and the harness
+/// registry matches --only selectors (cli::Registry::match).
 [[nodiscard]] bool glob_match(std::string_view pattern,
                               std::string_view text) noexcept;
 
@@ -126,17 +127,12 @@ class FaultPlan {
   std::mutex mutex_;
 };
 
-/// The process-wide plan: parsed lazily from OMNIVAR_FAULT_SPEC on first
-/// use (a malformed env spec throws then — callers resolving at startup
-/// surface it as a usage error). Never null.
+/// The process-wide plan: disarmed until set_active_spec arms it.
 [[nodiscard]] FaultPlan& active_plan();
 
 /// Replaces the process-wide plan (parses `spec`; "" disarms). Used by the
 /// CLI for --fault-spec and by tests; throws std::invalid_argument on a
 /// malformed spec, leaving the previous plan armed.
 void set_active_spec(std::string_view spec);
-
-/// Disarms the process-wide plan and forgets any OMNIVAR_FAULT_SPEC read.
-void clear_active_plan();
 
 }  // namespace omv::fault

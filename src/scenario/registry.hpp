@@ -11,9 +11,9 @@
 // "lopsided-numa" 12c+4c uneven domains).
 //
 // Selection is threaded through the campaign driver as
-// `--scenario NAME-OR-FILE` / OMNIVAR_SCENARIO: a catalog name resolves
-// here; anything that looks like a path (contains '/' or '.') loads a
-// scenario file (scenario.hpp's key=value format).
+// `--scenario NAME-OR-FILE`: a catalog name resolves here; anything that
+// looks like a path (contains '/' or '.') loads a scenario file
+// (scenario.hpp's key=value format).
 
 #include <string>
 #include <vector>
@@ -51,9 +51,9 @@ class ScenarioRegistry {
 /// Loads a scenario file. Throws std::runtime_error on I/O or parse errors.
 [[nodiscard]] ScenarioSpec load_file(const std::string& path);
 
-/// Resolves a --scenario / OMNIVAR_SCENARIO value: a catalog name when it
-/// matches one, else a scenario-file path when the value contains '/' or
-/// '.'; anything else throws std::runtime_error listing the catalog.
+/// Resolves a --scenario value: a catalog name when it matches one, else a
+/// scenario-file path when the value contains '/' or '.'; anything else
+/// throws std::runtime_error listing the catalog.
 [[nodiscard]] ScenarioSpec resolve(const std::string& name_or_path);
 
 }  // namespace omv::scenario

@@ -30,10 +30,10 @@ class AtomicFileTest : public ::testing::Test {
                .string();
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
-    fault::clear_active_plan();
+    fault::set_active_spec("");
   }
   void TearDown() override {
-    fault::clear_active_plan();
+    fault::set_active_spec("");
     std::filesystem::remove_all(dir_);
   }
   std::string dir_;

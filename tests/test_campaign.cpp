@@ -55,20 +55,14 @@ TEST(Options, ParsesAllFlags) {
   EXPECT_TRUE(o.errors.empty());
 }
 
-TEST(Options, ScenarioEqualsFormAndEnvFallback) {
+TEST(Options, ScenarioEqualsForm) {
   std::vector<std::string> args{"prog", "--scenario=epyc-like"};
   auto argv = argv_of(args);
   const auto o = parse_options(static_cast<int>(argv.size()), argv.data());
   ASSERT_EQ(o.scenarios.size(), 1u);
   EXPECT_EQ(o.scenarios[0], "epyc-like");
   EXPECT_EQ(effective_scenarios(o), std::vector<std::string>{"epyc-like"});
-  ::setenv("OMNIVAR_SCENARIO", "noisy-cloud", 1);
-  EXPECT_EQ(effective_scenarios(o),
-            std::vector<std::string>{"epyc-like"});  // CLI wins
-  EXPECT_EQ(effective_scenarios(Options{}),
-            std::vector<std::string>{"noisy-cloud"});
-  ::unsetenv("OMNIVAR_SCENARIO");
-  EXPECT_TRUE(effective_scenarios(Options{}).empty());
+  EXPECT_TRUE(effective_scenarios(Options{}).empty());  // the paper pair
 }
 
 TEST(Options, EqualsFormAndRepeatedOnly) {
@@ -123,27 +117,11 @@ TEST(Options, ParsesSupervisionFlags) {
   EXPECT_EQ(b.cell_timeout_ms, 0u);
 }
 
-TEST(Options, SupervisionEnvFallbacks) {
-  ::setenv("OMNIVAR_RETRY_CELLS", "4", 1);
-  ::setenv("OMNIVAR_CELL_TIMEOUT_MS", "2500", 1);
-  ::setenv("OMNIVAR_FAULT_SPEC", "enospc@1", 1);
-  EXPECT_EQ(effective_retry_cells(0), 4u);
-  EXPECT_EQ(effective_retry_cells(9), 9u);  // CLI wins
-  EXPECT_EQ(effective_cell_timeout_ms(0), 2500u);
-  EXPECT_EQ(effective_cell_timeout_ms(100), 100u);
-  EXPECT_EQ(effective_fault_spec(""), "enospc@1");
-  EXPECT_EQ(effective_fault_spec("cell_throw@1"), "cell_throw@1");
-  ::unsetenv("OMNIVAR_RETRY_CELLS");
-  ::unsetenv("OMNIVAR_CELL_TIMEOUT_MS");
-  ::unsetenv("OMNIVAR_FAULT_SPEC");
-  EXPECT_EQ(effective_retry_cells(0), 0u);
-  EXPECT_EQ(effective_cell_timeout_ms(0), 0u);
-  EXPECT_EQ(effective_fault_spec(""), "");
-}
-
 // --------------------------------------------------------------- registry
 
+// Registry::match selects harnesses through fault::glob_match.
 TEST(Registry, GlobMatch) {
+  using fault::glob_match;
   EXPECT_TRUE(glob_match("fig3", "fig3"));
   EXPECT_FALSE(glob_match("fig3", "fig31"));
   EXPECT_TRUE(glob_match("fig*", "fig31"));
@@ -662,10 +640,10 @@ class CampaignFaultTest : public CampaignCacheTest {
  protected:
   void SetUp() override {
     CampaignCacheTest::SetUp();
-    fault::clear_active_plan();
+    fault::set_active_spec("");
   }
   void TearDown() override {
-    fault::clear_active_plan();
+    fault::set_active_spec("");
     CampaignCacheTest::TearDown();
   }
 };
@@ -674,7 +652,7 @@ TEST_F(CampaignFaultTest, ThrowingCellIsQuarantinedWithFailureRecord) {
   SpecKey key;
   key.add("bench", "fake");
   RunContext ctx("testh", serial(), dir_);
-  ctx.configure_supervision(0, std::chrono::milliseconds(0));
+  ctx.configure_supervision({.retries = 0});
   try {
     (void)ctx.protocol("cell", small_spec(), key, []() -> RunMatrix {
       throw std::runtime_error("model blew up");
@@ -708,7 +686,7 @@ TEST_F(CampaignFaultTest, TornCacheWriteIsRetriedToACleanCommit) {
     return make_matrix();
   };
   RunContext ctx("testh", serial(), dir_);
-  ctx.configure_supervision(1, std::chrono::milliseconds(0));
+  ctx.configure_supervision({.retries = 1});
   const auto m = ctx.protocol("cell", small_spec(), key, compute);
   EXPECT_EQ(computes, 2);  // attempt 1 tore, attempt 2 committed
   EXPECT_EQ(m.runs(), 2u);
@@ -734,13 +712,13 @@ TEST_F(CampaignFaultTest, TornKeyWriteDegradesToAPlainMissNextRun) {
   };
   {
     RunContext ctx("testh", serial(), dir_);
-    ctx.configure_supervision(0, std::chrono::milliseconds(0));
+    ctx.configure_supervision({.retries = 0});
     EXPECT_THROW((void)ctx.protocol("cell", small_spec(), key, compute),
                  CellQuarantined);
     ASSERT_EQ(ctx.failures().size(), 1u);
     EXPECT_EQ(ctx.failures()[0].taxonomy, "io");
   }
-  fault::clear_active_plan();
+  fault::set_active_spec("");
   RunContext ctx2("testh", serial(), dir_);
   (void)ctx2.protocol("cell", small_spec(), key, compute);
   EXPECT_EQ(computes, 2);  // torn marker = miss, recomputed
@@ -769,11 +747,11 @@ TEST_F(CampaignFaultTest, SurvivingCellsAreByteIdenticalAfterAFaultRun) {
   fault::set_active_spec("cell_throw:cell_a");
   {
     RunContext ctx("testh", serial(), dir_);
-    ctx.configure_supervision(0, std::chrono::milliseconds(0));
+    ctx.configure_supervision({.retries = 0});
     EXPECT_THROW((void)ctx.protocol("cell_a", small_spec(), key_a, compute),
                  CellQuarantined);
   }
-  fault::clear_active_plan();
+  fault::set_active_spec("");
   {
     // The harness re-runs (the campaign driver reruns it or a dependent
     // cell-only harness runs next); cell_b computes cleanly.

@@ -17,8 +17,11 @@
 //     exactly the cells a serial campaign commits to the cache;
 //   * two scenario selections that would write the same artifact file are
 //     a usage error naming both selectors;
-//   * a width past the executor ceiling, by flag or environment, is
-//     reported and ignored rather than aborting the process;
+//   * a --jobs width past the executor ceiling is reported and ignored
+//     rather than aborting the process;
+//   * the command line is the only configuration input: exporting
+//     OMNIVAR_JOBS, OMNIVAR_SCENARIO, OMNIVAR_FAULT_SPEC and the other
+//     variables named after flags leaves a campaign byte-identical;
 //   * a campaign SIGKILLed at seeded points resumes cell by cell: the
 //     re-run into the same --out recomputes exactly the cells the killed
 //     process had not committed and ends byte-identical to a clean run.
@@ -59,14 +62,15 @@ const std::vector<std::string> kHarnesses = {"fig1", "fig3", "table2"};
 const std::vector<std::string> kScenarios = {"vera", "epyc-like",
                                              "quiet-hpc"};
 
+/// Variables added to a spawned driver's environment.
+using Env = std::vector<std::pair<std::string, std::string>>;
+
 /// fork/execs the driver with `args`, stdout > `stdout_path` (and stderr >
-/// `stderr_path` when given). OMNIVAR_QUICK=1 keeps the workload CI-sized
-/// and OMNIVAR_JOBS=1 makes the width come from the flags alone;
-/// `fault_spec` non-empty arms the deterministic fault plan in the child.
+/// `stderr_path` when given). OMNIVAR_QUICK=1 keeps the workload CI-sized;
+/// `env` is exported in the child on top of that.
 pid_t spawn_omnivar(const std::string& bin,
                     const std::vector<std::string>& args,
-                    const std::string& stdout_path,
-                    const std::string& fault_spec = {},
+                    const std::string& stdout_path, const Env& env = {},
                     const std::string& stderr_path = {}) {
   const pid_t pid = ::fork();
   if (pid != 0) return pid;
@@ -75,9 +79,8 @@ pid_t spawn_omnivar(const std::string& bin,
     ::_exit(97);
   }
   ::setenv("OMNIVAR_QUICK", "1", 1);
-  ::setenv("OMNIVAR_JOBS", "1", 1);
-  if (!fault_spec.empty()) {
-    ::setenv("OMNIVAR_FAULT_SPEC", fault_spec.c_str(), 1);
+  for (const auto& [name, value] : env) {
+    ::setenv(name.c_str(), value.c_str(), 1);
   }
   std::vector<std::string> argv_strings{bin};
   argv_strings.insert(argv_strings.end(), args.begin(), args.end());
@@ -94,7 +97,6 @@ pid_t spawn_omnivar(const std::string& bin,
 pid_t spawn_campaign(const std::string& bin,
                      const std::vector<std::string>& extra_args,
                      const std::string& stdout_path,
-                     const std::string& fault_spec = {},
                      const std::string& stderr_path = {}) {
   std::vector<std::string> args;
   for (const auto& h : kHarnesses) {
@@ -106,7 +108,7 @@ pid_t spawn_campaign(const std::string& bin,
     args.push_back(s);
   }
   args.insert(args.end(), extra_args.begin(), extra_args.end());
-  return spawn_omnivar(bin, args, stdout_path, fault_spec, stderr_path);
+  return spawn_omnivar(bin, args, stdout_path, {}, stderr_path);
 }
 
 int wait_exit_code(pid_t pid) {
@@ -235,7 +237,7 @@ TEST_F(CampaignSchedTest, CellParallelCampaignBytesMatchSerial) {
     std::vector<std::string> args{"--out", out.string()};
     args.insert(args.end(), flags.begin(), flags.end());
     const pid_t par =
-        spawn_campaign(bin, args, (dir_ / (tag + ".log")).string(), {},
+        spawn_campaign(bin, args, (dir_ / (tag + ".log")).string(),
                        (dir_ / (tag + ".err")).string());
     ASSERT_EQ(wait_exit_code(par), 0) << tag;
     // Units ran on four workers, ordered by their enumerated cost.
@@ -342,14 +344,15 @@ TEST_F(CampaignSchedTest, QuarantineUnderCellParallelMatchesSerial) {
 
   const fs::path serial_out = dir_ / "serial";
   const pid_t serial = spawn_campaign(
-      bin, {"--out", serial_out.string(), "--jobs", "1"},
-      (dir_ / "serial.log").string(), spec);
+      bin,
+      {"--out", serial_out.string(), "--jobs", "1", "--fault-spec", spec},
+      (dir_ / "serial.log").string());
   ASSERT_EQ(wait_exit_code(serial), 4);  // kExitQuarantined
 
   const fs::path par_out = dir_ / "par4";
   const pid_t par = spawn_campaign(
-      bin, {"--out", par_out.string(), "--jobs", "4"},
-      (dir_ / "par4.log").string(), spec, (dir_ / "par4.err").string());
+      bin, {"--out", par_out.string(), "--jobs", "4", "--fault-spec", spec},
+      (dir_ / "par4.log").string(), (dir_ / "par4.err").string());
   ASSERT_EQ(wait_exit_code(par), 4);
   EXPECT_NE(slurp(dir_ / "par4.err").find("forcing --jobs 1"),
             std::string::npos);
@@ -440,49 +443,52 @@ TEST_F(CampaignSchedTest, SameNamedScenariosAreRejected) {
 // serial.
 TEST_F(CampaignSchedTest, OversizedJobsIsReportedNotFatal) {
   const std::string bin = omnivar_bin();
-  const auto run = [&](const std::string& tag, const char* jobs_flag,
-                       const char* jobs_env) {
-    const pid_t pid = ::fork();
-    if (pid == 0) {
-      if (!::freopen((dir_ / (tag + ".log")).c_str(), "w", stdout)) {
-        ::_exit(97);
-      }
-      if (!::freopen((dir_ / (tag + ".err")).c_str(), "w", stderr)) {
-        ::_exit(97);
-      }
-      ::setenv("OMNIVAR_QUICK", "1", 1);
-      ::unsetenv("OMNIVAR_CELL_JOBS");
-      if (jobs_env != nullptr) {
-        ::setenv("OMNIVAR_JOBS", jobs_env, 1);
-      } else {
-        ::unsetenv("OMNIVAR_JOBS");
-      }
-      if (jobs_flag != nullptr) {
-        ::execl(bin.c_str(), bin.c_str(), "--only", "table1", "--jobs",
-                jobs_flag, static_cast<char*>(nullptr));
-      } else {
-        ::execl(bin.c_str(), bin.c_str(), "--only", "table1",
-                static_cast<char*>(nullptr));
-      }
-      ::_exit(98);
-    }
-    return wait_exit_code(pid);
-  };
-
-  EXPECT_EQ(run("flag", "100000", nullptr), 0);
+  EXPECT_EQ(wait_exit_code(spawn_omnivar(
+                bin, {"--only", "table1", "--jobs", "100000"},
+                (dir_ / "flag.log").string(), {},
+                (dir_ / "flag.err").string())),
+            0);
   const std::string flag_err = slurp(dir_ / "flag.err");
   EXPECT_NE(flag_err.find("--jobs value '100000'"), std::string::npos)
       << flag_err;
   EXPECT_NE(flag_err.find("from 0 to 1024"), std::string::npos) << flag_err;
   EXPECT_FALSE(slurp(dir_ / "flag.log").empty());
+}
 
-  EXPECT_EQ(run("env", nullptr, "18446744073709551615"), 0);
-  const std::string env_err = slurp(dir_ / "env.err");
-  EXPECT_NE(env_err.find("OMNIVAR_JOBS='18446744073709551615'"),
-            std::string::npos)
-      << env_err;
-  EXPECT_NE(env_err.find("from 0 to 1024"), std::string::npos) << env_err;
-  EXPECT_EQ(slurp(dir_ / "env.log"), slurp(dir_ / "flag.log"));
+// The command line is the only configuration input. Exporting every
+// variable named after a flag (width, scenario, fault plan, retries, cell
+// timeout) must leave a campaign exactly as it is without them: any one of
+// them taking effect would move the exit code, stdout or the cache.
+TEST_F(CampaignSchedTest, EnvironmentDoesNotChangeACampaign) {
+  const std::string bin = omnivar_bin();
+  const Env exported = {
+      {"OMNIVAR_JOBS", "3"},
+      {"OMNIVAR_CELL_JOBS", "2"},
+      {"OMNIVAR_SCENARIO", "noisy-cloud"},
+      {"OMNIVAR_FAULT_SPEC", "cell_throw@1"},
+      {"OMNIVAR_RETRY_CELLS", "2"},
+      {"OMNIVAR_CELL_TIMEOUT_MS", "1"},
+  };
+  const fs::path plain = dir_ / "plain";
+  const fs::path with_env = dir_ / "with_env";
+  ASSERT_EQ(wait_exit_code(spawn_omnivar(
+                bin, {"--only", "fig1", "--out", plain.string()},
+                (dir_ / "plain.log").string())),
+            0);
+  EXPECT_EQ(wait_exit_code(spawn_omnivar(
+                bin, {"--only", "fig1", "--out", with_env.string()},
+                (dir_ / "with_env.log").string(), exported,
+                (dir_ / "with_env.err").string())),
+            0)
+      << slurp(dir_ / "with_env.err");
+  const std::string plain_log = slurp(dir_ / "plain.log");
+  ASSERT_FALSE(plain_log.empty());
+  EXPECT_EQ(slurp(dir_ / "with_env.log"), plain_log);
+  expect_identical_trees(plain, with_env);
+  // Every width prints the same bytes, so the width variables can only
+  // show in the recorded width: still the serial default.
+  EXPECT_NE(slurp(with_env / "campaign.json").find("\"jobs\": 1,"),
+            std::string::npos);
 }
 
 // The result cache is the campaign's resume mechanism: a campaign killed at
@@ -497,7 +503,7 @@ TEST_F(CampaignSchedTest, KilledCampaignResumesCellByCell) {
   const std::string bin = omnivar_bin();
   const auto campaign = [&](const fs::path& out, const std::string& tag) {
     return spawn_campaign(bin, {"--out", out.string(), "--jobs", "4"},
-                          (dir_ / (tag + ".log")).string(), {},
+                          (dir_ / (tag + ".log")).string(),
                           (dir_ / (tag + ".err")).string());
   };
 

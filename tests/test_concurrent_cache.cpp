@@ -33,8 +33,9 @@ namespace fs = std::filesystem;
 
 const char* omnivar_bin() { return std::getenv("OMNIVAR_BIN"); }
 
-/// fork/execs `bin --only fig1 --out <out>` with stdout > `stdout_path`,
-/// OMNIVAR_QUICK=1 and a serial single-job protocol. Returns the child pid.
+/// fork/execs `bin --only fig1 --out <out>` with stdout > `stdout_path` and
+/// OMNIVAR_QUICK=1; the driver's default width is one job (serial).
+/// Returns the child pid.
 pid_t spawn_campaign(const std::string& bin, const std::string& out,
                      const std::string& stdout_path) {
   const pid_t pid = ::fork();
@@ -43,7 +44,6 @@ pid_t spawn_campaign(const std::string& bin, const std::string& out,
   // test's stderr for diagnosis.
   if (!::freopen(stdout_path.c_str(), "w", stdout)) ::_exit(97);
   ::setenv("OMNIVAR_QUICK", "1", 1);
-  ::setenv("OMNIVAR_JOBS", "1", 1);
   ::execl(bin.c_str(), bin.c_str(), "--only", "fig1", "--out", out.c_str(),
           static_cast<char*>(nullptr));
   ::_exit(98);  // exec failed
@@ -171,10 +171,9 @@ TEST_F(ConcurrentCacheTest, FaultInjectedCampaignExitsQuarantinedThenHeals) {
   if (pid == 0) {
     if (!::freopen((dir_ / "faulted.log").c_str(), "w", stdout)) ::_exit(97);
     ::setenv("OMNIVAR_QUICK", "1", 1);
-    ::setenv("OMNIVAR_JOBS", "1", 1);
-    ::setenv("OMNIVAR_FAULT_SPEC", "cell_throw@1", 1);
     ::execl(bin.c_str(), bin.c_str(), "--only", "fig1", "--out",
-            out.c_str(), static_cast<char*>(nullptr));
+            out.c_str(), "--fault-spec", "cell_throw@1",
+            static_cast<char*>(nullptr));
     ::_exit(98);
   }
   ASSERT_EQ(wait_exit_code(pid), 4);  // kExitQuarantined

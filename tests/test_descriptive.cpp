@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 namespace omv::stats {
@@ -17,6 +18,12 @@ TEST(OnlineStats, EmptyIsZero) {
   EXPECT_EQ(s.mean(), 0.0);
   EXPECT_EQ(s.variance(), 0.0);
   EXPECT_EQ(s.cv(), 0.0);
+}
+
+TEST(OnlineStats, EmptyExtremaAreInfinite) {
+  OnlineStats s;
+  EXPECT_EQ(s.min(), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(s.max(), -std::numeric_limits<double>::infinity());
 }
 
 TEST(OnlineStats, SingleValue) {

@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 namespace omv::fault {
 namespace {
 
@@ -158,9 +156,8 @@ TEST(FaultPlanCounters, DeterministicAcrossReplays) {
 
 // ------------------------------------------------------- process-wide plan
 
-TEST(ActivePlan, SetClearAndEnvFallback) {
-  clear_active_plan();
-  ::unsetenv("OMNIVAR_FAULT_SPEC");
+TEST(ActivePlan, SetAndDisarm) {
+  set_active_spec("");
   EXPECT_FALSE(active_plan().armed());
 
   set_active_spec("enospc@1");
@@ -172,13 +169,7 @@ TEST(ActivePlan, SetClearAndEnvFallback) {
   set_active_spec("enospc@1");
   EXPECT_THROW(set_active_spec("bogus@1"), std::invalid_argument);
   EXPECT_TRUE(active_plan().armed());
-
-  // The environment arms the plan lazily after a clear.
-  clear_active_plan();
-  ::setenv("OMNIVAR_FAULT_SPEC", "cell_throw@7", 1);
-  EXPECT_TRUE(active_plan().armed());
-  ::unsetenv("OMNIVAR_FAULT_SPEC");
-  clear_active_plan();
+  set_active_spec("");
   EXPECT_FALSE(active_plan().armed());
 }
 

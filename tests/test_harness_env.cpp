@@ -1,7 +1,7 @@
 // Tests for the harness environment handling: the OMNIVAR_QUICK /
 // OMNIVAR_RUNS / OMNIVAR_REPS protocol overrides in bench/harness.hpp, and
-// the --jobs / OMNIVAR_JOBS executor width (cli::parse_options +
-// cli::effective_jobs) that harnesses shard their runs over.
+// the --jobs executor width (cli::parse_options + cli::effective_width)
+// that harnesses shard their runs over.
 
 #include "bench/harness.hpp"
 
@@ -15,8 +15,6 @@
 
 namespace omv::harness {
 namespace {
-
-using cli::effective_jobs;
 
 /// Clears every OMNIVAR_* variable the cases touch around each test so
 /// cases cannot leak protocol settings into each other.
@@ -108,20 +106,12 @@ TEST_F(HarnessEnvTest, ExplicitOverridesBeatQuick) {
 }
 
 TEST_F(HarnessEnvTest, JobsDefaultsToSerial) {
-  EXPECT_EQ(effective_jobs(0), 1u);
   EXPECT_EQ(width_of({}), 1u);
 }
 
-TEST_F(HarnessEnvTest, JobsReadsEnvironment) {
-  ::setenv("OMNIVAR_JOBS", "3", 1);
-  EXPECT_EQ(effective_jobs(0), 3u);
-  EXPECT_EQ(width_of({}), 3u);
-}
-
 TEST_F(HarnessEnvTest, JobsZeroMeansHardwareConcurrency) {
-  ::setenv("OMNIVAR_JOBS", "0", 1);
-  EXPECT_GE(effective_jobs(0), 1u);
-  EXPECT_EQ(effective_jobs(0), core::resolve_jobs(0));
+  EXPECT_GE(width_of({"--jobs", "0"}), 1u);
+  EXPECT_EQ(width_of({"--jobs", "0"}), core::resolve_jobs(0));
 }
 
 TEST_F(HarnessEnvTest, ParseArgsEqualsForm) {
@@ -132,9 +122,13 @@ TEST_F(HarnessEnvTest, ParseArgsSeparateForm) {
   EXPECT_EQ(width_of({"--jobs", "7"}), 7u);
 }
 
+// The command line is the only input: OMNIVAR_JOBS and OMNIVAR_CELL_JOBS
+// are no width settings, so exporting them changes nothing.
 TEST_F(HarnessEnvTest, ParseArgsOverridesEnvironment) {
   ::setenv("OMNIVAR_JOBS", "2", 1);
+  ::setenv("OMNIVAR_CELL_JOBS", "5", 1);
   EXPECT_EQ(width_of({"--jobs=9"}), 9u);
+  EXPECT_EQ(width_of({}), 1u);
 }
 
 TEST_F(HarnessEnvTest, ParseJobCountStrict) {
@@ -160,15 +154,8 @@ TEST_F(HarnessEnvTest, MalformedJobsFlagIsIgnoredNotExpanded) {
   EXPECT_EQ(width_of({"--jobs=1O"}), 1u);  // stays serial, not all cores
 }
 
-TEST_F(HarnessEnvTest, MalformedJobsEnvFallsBackToSerial) {
-  ::setenv("OMNIVAR_JOBS", "abc", 1);
-  EXPECT_EQ(effective_jobs(0), 1u);
-}
-
 TEST_F(HarnessEnvTest, NegativeJobsIsRejectedNotWrapped) {
   EXPECT_EQ(width_of({"--jobs=-4"}), 1u);  // not ULONG_MAX-3 workers
-  ::setenv("OMNIVAR_JOBS", "-4", 1);
-  EXPECT_EQ(effective_jobs(0), 1u);
 }
 
 // Each worker is an OS thread: a width past cli::kMaxJobs is reported and
@@ -187,16 +174,6 @@ TEST_F(HarnessEnvTest, JobsAboveCeilingFlagIsIgnored) {
   EXPECT_NE(o.errors[0].find("1024"), std::string::npos) << o.errors[0];
 }
 
-TEST_F(HarnessEnvTest, JobsAboveCeilingEnvIsIgnored) {
-  ::setenv("OMNIVAR_JOBS", "100000", 1);
-  EXPECT_EQ(effective_jobs(0), 1u);
-  ::setenv("OMNIVAR_JOBS", "18446744073709551615", 1);
-  EXPECT_EQ(effective_jobs(0), 1u);
-  ::setenv("OMNIVAR_CELL_JOBS", "18446744073709551615", 1);
-  EXPECT_EQ(cli::effective_cell_jobs(0), 1u);
-  EXPECT_EQ(width_of({}), 1u);
-}
-
 TEST_F(HarnessEnvTest, TrailingJobsFlagWithoutValueIsIgnored) {
   EXPECT_EQ(width_of({"--jobs"}), 1u);
 }
@@ -205,19 +182,17 @@ TEST_F(HarnessEnvTest, ParseArgsIgnoresUnknownArguments) {
   EXPECT_EQ(width_of({"--frobnicate", "--jobs=4", "positional"}), 4u);
 }
 
-// --cell-jobs / OMNIVAR_CELL_JOBS survive only as a deprecated alias: the
-// width is the larger of the two settings.
+// --cell-jobs survives only as a deprecated alias: the width is the
+// larger of the two flags.
 TEST_F(HarnessEnvTest, CellJobsAliasTakesTheLargerWidth) {
   EXPECT_EQ(width_of({"--cell-jobs", "4", "--jobs", "1"}), 4u);
   EXPECT_EQ(width_of({"--jobs", "4", "--cell-jobs", "1"}), 4u);
   EXPECT_EQ(width_of({"--jobs", "3", "--cell-jobs", "2"}), 3u);
-  ::setenv("OMNIVAR_CELL_JOBS", "5", 1);
-  EXPECT_EQ(width_of({"--jobs", "2"}), 5u);
+  EXPECT_EQ(width_of({"--cell-jobs", "5"}), 5u);
 }
 
 TEST_F(HarnessEnvTest, RunShardedHonorsJobsKnob) {
-  ::setenv("OMNIVAR_JOBS", "4", 1);
-  core::Executor executor(effective_jobs(0));
+  core::Executor executor(width_of({"--jobs", "4"}));
   EXPECT_EQ(executor.workers(), 4u);
   ExperimentSpec spec;
   spec.runs = 5;

@@ -23,9 +23,9 @@ RunMatrix tiny_matrix() {
 
 class SupervisorTest : public ::testing::Test {
  protected:
-  void SetUp() override { fault::clear_active_plan(); }
+  void SetUp() override { fault::set_active_spec(""); }
   void TearDown() override {
-    fault::clear_active_plan();
+    fault::set_active_spec("");
     core::clear_cell_deadline();
   }
 };
