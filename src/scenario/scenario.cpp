@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstdlib>
+#include <initializer_list>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -208,10 +209,30 @@ bool parse_size_strict(std::string_view text, std::size_t& out) {
   throw std::invalid_argument("MachineSpec: " + what);
 }
 
+[[noreturn]] void too_many_threads(const std::string& what) {
+  spec_fail(what + " exceeds " +
+            std::to_string(MachineSpec::kMaxHwThreads) + " HW threads");
+}
+
+/// The product of `dims` (a HW-thread count), failing as soon as a partial
+/// product passes MachineSpec::kMaxHwThreads, so none can wrap. A zero
+/// dimension yields 0 and is left to the zero-size checks.
+std::size_t bounded_threads(std::initializer_list<std::size_t> dims,
+                            const std::string& what) {
+  std::size_t n = 1;
+  for (const std::size_t d : dims) {
+    if (d != 0 && n > MachineSpec::kMaxHwThreads / d) too_many_threads(what);
+    n *= d;
+  }
+  return n;
+}
+
 }  // namespace
 
 topo::Machine MachineSpec::build() const {
   if (groups.empty()) {
+    (void)bounded_threads({sockets, numa_per_socket, cores_per_numa, smt},
+                          "sockets x numa_per_socket x cores_per_numa x smt");
     return topo::Machine::uniform(label, sockets, numa_per_socket,
                                   cores_per_numa, smt, base_ghz, max_ghz);
   }
@@ -228,6 +249,7 @@ topo::Machine MachineSpec::build() const {
   std::size_t next_socket = 0;
   std::size_t next_numa = 0;
   std::size_t max_smt = 0;
+  std::size_t n_threads = 0;
   std::set<std::string> names;
   for (std::size_t gi = 0; gi < groups.size(); ++gi) {
     const NodeGroupSpec& g = groups[gi];
@@ -264,6 +286,9 @@ topo::Machine MachineSpec::build() const {
       socket_count = g.sockets;
       next_socket += g.sockets;
     }
+    n_threads += bounded_threads({socket_count, g.numa, g.cores, g.smt},
+                                 "group '" + g.name + "'");
+    if (n_threads > kMaxHwThreads) too_many_threads("the groups together");
     max_smt = std::max(max_smt, g.smt);
     for (std::size_t s = 0; s < socket_count; ++s) {
       for (std::size_t d = 0; d < g.numa; ++d) {

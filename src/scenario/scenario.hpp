@@ -86,10 +86,17 @@ struct MachineSpec {
   /// v2 node groups; empty = symmetric uniform machine.
   std::vector<NodeGroupSpec> groups;
 
+  /// Largest machine build() materializes, in HW threads: far above every
+  /// catalog and test machine (Dardel has 256), so a larger geometry is a
+  /// typo or a wrapped product and is rejected before anything is
+  /// allocated.
+  static constexpr std::size_t kMaxHwThreads = 65536;
+
   /// Materializes the geometry. Throws std::invalid_argument on zero-sized
-  /// dimensions, an invalid frequency range, a non-positive work_rate, a
-  /// duplicate/empty group name, or a socket pin that does not reference a
-  /// socket created by an earlier group.
+  /// dimensions, more than kMaxHwThreads HW threads (however large the
+  /// dimensions' product, wrapped or not), an invalid frequency range, a
+  /// non-positive work_rate, a duplicate/empty group name, or a socket pin
+  /// that does not reference a socket created by an earlier group.
   [[nodiscard]] topo::Machine build() const;
 
   /// Per-class relative compute speeds (one entry per group, in group

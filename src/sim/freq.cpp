@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 namespace omv::sim {
 
@@ -104,23 +103,6 @@ void FreqModel::set_activity_domains(std::size_t n_domains) {
   }
 }
 
-void FreqModel::index_new_episodes() {
-  for (auto& idx : index_) {
-    if (idx.max_end.empty()) {
-      idx.max_end.push_back(-std::numeric_limits<double>::infinity());
-    }
-    for (std::size_t k = idx.red_uncapped.size(); k < idx.starts.size(); ++k) {
-      const double end = idx.ends[k];
-      const double depth = idx.depths[k];
-      idx.max_end.push_back(std::max(idx.max_end.back(), end));
-      const double len = end - idx.starts[k];
-      idx.red_uncapped.append((1.0 - std::min(1.0, depth)) * len);
-      idx.red_capped.append(
-          (cfg_.run_cap_depth - std::min(cfg_.run_cap_depth, depth)) * len);
-    }
-  }
-}
-
 void FreqModel::ensure_horizon(double t) {
   if (t <= horizon_ || rate_ <= 0.0) {
     horizon_ = std::max(horizon_, t);
@@ -139,10 +121,10 @@ void FreqModel::ensure_horizon(double t) {
       idx.starts.push_back(start);
       idx.ends.push_back(end);
       idx.depths.push_back(depth);
+      idx.max_end.push_back(std::max(idx.max_end.back(), end));
       next_arrival_[d] += episode_rng_.exponential(rate_);
     }
   }
-  index_new_episodes();
   horizon_ = target;
 }
 
@@ -178,89 +160,45 @@ double FreqModel::sample_ghz(std::size_t core, double t) {
   return std::max(0.1, f) * fmax;
 }
 
-double FreqModel::window_reduction(std::size_t numa, double t0, double t1,
-                                   double base) const {
-  const auto& idx = index_[numa];
-  const auto j0 = static_cast<std::size_t>(
-      std::lower_bound(idx.starts.begin(), idx.starts.end(), t0) -
-      idx.starts.begin());
-  const auto j1 = static_cast<std::size_t>(
-      std::lower_bound(idx.starts.begin(), idx.starts.end(), t1) -
-      idx.starts.begin());
-  // base is either 1.0 or run_cap_depth — pick the matching weight index.
-  const stats::PrefixSum& red =
-      base == 1.0 ? idx.red_uncapped : idx.red_capped;
-  const auto weight = [&](std::size_t k) {
-    return base - std::min(base, idx.depths[k]);
-  };
-
-  // Episodes starting inside [t0, t1), credited at full length by the
-  // prefix sums; boundary overlaps are corrected explicitly below.
-  double r = red.range(j0, j1);
-
-  // Right boundary: episodes active at t1 (start < t1, end > t1). Those
-  // starting inside the window were credited past t1 — trim the excess;
-  // those starting before t0 cover the whole window. The back-scan stops
-  // as soon as the running max end proves no earlier episode reaches t1.
-  for (std::size_t k = j1; k-- > 0;) {
-    if (idx.max_end[k + 1] <= t1) break;
-    if (idx.ends[k] <= t1) continue;
-    if (idx.starts[k] >= t0) {
-      r -= weight(k) * (idx.ends[k] - t1);
-    } else {
-      r += weight(k) * (t1 - t0);
-    }
-  }
-
-  // Left boundary: episodes straddling t0 (start < t0 < end <= t1) — the
-  // window-covering case (end > t1) was already handled above.
-  for (std::size_t k = j0; k-- > 0;) {
-    if (idx.max_end[k + 1] <= t0) break;
-    if (idx.ends[k] > t0 && idx.ends[k] <= t1) {
-      r += weight(k) * (idx.ends[k] - t0);
-    }
-  }
-  return r;
-}
-
 double FreqModel::mean_factor_impl(std::size_t core, double t0, double t1,
                                    bool* flat_out) {
   if (flat_out != nullptr) *flat_out = false;
   if (t1 <= t0) return factor(core, t0);
   if (t1 > horizon_) ensure_horizon(t1);
   const double base = run_capped() ? cfg_.run_cap_depth : 1.0;
-  const std::size_t numa = core_numa(core);
-  const auto& idx = index_[numa];
-  const std::size_t n_eps = idx.starts.size();
+  const auto& idx = index_[core_numa(core)];
   // Integrate: base everywhere, lowered inside episodes. Episodes may
   // overlap; accumulate reduction per episode and clamp (episodes rarely
-  // overlap at the configured rates) — the historical semantics, now
-  // answered by the index for large domains.
+  // overlap at the configured rates) — the historical semantics.
   double integral = base * (t1 - t0);
-  // O(1) no-overlap fast path: the window sits entirely outside every
-  // episode (empty domain, window before the first start, or past the
-  // global max end). Exact — the scans below would find nothing, and the
-  // division is kept so the returned value is bit-identical to theirs.
-  if (n_eps == 0 || t1 <= idx.starts.front() || idx.max_end.back() <= t0) {
+  // O(1) exit for a window outside every episode (an empty domain, a
+  // window past the last end or before the first start) — the common case
+  // on sparse domains. The binary searches below would find no episode
+  // and return the same value.
+  if (idx.max_end.back() <= t0 || t1 <= idx.starts.front()) {
     if (flat_out != nullptr) *flat_out = true;
     return std::max(0.1, integral / (t1 - t0));
   }
+  // Only episodes [k0, k1) can overlap the window: every episode before
+  // k0 ends by t0 (k0 is the first whose running max end passes t0) and
+  // every episode from k1 on starts at or after t1. Each skipped episode
+  // fails the hi > lo test below, so visiting the rest in start order
+  // performs exactly the historical full scan's floating-point operations.
+  const auto reach = idx.max_end.begin() + 1;  // latest end of [0, k]
+  const auto k0 = static_cast<std::size_t>(
+      std::upper_bound(reach, idx.max_end.end(), t0) - reach);
+  const auto k1 = static_cast<std::size_t>(
+      std::lower_bound(idx.starts.begin(), idx.starts.end(), t1) -
+      idx.starts.begin());
   bool overlapped = false;
-  if (n_eps <= kScanCutover) {
-    // Historical accumulation order — bit-identical to the pre-index scan.
-    for (std::size_t k = 0; k < n_eps; ++k) {
-      const double lo = std::max(t0, idx.starts[k]);
-      const double hi = std::min(t1, idx.ends[k]);
-      if (hi > lo) {
-        overlapped = true;
-        const double depth = std::min(base, idx.depths[k]);
-        integral -= (base - depth) * (hi - lo);
-      }
+  for (std::size_t k = k0; k < k1; ++k) {
+    const double lo = std::max(t0, idx.starts[k]);
+    const double hi = std::min(t1, idx.ends[k]);
+    if (hi > lo) {
+      overlapped = true;
+      const double depth = std::min(base, idx.depths[k]);
+      integral -= (base - depth) * (hi - lo);
     }
-  } else {
-    const double r = window_reduction(numa, t0, t1, base);
-    overlapped = r != 0.0;
-    integral -= r;
   }
   if (flat_out != nullptr) *flat_out = !overlapped;
   return std::max(0.1, integral / (t1 - t0));

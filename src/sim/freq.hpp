@@ -13,10 +13,10 @@
 // and the compute rate of a thread scales as f / fmax.
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
-#include "core/prefix_index.hpp"
 #include "core/rng.hpp"
 #include "topo/topology.hpp"
 
@@ -58,19 +58,10 @@ struct FreqConfig {
 
 /// Deterministic per-run frequency model, queryable at any time. Episodes
 /// are stored columnar (SoA) per NUMA domain — start/end/depth columns plus
-/// derived search and reduction indices — the canonical representation the
-/// query kernels consume directly.
+/// a running max end — the canonical representation the queries consume
+/// directly.
 class FreqModel {
  public:
-  /// Density-adaptive scan/index cutover (episodes per domain): domains
-  /// holding at most this many episodes are integrated by the historical
-  /// full scan (bit-identical to the pre-index accumulation and faster at
-  /// low densities, where the two binary searches plus boundary back-scans
-  /// of the prefix path used to regress); larger domains use the prefix
-  /// index. Sits at the measured crossover of BENCH_hotpath.json's density
-  /// sweep; may only ever be raised (see NoiseModel::kScanCutover).
-  static constexpr std::size_t kScanCutover = 48;
-
   FreqModel(const topo::Machine& machine, FreqConfig cfg);
 
   /// Starts a new run: clears episodes, reseeds, samples the run-cap state.
@@ -95,13 +86,11 @@ class FreqModel {
 
   /// Mean multiplier over [t0, t1) for `core` (exact episode integration).
   ///
-  /// Indexed: two binary searches on the start-sorted episode vector; the
-  /// episodes fully inside the window are integrated by compensated prefix
-  /// sums in O(1), and the episodes partially overlapping either window
-  /// boundary are enumerated and trimmed explicitly (a max-end-pruned
-  /// back-scan), so partial overlaps are exact. Domains holding few
-  /// episodes take the historical full-scan path, which reproduces the
-  /// pre-index floating-point accumulation bit for bit.
+  /// Two binary searches bound the episodes that can overlap the window:
+  /// the first whose running max end passes t0, and the first starting at
+  /// or after t1. Those are integrated in start order; every episode
+  /// outside the bounds contributes nothing, so the result equals
+  /// reference::mean_factor's full scan bit for bit at every density.
   double mean_factor(std::size_t core, double t0, double t1);
 
   /// Elapsed wall time to complete `work` seconds of fmax-rate compute
@@ -156,9 +145,9 @@ class FreqModel {
   }
 
  private:
-  /// Canonical columnar storage plus query index for one domain's
-  /// start-sorted episodes. Episodes arrive in start order, so all arrays
-  /// are append-only and extended incrementally per horizon extension.
+  /// Canonical columnar storage for one domain's start-sorted episodes.
+  /// Episodes arrive in start order, so all arrays are append-only and
+  /// extended incrementally per horizon extension.
   struct DomainIndex {
     /// The domain's episode columns — binary searches and integration scans
     /// stream one contiguous double array each instead of striding through
@@ -166,34 +155,19 @@ class FreqModel {
     std::vector<double> starts;
     std::vector<double> ends;
     std::vector<double> depths;
-    /// max episode end over episodes [0, k) — prunes the back-scan that
-    /// enumerates episodes straddling a window boundary.
+    /// max episode end over episodes [0, k) (so max_end[0] = -inf): no
+    /// episode before the first k with max_end[k + 1] > t reaches past t.
     std::vector<double> max_end;
-    /// Σ (1 - depth)·(end - start): full-episode reduction under the
-    /// uncapped base (base = 1).
-    stats::PrefixSum red_uncapped;
-    /// Σ max(0, run_cap_depth - depth)·(end - start): reduction under the
-    /// capped base.
-    stats::PrefixSum red_capped;
 
     void clear() {
       starts.clear();
       ends.clear();
       depths.clear();
-      max_end.clear();
-      red_uncapped.clear();
-      red_capped.clear();
+      max_end.assign(1, -std::numeric_limits<double>::infinity());
     }
   };
 
   void ensure_horizon(double t);
-  /// Extends the derived search/reduction indices (max_end, reduction
-  /// prefix sums) over episode columns appended since the last call.
-  void index_new_episodes();
-  /// Reduction Σ w·|[t0,t1) ∩ episode| over domain `numa` under `base`,
-  /// where w = base - min(base, depth). Indexed query (see mean_factor).
-  double window_reduction(std::size_t numa, double t0, double t1,
-                          double base) const;
   /// mean_factor plus a flatness report (`flat_out` true when no episode
   /// overlapped the window) feeding elapsed_for_work's early exit.
   double mean_factor_impl(std::size_t core, double t0, double t1,

@@ -60,8 +60,7 @@ NoiseModel::NoiseModel(const topo::Machine& machine, NoiseConfig cfg)
     : machine_(machine), cfg_(cfg) {
   times_.resize(machine.n_threads());
   durs_.resize(machine.n_threads());
-  cum_.resize(machine.n_threads());
-  indexed_len_.resize(machine.n_threads(), 0);
+  sorted_len_.resize(machine.n_threads(), 0);
   absorb_factor_.resize(machine.n_threads(), 1.0);
   core_threads_.resize(machine.n_cores());
   for (std::size_t core = 0; core < machine.n_cores(); ++core) {
@@ -86,8 +85,7 @@ void NoiseModel::begin_run(std::uint64_t run_seed, const topo::CpuSet& busy) {
 
   for (auto& v : times_) v.clear();
   for (auto& v : durs_) v.clear();
-  for (auto& c : cum_) c.clear();
-  std::fill(indexed_len_.begin(), indexed_len_.end(), 0);
+  std::fill(sorted_len_.begin(), sorted_len_.end(), 0);
   degraded_ = degrade_rng.bernoulli(cfg_.degrade_prob);
 
   const double daemon_rate =
@@ -177,11 +175,11 @@ void NoiseModel::place_daemon(double t, double dur) {
   append_event(victim, t, dur);
 }
 
-void NoiseModel::index_new_events() {
+void NoiseModel::sort_new_events() {
   for (std::size_t h = 0; h < times_.size(); ++h) {
     auto& tv = times_[h];
     auto& dv = durs_[h];
-    const std::size_t sorted = indexed_len_[h];
+    const std::size_t sorted = sorted_len_[h];
     if (tv.size() == sorted) continue;
     // Every event of this extension carries a time >= the previous horizon
     // (each source's next-arrival clock had crossed it), so sorting the
@@ -200,14 +198,11 @@ void NoiseModel::index_new_events() {
                 return a.first < b.first;
               });
     assert(sorted == 0 || sort_scratch_.front().first >= tv[sorted - 1]);
-    auto& cum = cum_[h];
-    cum.reserve(tv.size());
     for (std::size_t k = 0; k < sort_scratch_.size(); ++k) {
       tv[sorted + k] = sort_scratch_[k].first;
       dv[sorted + k] = sort_scratch_[k].second;
-      cum.append(sort_scratch_[k].second);
     }
-    indexed_len_[h] = tv.size();
+    sorted_len_[h] = tv.size();
   }
 }
 
@@ -250,45 +245,8 @@ void NoiseModel::ensure_horizon(double t) {
     }
   }
 
-  index_new_events();
+  sort_new_events();
   horizon_ = target;
-}
-
-double NoiseModel::event_delay(std::size_t h, double t0, double t1,
-                               double acc) {
-  // ST absorption: with an idle SMT sibling, the kernel runs interrupting
-  // work on the sibling HW thread and the benchmark thread only loses a
-  // share of core resources instead of being fully preempted. The factor
-  // is cached per busy-set change (refresh_absorb_factors), not looked up
-  // per query.
-  const double factor = absorb_factor_[h];
-  const auto& tv = times_[h];
-  const double* times = tv.data();
-  const std::size_t n = tv.size();
-  const std::size_t i = static_cast<std::size_t>(
-      std::lower_bound(tv.begin(), tv.end(), t0) - tv.begin());
-  // Density-adaptive dispatch, fused: narrow windows (the common case at
-  // the densities the harnesses run) are summed by the historical
-  // sequential scan — accumulating while counting, in the pre-index
-  // floating-point order, with no second binary search. Only once the walk
-  // proves the window holds more than kScanCutover events is the window
-  // end located by binary search and the O(1) prefix-sum range used.
-  const std::size_t cap = std::min(n, i + kScanCutover);
-  const double* durs = durs_[h].data();
-  double delay = acc;
-  std::size_t k = i;
-  while (k < cap && times[k] < t1) {
-    delay += durs[k] * factor;
-    ++k;
-  }
-  if (k < n && k == i + kScanCutover && times[k] < t1) {
-    const std::size_t j = static_cast<std::size_t>(
-        std::lower_bound(tv.begin() + static_cast<std::ptrdiff_t>(k),
-                         tv.end(), t1) -
-        tv.begin());
-    return acc + cum_[h].range(i, j) * factor;
-  }
-  return delay;
 }
 
 double NoiseModel::preemption_delay(std::size_t h, double t0, double t1) {
@@ -301,7 +259,21 @@ double NoiseModel::preemption_delay(std::size_t h, double t0, double t1) {
     delay = tick_delay_one(t0, t1, tick_phase_[h], cfg_.tick_period,
                            cfg_.tick_duration);
   }
-  return event_delay(h, t0, t1, delay);
+
+  // ST absorption: with an idle SMT sibling, the kernel runs interrupting
+  // work on the sibling HW thread and the benchmark thread only loses a
+  // share of core resources instead of being fully preempted. The factor
+  // is cached per busy-set change (refresh_absorb_factors), not looked up
+  // per query.
+  const double factor = absorb_factor_[h];
+  const auto& tv = times_[h];
+  const auto& dv = durs_[h];
+  const std::size_t begin = static_cast<std::size_t>(
+      std::lower_bound(tv.begin(), tv.end(), t0) - tv.begin());
+  for (std::size_t k = begin; k < tv.size() && tv[k] < t1; ++k) {
+    delay += dv[k] * factor;
+  }
+  return delay;
 }
 
 }  // namespace omv::sim

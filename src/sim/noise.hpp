@@ -27,7 +27,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/prefix_index.hpp"
 #include "core/rng.hpp"
 #include "topo/topology.hpp"
 
@@ -80,22 +79,10 @@ struct NoiseConfig {
 
 /// Deterministic per-run noise generator; all events are materialized lazily
 /// up to a growing horizon, so queries are order-independent. Event streams
-/// are stored columnar (SoA): per-CPU time and duration columns plus
-/// compensated duration prefix sums — the canonical representation the query
-/// kernels consume directly.
+/// are stored columnar (SoA): per-CPU time and duration columns, kept sorted
+/// by time — the canonical representation the query consumes directly.
 class NoiseModel {
  public:
-  /// Density-adaptive scan/index cutover (events per window): windows
-  /// holding at most this many events are summed by the historical
-  /// sequential scan (bit-identical to the pre-index accumulation and
-  /// faster at the low densities where the prefix index used to regress);
-  /// wider windows use the O(1) compensated prefix-sum range. The value
-  /// sits at the measured crossover of BENCH_hotpath.json's density sweep
-  /// and may only ever be raised: harness regimes are sparser than the
-  /// cutover, so raising preserves stdout byte-identity while lowering
-  /// would not.
-  static constexpr std::size_t kScanCutover = 48;
-
   NoiseModel(const topo::Machine& machine, NoiseConfig cfg);
 
   /// Starts a new run: clears all events, reseeds, samples the run-scoped
@@ -110,10 +97,9 @@ class NoiseModel {
   /// Total preemption seconds charged to HW thread `h` by events arriving in
   /// [t0, t1). Includes the analytic timer-tick term.
   ///
-  /// Indexed: two binary searches locate the window in the per-CPU sorted
-  /// event vector; narrow windows are summed by the pre-index sequential
-  /// scan (bit-identical to the historical implementation), wide windows by
-  /// the compensated duration prefix sums in O(1).
+  /// One lower_bound locates t0 in the per-CPU sorted event column; the
+  /// events in the window are then summed in time order, bit-identical to
+  /// reference::preemption_delay at every density.
   double preemption_delay(std::size_t h, double t0, double t1);
 
   /// Materializes all noise sources up to time `t` (normally done lazily by
@@ -163,21 +149,16 @@ class NoiseModel {
  private:
   void ensure_horizon(double t);
   void place_daemon(double t, double dur);
-  /// Appends one raw (not yet indexed) event to the SoA columns of `h`.
+  /// Appends one raw (not yet sorted) event to the SoA columns of `h`.
   void append_event(std::size_t h, double t, double dur) {
     times_[h].push_back(t);
     durs_[h].push_back(dur);
   }
-  /// Sorts freshly appended per-CPU column tails by time and extends the
-  /// duration prefix sums. Only CPUs whose columns grew since the last call
-  /// are touched. Outside ensure_horizon the columns are always fully
-  /// indexed (`indexed_len_[h] == times_[h].size()`).
-  void index_new_events();
-  /// Event-sum part of a preemption window: `acc` enters holding the
-  /// analytic tick term. Fused narrow scan (accumulates while counting, in
-  /// the historical order) with a bail-out to the prefix range past
-  /// kScanCutover events.
-  double event_delay(std::size_t h, double t0, double t1, double acc);
+  /// Sorts freshly appended per-CPU column tails by time. Only CPUs whose
+  /// columns grew since the last call are touched. Outside ensure_horizon
+  /// the columns are always fully sorted
+  /// (`sorted_len_[h] == times_[h].size()`).
+  void sort_new_events();
   /// Recomputes the cached SMT-absorb factors from the busy set.
   void refresh_absorb_factors();
 
@@ -188,22 +169,19 @@ class NoiseModel {
   Rng irq_rng_;
   Rng placement_rng_;
   /// Canonical columnar event storage: per-CPU arrival times and durations.
-  /// The leading indexed_len_[h] entries are sorted by time; sources append
-  /// raw tails which index_new_events() sorts in. Binary searches and scans
+  /// The leading sorted_len_[h] entries are sorted by time; sources append
+  /// raw tails which sort_new_events() sorts in. Binary searches and scans
   /// touch one contiguous double stream instead of striding through
   /// 24-byte event records.
   std::vector<std::vector<double>> times_;
   std::vector<std::vector<double>> durs_;
-  /// cum_[h] holds compensated prefix sums of durs_[h] (size == events + 1);
-  /// kept in lockstep by index_new_events().
-  std::vector<stats::PrefixSum> cum_;
   /// Per-HW-thread SMT-absorb factor (smt_absorb_factor when the sibling is
   /// idle, else 1.0), cached from the busy set so the per-query sibling
   /// lookup disappears from the hot path.
   std::vector<double> absorb_factor_;
-  /// Number of leading events of times_[h]/durs_[h] already sorted+indexed.
-  std::vector<std::size_t> indexed_len_;
-  /// Scratch for index_new_events' joint (time, duration) tail sort.
+  /// Number of leading events of times_[h]/durs_[h] already sorted.
+  std::vector<std::size_t> sorted_len_;
+  /// Scratch for sort_new_events' joint (time, duration) tail sort.
   std::vector<std::pair<double, double>> sort_scratch_;
   /// Per-core HW-thread lists, cached from the (immutable) machine so the
   /// daemon-placement scan does not rebuild CpuSets per event.

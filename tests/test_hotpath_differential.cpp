@@ -1,17 +1,15 @@
-// Differential property tests: the indexed hot-path queries
+// Differential property tests: the hot-path queries
 // (NoiseModel::preemption_delay, FreqModel::factor/mean_factor/
-// elapsed_for_work) against the retained brute-force references
-// (sim/reference.hpp) over randomized event/episode sets and windows —
-// including overlapping episodes, window-boundary partial overlaps, dense
-// streams (prefix-sum path) and empty streams.
+// elapsed_for_work) against the brute-force references (sim/reference.hpp)
+// over randomized event/episode sets and windows — including overlapping
+// episodes, window-boundary partial overlaps, dense and empty streams.
+// Every comparison is exact: each production query performs the same
+// floating-point operations in the same order as its reference.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <stdexcept>
-#include <vector>
 
-#include "core/prefix_index.hpp"
 #include "core/rng.hpp"
 #include "sim/freq.hpp"
 #include "sim/noise.hpp"
@@ -20,18 +18,6 @@
 
 namespace omv::sim {
 namespace {
-
-/// Indexed results may differ from the sequential reference only where the
-/// prefix-sum path engages; the compensated sums keep that drift within a
-/// few ulps of the result.
-constexpr double kRelTol = 1e-12;
-
-void expect_close(double got, double want, const char* what, double t0,
-                  double t1) {
-  const double tol = kRelTol * std::max({1.0, std::abs(want)});
-  EXPECT_NEAR(got, want, tol)
-      << what << " window [" << t0 << ", " << t1 << ")";
-}
 
 TEST(HotpathDifferential, PreemptionDelayMatchesBruteForceAcrossDensities) {
   const topo::Machine machine = topo::Machine::vera();
@@ -48,10 +34,9 @@ TEST(HotpathDifferential, PreemptionDelayMatchesBruteForceAcrossDensities) {
       const std::size_t h = windows.next_below(machine.n_threads());
       const double t0 = windows.uniform(0.0, 0.8 * horizon);
       const double t1 = t0 + windows.uniform(0.0, 0.4);
-      const double got = model.preemption_delay(h, t0, t1);
-      const double want =
-          reference::preemption_delay(model, machine, h, t0, t1);
-      expect_close(got, want, "preemption_delay", t0, t1);
+      EXPECT_EQ(model.preemption_delay(h, t0, t1),
+                reference::preemption_delay(model, machine, h, t0, t1))
+          << "rate " << rate << " window [" << t0 << ", " << t1 << ")";
     }
     // Degenerate and boundary windows.
     EXPECT_EQ(model.preemption_delay(0, 0.5, 0.5), 0.0);
@@ -62,8 +47,8 @@ TEST(HotpathDifferential, PreemptionDelayMatchesBruteForceAcrossDensities) {
 }
 
 TEST(HotpathDifferential, PreemptionDelayExactOnSparseStreams) {
-  // Sparse streams stay on the sequential scan path, which must be
-  // bit-identical to the brute-force reference — not merely close.
+  // Dardel's own sparse streams on a 2-way SMT machine, where idle
+  // siblings scale every event by the SMT-absorb factor.
   const topo::Machine machine = topo::Machine::dardel();
   NoiseModel model(machine, NoiseConfig::dardel());
   model.begin_run(11, machine.primary_threads());
@@ -102,9 +87,9 @@ TEST(HotpathDifferential, MeanFactorMatchesBruteForceAcrossDensities) {
       const std::size_t core = windows.next_below(machine.n_cores());
       const double t0 = windows.uniform(0.0, 0.8 * horizon);
       const double t1 = t0 + windows.uniform(0.0, 0.5);
-      const double got = model.mean_factor(core, t0, t1);
-      const double want = reference::mean_factor(model, core, t0, t1);
-      expect_close(got, want, "mean_factor", t0, t1);
+      EXPECT_EQ(model.mean_factor(core, t0, t1),
+                reference::mean_factor(model, core, t0, t1))
+          << "rate " << c.rate << " window [" << t0 << ", " << t1 << ")";
       EXPECT_EQ(model.factor(core, t0),
                 reference::factor(model, core, t0))
           << "factor at t=" << t0;
@@ -113,8 +98,8 @@ TEST(HotpathDifferential, MeanFactorMatchesBruteForceAcrossDensities) {
 }
 
 TEST(HotpathDifferential, MeanFactorExactOnSparseDomains) {
-  // Domains holding few episodes stay on the historical full scan —
-  // bit-identical, not merely close.
+  // A dippy Vera session across both domains over a 10 s horizon: a few
+  // long episodes per domain, windows up to 1 s wide.
   const topo::Machine machine = topo::Machine::vera();
   FreqConfig cfg = FreqConfig::vera_dippy();
   FreqModel model(machine, cfg);
@@ -132,8 +117,8 @@ TEST(HotpathDifferential, MeanFactorExactOnSparseDomains) {
 }
 
 TEST(HotpathDifferential, MeanFactorMatchesUnderRunCap) {
-  // The capped base uses the second weight index (run_cap_depth-relative
-  // weights, including depth > base episodes that clamp to zero weight).
+  // The capped base weighs episodes against run_cap_depth, including
+  // depth > base episodes that clamp to zero weight.
   const topo::Machine machine = topo::Machine::vera();
   FreqConfig cfg = FreqConfig::dardel();
   cfg.run_cap_prob = 1.0;  // always capped
@@ -151,9 +136,9 @@ TEST(HotpathDifferential, MeanFactorMatchesUnderRunCap) {
     const std::size_t core = windows.next_below(machine.n_cores());
     const double t0 = windows.uniform(0.0, 1.5);
     const double t1 = t0 + windows.uniform(0.0, 0.3);
-    const double got = model.mean_factor(core, t0, t1);
-    const double want = reference::mean_factor(model, core, t0, t1);
-    expect_close(got, want, "capped mean_factor", t0, t1);
+    EXPECT_EQ(model.mean_factor(core, t0, t1),
+              reference::mean_factor(model, core, t0, t1))
+        << "capped window [" << t0 << ", " << t1 << ")";
   }
 }
 
@@ -171,11 +156,9 @@ TEST(HotpathDifferential, ElapsedForWorkMatchesBruteForce) {
       const std::size_t core = windows.next_below(machine.n_cores());
       const double t0 = windows.uniform(0.0, 2.0);
       const double work = windows.uniform(1e-7, 0.02);
-      const double got = model.elapsed_for_work(core, t0, work);
-      const double want = reference::elapsed_for_work(model, core, t0, work);
-      const double tol = kRelTol * std::max(1.0, std::abs(want));
-      EXPECT_NEAR(got, want, tol) << "elapsed_for_work t0=" << t0
-                                  << " work=" << work << " rate=" << rate;
+      EXPECT_EQ(model.elapsed_for_work(core, t0, work),
+                reference::elapsed_for_work(model, core, t0, work))
+          << "t0=" << t0 << " work=" << work << " rate=" << rate;
     }
   }
 }
@@ -226,7 +209,7 @@ TEST(HotpathDifferential, ReferenceQueriesThrowPastMaterializedHorizon) {
                std::logic_error);
   // The degenerate-window early path still answers (it reads t0 only).
   EXPECT_NO_THROW((void)reference::mean_factor(freq, 0, 0.5, 0.5));
-  // The indexed production queries self-materialize and stay unaffected.
+  // The production queries self-materialize and stay unaffected.
   EXPECT_NO_THROW((void)noise.preemption_delay(0, 0.1, edge + 2.0));
   EXPECT_NO_THROW((void)freq.mean_factor(0, 0.1, fedge + 2.0));
 }
@@ -244,52 +227,6 @@ TEST(HotpathDifferential, NoiseEventsStaySortedAcrossExtensions) {
     for (std::size_t k = 1; k < times.size(); ++k) {
       ASSERT_LE(times[k - 1], times[k]);
     }
-  }
-}
-
-TEST(PrefixSum, RangeMatchesDirectSummation) {
-  stats::PrefixSum ps;
-  Rng rng(3);
-  std::vector<double> xs;
-  for (int i = 0; i < 5000; ++i) {
-    xs.push_back(rng.uniform(0.0, 1e-3));
-    ps.append(xs.back());
-  }
-  ASSERT_EQ(ps.size(), xs.size());
-  Rng w(4);
-  for (int q = 0; q < 200; ++q) {
-    const std::size_t i = w.next_below(xs.size());
-    const std::size_t j = i + w.next_below(xs.size() - i + 1);
-    // Reference in extended precision: a plain double loop would itself
-    // carry ~n·eps error — more than the compensated index under test.
-    long double direct = 0.0L;
-    for (std::size_t k = i; k < j; ++k) direct += xs[k];
-    const double want = static_cast<double>(direct);
-    EXPECT_NEAR(ps.range(i, j), want,
-                4e-16 * std::max(1.0, std::abs(want)));
-  }
-  EXPECT_EQ(ps.range(0, 0), 0.0);
-  ps.clear();
-  EXPECT_EQ(ps.size(), 0u);
-  EXPECT_EQ(ps.total(), 0.0);
-}
-
-TEST(PrefixSum, StaysConditionedOnLongStreams) {
-  // The motivating failure mode: narrow windows deep into a long stream.
-  // A plain running-sum difference loses ~eps·prefix absolute accuracy;
-  // the compensated pairs must stay relative to the *range*.
-  stats::PrefixSum ps;
-  std::vector<double> xs;
-  Rng rng(9);
-  for (int i = 0; i < 200000; ++i) {
-    xs.push_back(rng.uniform(0.9e-4, 1.1e-4));
-    ps.append(xs.back());
-  }
-  for (std::size_t i : {std::size_t{199900}, std::size_t{100000}}) {
-    long double direct = 0.0L;
-    for (std::size_t k = i; k < i + 3; ++k) direct += xs[k];
-    const double want = static_cast<double>(direct);
-    EXPECT_NEAR(ps.range(i, i + 3), want, 1e-15 * want);
   }
 }
 

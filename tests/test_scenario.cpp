@@ -463,6 +463,38 @@ TEST(ScenarioText, ParserRejectsMalformedInput) {
                std::runtime_error);  // max (3.0 default) < base
 }
 
+TEST(ScenarioText, ParserRejectsOversizedGeometry) {
+  // More than MachineSpec::kMaxHwThreads HW threads is rejected at load
+  // time, before the machine is allocated: a socket count whose core
+  // product wraps size_t (2^63 + 1 sockets x 2 NUMA domains would build a
+  // 2-core machine), a v1 machine of 10^6 cores, a group of 100,000 cores
+  // and two groups that only pass the ceiling together.
+  const char* const cases[] = {
+      "name = x\nbase = dardel\nmachine.sockets = 9223372036854775809\n"
+      "machine.numa_per_socket = 2\nmachine.cores_per_numa = 1\n",
+      "name = x\nmachine.cores_per_numa = 1000000\n",
+      "name = x\n[group g]\ncores = 100000\n",
+      "name = x\n[group a]\ncores = 40000\n[group b]\ncores = 40000\n",
+  };
+  for (const char* text : cases) {
+    try {
+      (void)parse_text(text, "conf/big.scn");
+      ADD_FAILURE() << "accepted:\n" << text;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("conf/big.scn"), std::string::npos) << what;
+      EXPECT_NE(what.find("65536 HW threads"), std::string::npos) << what;
+    }
+  }
+  // The ceiling itself still builds.
+  MachineSpec at_ceiling;
+  at_ceiling.cores_per_numa = MachineSpec::kMaxHwThreads;
+  EXPECT_EQ(at_ceiling.build().n_threads(), MachineSpec::kMaxHwThreads);
+  MachineSpec past = at_ceiling;
+  past.smt = 2;
+  EXPECT_THROW((void)past.build(), std::invalid_argument);
+}
+
 TEST(ScenarioText, ErrorsNameOriginAndLine) {
   try {
     (void)parse_text("name = x\n\nnoise.bogus = 1\n", "conf/box.scn");
