@@ -75,23 +75,10 @@ double SimStream::kernel_time_s(ompsim::SimTeam& team, StreamKernel k) {
   // largely SMT-neutral).
   std::vector<double> clocks(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
-    double d = base[i] * static_cast<double>(pl.share[i]);
-    if (pl.smt_coscheduled[i]) d *= smt_penalty_;
-    // OS noise extends the phase (fixed-point as in Simulator::exec).
-    const double start = t0;
-    for (int iter = 0; iter < 6; ++iter) {
-      const double delay =
-          sim_->noise().preemption_delay(pl.hw[i], start, start + d);
-      const double nd = base[i] * static_cast<double>(pl.share[i]) *
-                            (pl.smt_coscheduled[i] ? smt_penalty_ : 1.0) +
-                        delay;
-      if (nd <= d + 1e-12) {
-        d = nd;
-        break;
-      }
-      d = nd;
-    }
-    clocks[i] = t0 + d;
+    const double d = base[i] * static_cast<double>(pl.share[i]) *
+                     (pl.smt_coscheduled[i] ? smt_penalty_ : 1.0);
+    // OS noise extends the phase, as it does every Simulator::exec.
+    clocks[i] = sim_->with_preemptions(pl.hw[i], t0, d);
   }
   team.set_clocks(clocks);
   if (k == StreamKernel::dot) {

@@ -1,6 +1,7 @@
 #include "omp_model/team.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace omv::ompsim {
@@ -43,7 +44,7 @@ void SimTeam::rebuild_placement(std::uint64_t seed) {
 void SimTeam::begin_run(std::uint64_t run_seed) {
   rebuild_placement(run_seed);
   sim_.begin_run(run_seed, placement_model_.busy_set());
-  sim_.freq().set_activity_domains(numa_span());
+  sim_.freq().set_activity_domains(placement_model_.current().numa_span);
   sim_.freq().set_load_fraction(
       static_cast<double>(placement_model_.busy_set().count()) /
       static_cast<double>(sim_.machine().n_threads()));
@@ -76,37 +77,6 @@ void SimTeam::set_clocks(std::span<const double> t) {
   std::copy(t.begin(), t.end(), clocks_.begin());
 }
 
-std::size_t SimTeam::count_span(std::size_t (topo::HwThread::*domain)) const {
-  // barrier_cost() runs once per synchronization episode — use a reusable
-  // scratch bitmap (epoch-tagged so it never needs clearing) instead of
-  // allocating a vector<bool> per call.
-  const auto& pl = placement_model_.current();
-  const std::size_t n_domains =
-      std::max(sim_.machine().n_numa(), sim_.machine().n_sockets());
-  if (span_scratch_.size() < n_domains) span_scratch_.resize(n_domains, 0);
-  if (++span_epoch_ == 0) {  // epoch wrap: stale tags could alias — reset
-    std::fill(span_scratch_.begin(), span_scratch_.end(), 0);
-    span_epoch_ = 1;
-  }
-  std::size_t n = 0;
-  for (std::size_t h : pl.hw) {
-    const std::size_t d = sim_.machine().thread(h).*domain;
-    if (span_scratch_[d] != span_epoch_) {
-      span_scratch_[d] = span_epoch_;
-      ++n;
-    }
-  }
-  return n;
-}
-
-std::size_t SimTeam::numa_span() const {
-  return count_span(&topo::HwThread::numa);
-}
-
-std::size_t SimTeam::socket_span() const {
-  return count_span(&topo::HwThread::socket);
-}
-
 double SimTeam::barrier_cost() const {
   const auto& c = sim_.costs();
   const std::size_t t = size();
@@ -121,17 +91,10 @@ double SimTeam::barrier_cost() const {
              c.barrier_central_per_thread * static_cast<double>(t);
       break;
   }
-  cost += c.barrier_numa_step * static_cast<double>(numa_span() - 1);
-  cost += c.barrier_socket_step * static_cast<double>(socket_span() - 1);
-  return cost;
-}
-
-bool SimTeam::any_smt_coscheduled() const {
   const auto& pl = placement_model_.current();
-  for (bool b : pl.smt_coscheduled) {
-    if (b) return true;
-  }
-  return false;
+  cost += c.barrier_numa_step * static_cast<double>(pl.numa_span - 1);
+  cost += c.barrier_socket_step * static_cast<double>(pl.socket_span - 1);
+  return cost;
 }
 
 void SimTeam::sync_episode(double base_cost, std::size_t repeats) {
@@ -142,23 +105,26 @@ void SimTeam::sync_episode(double base_cost, std::size_t repeats) {
   // Oversubscribed threads wait out scheduler timeslices before the episode
   // completes — once per episode instance. Sample a bounded number of draws
   // and scale, so batching many instances stays cheap but keeps the tail.
-  const double mu_log =
-      std::log(std::max(c.oversub_stall_mean, 1e-9)) -
-      0.5 * c.oversub_stall_sigma * c.oversub_stall_sigma;
-  for (std::size_t i = 0; i < clocks_.size(); ++i) {
-    if (pl.share[i] <= 1) continue;
-    const std::size_t draws =
-        std::min<std::size_t>(std::max<std::size_t>(repeats, 1), 8);
-    double stall = 0.0;
-    for (std::size_t k = 0; k < draws; ++k) {
-      stall += sim_.rng().lognormal(mu_log, c.oversub_stall_sigma);
+  // With every share at 1 the loop draws nothing, so it is skipped.
+  if (pl.any_oversub) {
+    const double mu_log =
+        std::log(std::max(c.oversub_stall_mean, 1e-9)) -
+        0.5 * c.oversub_stall_sigma * c.oversub_stall_sigma;
+    for (std::size_t i = 0; i < clocks_.size(); ++i) {
+      if (pl.share[i] <= 1) continue;
+      const std::size_t draws =
+          std::min<std::size_t>(std::max<std::size_t>(repeats, 1), 8);
+      double stall = 0.0;
+      for (std::size_t k = 0; k < draws; ++k) {
+        stall += sim_.rng().lognormal(mu_log, c.oversub_stall_sigma);
+      }
+      clocks_[i] += stall * (r / static_cast<double>(draws));
     }
-    clocks_[i] += stall * (r / static_cast<double>(draws));
   }
 
   // SMT co-scheduled teams synchronize slower and with high variance.
   double cost = base_cost;
-  if (any_smt_coscheduled()) {
+  if (pl.any_smt) {
     const double extra =
         std::abs(sim_.rng().normal(c.smt_sync_overhead, c.smt_sync_jitter));
     cost *= 1.0 + extra;
@@ -179,11 +145,6 @@ void SimTeam::fork() {
 }
 
 void SimTeam::join() { barrier(); }
-
-double SimTeam::exec_at(std::size_t i, double t, double work) {
-  const auto& pl = placement_model_.current();
-  return sim_.exec(pl.hw[i], t, work, pl.share[i], pl.smt_coscheduled[i]);
-}
 
 void SimTeam::compute_one(std::size_t i, double work) {
   clocks_[i] = exec_at(i, clocks_[i], work);

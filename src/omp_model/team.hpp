@@ -11,6 +11,11 @@
 // Thread placement comes from the topo layer's OMP_PLACES / OMP_PROC_BIND
 // implementation; unpinned teams are re-placed by the OS model between
 // repetitions.
+//
+// A synchronization episode reads the placement's team-wide summary (NUMA
+// and socket spans, any SMT co-scheduling, any oversubscription), which
+// the placement model refreshes whenever the placement changes, so no
+// episode scans the team.
 
 #include <cstdint>
 #include <span>
@@ -124,7 +129,9 @@ class SimTeam {
   void sync_episode(double base_cost, std::size_t repeats = 1);
 
   /// True when any team thread is SMT co-scheduled with another.
-  [[nodiscard]] bool any_smt_coscheduled() const;
+  [[nodiscard]] bool any_smt_coscheduled() const noexcept {
+    return placement_model_.current().any_smt;
+  }
 
   [[nodiscard]] sim::Simulator& simulator() noexcept { return sim_; }
   [[nodiscard]] const TeamConfig& config() const noexcept { return cfg_; }
@@ -132,26 +139,19 @@ class SimTeam {
   /// Executes `work` on thread i starting at time t, returning completion
   /// (applies this thread's share/SMT state). Exposed for the worksharing
   /// schedulers.
-  [[nodiscard]] double exec_at(std::size_t i, double t, double work);
+  [[nodiscard]] double exec_at(std::size_t i, double t, double work) {
+    const auto& pl = placement_model_.current();
+    return sim_.exec(pl.hw[i], t, work, pl.share[i], pl.smt_coscheduled[i]);
+  }
 
  private:
   void rebuild_placement(std::uint64_t seed);
-  /// Distinct values of the given HwThread domain field across the team's
-  /// current placement (shared engine of numa_span / socket_span).
-  [[nodiscard]] std::size_t count_span(
-      std::size_t(topo::HwThread::*domain)) const;
-  [[nodiscard]] std::size_t numa_span() const;
-  [[nodiscard]] std::size_t socket_span() const;
 
   sim::Simulator& sim_;
   TeamConfig cfg_;
   std::uint64_t seed_;
   sim::PlacementModel placement_model_;
   std::vector<double> clocks_;
-  /// Epoch-tagged scratch for count_span (mutable: spans are logically
-  /// const queries; the scratch is pure memoization space).
-  mutable std::vector<std::uint32_t> span_scratch_;
-  mutable std::uint32_t span_epoch_ = 0;
 };
 
 }  // namespace omv::ompsim

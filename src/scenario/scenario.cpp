@@ -1,6 +1,7 @@
 #include "scenario/scenario.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <initializer_list>
 #include <set>
@@ -637,6 +638,7 @@ ScenarioSpec parse_text(const std::string& text, const std::string& origin) {
 
     bool matched = false;
     bool ok = true;
+    double number = 0.0;
     for_each_field(
         spec,
         field_visitor(
@@ -649,12 +651,21 @@ ScenarioSpec parse_text(const std::string& text, const std::string& origin) {
               if (n != key) return;
               matched = true;
               ok = parse_double_strict(value, v);
+              number = v;
             }));
     if (!matched) parse_fail(origin, line_no, "unknown key '" + key + "'");
     if (!ok) {
       parse_fail(origin, line_no,
                  "malformed value '" + std::string(value) + "' for '" + key +
                      "'");
+    }
+    // Every runtime cost is a duration, a factor or a spread: a negative or
+    // non-finite one would run team clocks backwards or into NaN.
+    if (key.rfind("costs.", 0) == 0 &&
+        !(std::isfinite(number) && number >= 0.0)) {
+      parse_fail(origin, line_no,
+                 "'" + key + "' must be finite and >= 0, not '" +
+                     std::string(value) + "'");
     }
     if (is_uniform_geometry_key(key)) uniform_geom_in_file = true;
     any_field = true;

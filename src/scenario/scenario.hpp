@@ -177,8 +177,9 @@ struct ScenarioSpec {
 ///   cores = 4
 ///   ...
 ///
-/// Unknown keys, malformed numbers and duplicate assignments throw
-/// std::runtime_error naming `origin` and the line. `base` must appear
+/// Unknown keys, malformed numbers, duplicate assignments and a `costs.*`
+/// value that is negative or not finite throw std::runtime_error naming
+/// `origin` and the line. `base` must appear
 /// before any overridden field. Group stanzas must follow every global
 /// key; the first stanza replaces any machine geometry inherited via
 /// `base`, and mixing explicit machine.* geometry keys with stanzas in

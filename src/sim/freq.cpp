@@ -175,7 +175,7 @@ double FreqModel::mean_factor_impl(std::size_t core, double t0, double t1,
   // window past the last end or before the first start) — the common case
   // on sparse domains. The binary searches below would find no episode
   // and return the same value.
-  if (idx.max_end.back() <= t0 || t1 <= idx.starts.front()) {
+  if (outside_every_episode(idx, t0, t1)) {
     if (flat_out != nullptr) *flat_out = true;
     return std::max(0.1, integral / (t1 - t0));
   }
@@ -208,8 +208,8 @@ double FreqModel::mean_factor(std::size_t core, double t0, double t1) {
   return mean_factor_impl(core, t0, t1, nullptr);
 }
 
-double FreqModel::elapsed_for_work(std::size_t core, double t0, double work) {
-  if (work <= 0.0) return 0.0;
+double FreqModel::iterate_elapsed_for_work(std::size_t core, double t0,
+                                           double work) {
   double d = work;  // initial guess: full speed
   // Episode-boundary-aware early exit: once a window is verified
   // episode-free, any shorter window is flat too and the fixed-point step

@@ -96,10 +96,28 @@ class FreqModel {
   /// Elapsed wall time to complete `work` seconds of fmax-rate compute
   /// starting at `t0` on `core` (inverts the factor integral; fixed-point
   /// iteration, converges in a few steps because factors are in [0.5, 1]).
-  /// Flat-frequency windows — the common case — cost one indexed episode
-  /// lookup per fixed-point step: a verified-flat span is carried between
-  /// steps so shrinking windows skip the episode search entirely.
-  double elapsed_for_work(std::size_t core, double t0, double work);
+  ///
+  /// Uncapped flat windows — the common case — return `work` at once. With
+  /// no run cap the base is 1.0, and when no episode overlaps
+  /// [t0, t1 = t0 + work) (the O(1) test of mean_factor, after the same
+  /// horizon extension) the first fixed-point step computes
+  /// integral = 1.0 * Δ = Δ and m = max(0.1, Δ / Δ) = 1 exactly for any
+  /// finite Δ = t1 - t0 > 0; then work / 1 = work equals the initial
+  /// guess and the loop returns it. Capped runs and windows that may
+  /// overlap an episode take the loop, where a verified-flat span is
+  /// carried between steps so shrinking windows skip the episode search.
+  double elapsed_for_work(std::size_t core, double t0, double work) {
+    if (work <= 0.0) return 0.0;
+    const double t1 = t0 + work;
+    if (!run_capped() && t0 < t1 &&
+        t1 <= std::numeric_limits<double>::max()) {
+      if (t1 > horizon_) ensure_horizon(t1);
+      if (outside_every_episode(index_[core_numa(core)], t0, t1)) {
+        return work;
+      }
+    }
+    return iterate_elapsed_for_work(core, t0, work);
+  }
 
   /// Materializes episode arrivals up to time `t` (normally done lazily;
   /// exposed so the differential oracle and the benchmark's layer probe can
@@ -167,6 +185,17 @@ class FreqModel {
     }
   };
 
+  /// True when [t0, t1) misses every episode of `idx` by the O(1) bounds:
+  /// it starts at or after the latest end, or ends at or before the first
+  /// start (the -inf max_end sentinel covers an empty domain).
+  [[nodiscard]] static bool outside_every_episode(const DomainIndex& idx,
+                                                  double t0,
+                                                  double t1) noexcept {
+    return idx.max_end.back() <= t0 || t1 <= idx.starts.front();
+  }
+
+  /// elapsed_for_work's fixed-point loop (every run, capped or not).
+  double iterate_elapsed_for_work(std::size_t core, double t0, double work);
   void ensure_horizon(double t);
   /// mean_factor plus a flatness report (`flat_out` true when no episode
   /// overlapped the window) feeding elapsed_for_work's early exit.

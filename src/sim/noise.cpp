@@ -4,23 +4,9 @@
 #include <cassert>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 
 namespace omv::sim {
-namespace {
-
-/// Analytic timer-tick delay of one window: the number of ticks of period
-/// `period` and phase `phase` arriving in [t0, t1), times `duration`.
-inline double tick_delay_one(double t0, double t1, double phase,
-                             double period, double duration) {
-  const double first = std::ceil((t0 - phase) / period) * period + phase;
-  if (first < t1) {
-    const double n = std::floor((t1 - first) / period) + 1.0;
-    return n * duration;
-  }
-  return 0.0;
-}
-
-}  // namespace
 
 NoiseConfig NoiseConfig::dardel() {
   NoiseConfig c;
@@ -71,6 +57,7 @@ NoiseModel::NoiseModel(const topo::Machine& machine, NoiseConfig cfg)
   kworker_next_.resize(machine.n_threads(), 0.0);
   busy_.resize(machine.n_threads(), false);
   tick_phase_.resize(machine.n_threads(), 0.0);
+  quiet_.resize(machine.n_threads());
   begin_run(0, {});
 }
 
@@ -101,6 +88,8 @@ void NoiseModel::begin_run(std::uint64_t run_seed, const topo::CpuSet& busy) {
     tick_phase_[h] = tick_rng.uniform(0.0, cfg_.tick_period);
   }
   horizon_ = 0.0;
+  std::fill(quiet_.begin(), quiet_.end(),
+            QuietWindow{std::numeric_limits<double>::infinity(), 0.0});
   set_busy(busy);
 }
 
@@ -249,15 +238,21 @@ void NoiseModel::ensure_horizon(double t) {
   horizon_ = target;
 }
 
-double NoiseModel::preemption_delay(std::size_t h, double t0, double t1) {
-  if (t1 <= t0 || h >= times_.size()) return 0.0;
-  if (t1 > horizon_) ensure_horizon(t1);
-
-  // Analytic timer ticks.
+double NoiseModel::full_preemption_delay(std::size_t h, double t0,
+                                         double t1) {
+  // Analytic timer ticks: those of period `tick_period` and phase
+  // tick_phase_[h] arriving in [t0, t1), each costing tick_duration.
   double delay = 0.0;
+  double quiet_until = std::numeric_limits<double>::infinity();
   if (cfg_.tick_duration > 0.0 && cfg_.tick_period > 0.0) {
-    delay = tick_delay_one(t0, t1, tick_phase_[h], cfg_.tick_period,
-                           cfg_.tick_duration);
+    const double period = cfg_.tick_period;
+    const double phase = tick_phase_[h];
+    const double first = std::ceil((t0 - phase) / period) * period + phase;
+    if (first < t1) {
+      const double n = std::floor((t1 - first) / period) + 1.0;
+      delay = n * cfg_.tick_duration;
+    }
+    quiet_until = first;
   }
 
   // ST absorption: with an idle SMT sibling, the kernel runs interrupting
@@ -273,6 +268,10 @@ double NoiseModel::preemption_delay(std::size_t h, double t0, double t1) {
   for (std::size_t k = begin; k < tv.size() && tv[k] < t1; ++k) {
     delay += dv[k] * factor;
   }
+  // [t0, quiet_until) holds no tick and no event, now or after any later
+  // horizon extension (see preemption_delay).
+  quiet_until = std::min(quiet_until, begin < tv.size() ? tv[begin] : horizon_);
+  quiet_[h] = {t0, quiet_until};
   return delay;
 }
 

@@ -97,10 +97,31 @@ class NoiseModel {
   /// Total preemption seconds charged to HW thread `h` by events arriving in
   /// [t0, t1). Includes the analytic timer-tick term.
   ///
-  /// One lower_bound locates t0 in the per-CPU sorted event column; the
-  /// events in the window are then summed in time order, bit-identical to
-  /// reference::preemption_delay at every density.
-  double preemption_delay(std::size_t h, double t0, double t1);
+  /// A full query does one lower_bound to locate t0 in the per-CPU sorted
+  /// event column and sums the window's events in time order, bit-identical
+  /// to reference::preemption_delay at every density. It also records HW
+  /// thread h's quiet window [t0, q): q is the first tick at or after t0 or
+  /// the first event at or after t0, whichever is earlier (the horizon
+  /// when no later event exists yet). A later query inside that window
+  /// returns 0.0 without a search, which is exactly what the full query
+  /// returns there:
+  ///   * the first-tick formula ceil((t0 - phase) / period) * period + phase
+  ///     is monotone in t0 (each IEEE round-to-nearest step is), so a
+  ///     window starting at or after the recorded t0 sees its first tick
+  ///     at or after q;
+  ///   * the column is sorted, and ensure_horizon only appends events at or
+  ///     after the horizon it extends, which is >= q, so no event ever
+  ///     lands in [t0, q);
+  ///   * begin_run empties every window (from = +inf, until = 0).
+  /// The horizon is extended before the test, as the full query does, so
+  /// the event history and its RNG draws are the same either way.
+  double preemption_delay(std::size_t h, double t0, double t1) {
+    if (t1 <= t0 || h >= quiet_.size()) return 0.0;
+    if (t1 > horizon_) ensure_horizon(t1);
+    const QuietWindow& q = quiet_[h];
+    if (t0 >= q.from && t1 <= q.until) return 0.0;
+    return full_preemption_delay(h, t0, t1);
+  }
 
   /// Materializes all noise sources up to time `t` (normally done lazily by
   /// preemption_delay; exposed so the differential oracle and the
@@ -147,6 +168,15 @@ class NoiseModel {
   [[nodiscard]] const NoiseConfig& config() const noexcept { return cfg_; }
 
  private:
+  /// Per-HW-thread interval [from, until) that holds no tick and no event.
+  struct QuietWindow {
+    double from;
+    double until;
+  };
+
+  /// preemption_delay past the quiet-window test: sums the window and
+  /// records h's new quiet window.
+  double full_preemption_delay(std::size_t h, double t0, double t1);
   void ensure_horizon(double t);
   void place_daemon(double t, double dur);
   /// Appends one raw (not yet sorted) event to the SoA columns of `h`.
@@ -197,6 +227,9 @@ class NoiseModel {
   bool degraded_ = false;
   std::vector<bool> busy_;
   std::vector<double> tick_phase_;
+  /// Quiet window of each HW thread's last full query (empty after
+  /// begin_run).
+  std::vector<QuietWindow> quiet_;
 };
 
 }  // namespace omv::sim

@@ -59,12 +59,23 @@ void PlacementModel::recompute_derived() {
   const std::size_t n = state_.hw.size();
   std::vector<std::size_t> per_hw(machine_->n_threads(), 0);
   std::vector<std::size_t> per_core(machine_->n_cores(), 0);
+  std::vector<bool> numa_used(machine_->n_numa(), false);
+  std::vector<bool> socket_used(machine_->n_sockets(), false);
   for (std::size_t h : state_.hw) {
+    const auto& t = machine_->thread(h);
     ++per_hw[h];
-    ++per_core[machine_->thread(h).core];
+    ++per_core[t.core];
+    numa_used[t.numa] = true;
+    socket_used[t.socket] = true;
   }
+  state_.numa_span = static_cast<std::size_t>(
+      std::count(numa_used.begin(), numa_used.end(), true));
+  state_.socket_span = static_cast<std::size_t>(
+      std::count(socket_used.begin(), socket_used.end(), true));
   state_.share.assign(n, 1);
   state_.smt_coscheduled.assign(n, false);
+  state_.any_smt = false;
+  state_.any_oversub = false;
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t core = machine_->thread(state_.hw[i]).core;
     state_.share[i] = std::max<std::size_t>(1, per_hw[state_.hw[i]]);
@@ -73,6 +84,8 @@ void PlacementModel::recompute_derived() {
     // never fired, even for threads genuinely co-scheduled on an SMT core.
     state_.smt_coscheduled[i] =
         per_core[core] > 1 && machine_->smt_of_core(core) > 1;
+    state_.any_smt = state_.any_smt || state_.smt_coscheduled[i];
+    state_.any_oversub = state_.any_oversub || state_.share[i] > 1;
   }
 }
 

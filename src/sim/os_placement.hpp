@@ -43,6 +43,11 @@ struct Placement {
   std::vector<std::size_t> share;
   /// True when both SMT siblings of the thread's core host team threads.
   std::vector<bool> smt_coscheduled;
+  // Team-wide summary of the vectors above, for the synchronization costs.
+  std::size_t numa_span = 1;    ///< distinct NUMA domains hosting threads.
+  std::size_t socket_span = 1;  ///< distinct sockets hosting threads.
+  bool any_smt = false;         ///< any smt_coscheduled entry set.
+  bool any_oversub = false;     ///< any share above 1.
 };
 
 /// Maintains team placement across repetitions.

@@ -1,7 +1,5 @@
 #include "sim/simulator.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -60,55 +58,6 @@ void Simulator::begin_run(std::uint64_t run_seed, const topo::CpuSet& busy) {
   noise_->begin_run(run_seed, busy);
   freq_->begin_run(run_seed);
   misc_rng_ = Rng(run_seed).fork(0xA11CE);
-}
-
-double Simulator::sample_smt_throughput() {
-  const double v =
-      misc_rng_.normal(cfg_.costs.smt_throughput, cfg_.costs.smt_jitter);
-  return std::clamp(v, 0.35, 0.95);
-}
-
-double Simulator::advance(std::size_t h, std::size_t core, double t0,
-                          double eff_work) {
-  const double base_d = freq_->elapsed_for_work(core, t0, eff_work);
-  double d = base_d;
-  // Preemptions extend the window; a longer window may catch more
-  // preemptions. Iterate to a fixed point (converges fast: noise density is
-  // far below 1). The frequency term is constant across iterations (same
-  // arguments, and the first call materialized every episode its window
-  // reads), so base_d replaces the historical per-iteration recomputation
-  // bit-identically.
-  for (int iter = 0; iter < 6; ++iter) {
-    const double delay = noise_->preemption_delay(h, t0, t0 + d);
-    const double nd = base_d + delay;
-    if (nd <= d + 1e-12) {
-      d = nd;
-      break;
-    }
-    d = nd;
-  }
-  return t0 + d;
-}
-
-double Simulator::exec_scaled(std::size_t h, double t0, double work,
-                              double rate_factor) {
-  if (work <= 0.0) return t0;
-  rate_factor = std::max(rate_factor, 1e-6);
-  const std::size_t core = machine_.thread(h).core;
-  double eff_work = work * cfg_.costs.work_scale / rate_factor;
-  // Per-class calibration: slower classes (E-cores) stretch the nominal
-  // work. The empty-vector fast path leaves the homogeneous arithmetic
-  // bit-identical to the historical expression.
-  if (!core_rate_.empty()) eff_work /= core_rate_[core];
-  return advance(h, core, t0, eff_work);
-}
-
-double Simulator::exec(std::size_t h, double t0, double work,
-                       std::size_t share, bool smt_busy) {
-  double rate = 1.0;
-  if (share > 1) rate /= static_cast<double>(share);
-  if (smt_busy) rate *= sample_smt_throughput();
-  return exec_scaled(h, t0, work, rate);
 }
 
 }  // namespace omv::sim

@@ -8,7 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "core/rng.hpp"
 #include "sim/freq.hpp"
@@ -60,6 +64,75 @@ TEST(HotpathDifferential, PreemptionDelayExactOnSparseStreams) {
     const double t1 = t0 + windows.uniform(0.0, 0.05);
     EXPECT_EQ(model.preemption_delay(h, t0, t1),
               reference::preemption_delay(model, machine, h, t0, t1));
+  }
+}
+
+/// Replays team-like traffic on every HW thread of `model`'s machine and
+/// requires each production answer to equal the reference. Each thread
+/// walks its own sequence of windows 10 us to 5 ms long, each starting
+/// where the last ended, as a thread's exec calls do; now and then one
+/// re-queries from an earlier t0 (a fixed-point re-query or a rewound
+/// clock). Threads take turns, so the horizon grows in the middle of every
+/// sequence. Each sequence ends by rewinding to its first window, so a
+/// following run's first queries land inside the last run's quiet windows.
+void expect_team_traffic_exact(NoiseModel& model,
+                               const topo::Machine& machine,
+                               std::uint64_t window_seed, double until) {
+  const std::size_t n = machine.n_threads();
+  Rng windows(window_seed);
+  std::vector<double> clock(n, 0.0);
+  std::vector<double> first_t1(n, 0.0);
+  std::size_t queries = 0;
+  for (std::size_t step = 0; clock[step % n] < until; ++step) {
+    const std::size_t h = step % n;
+    double t0 = clock[h];
+    if (windows.next_below(16) == 0) {
+      t0 = std::max(0.0, t0 - windows.uniform(0.0, 5e-3));
+    }
+    const double t1 = t0 + 1e-5 * std::pow(500.0, windows.uniform(0.0, 1.0));
+    if (step < n) first_t1[h] = t1;
+    const double got = model.preemption_delay(h, t0, t1);
+    ASSERT_EQ(got, reference::preemption_delay(model, machine, h, t0, t1))
+        << "h " << h << " window [" << t0 << ", " << t1 << ")";
+    clock[h] = t1 + got;
+    ++queries;
+  }
+  for (std::size_t h = 0; h < n; ++h) {
+    const double got = model.preemption_delay(h, 0.0, first_t1[h]);
+    ASSERT_EQ(got,
+              reference::preemption_delay(model, machine, h, 0.0, first_t1[h]));
+  }
+  EXPECT_GT(queries, 100 * n);
+}
+
+TEST(HotpathDifferential, QuietWindowsExactUnderTeamTraffic) {
+  // The quiet-window shortcut must answer exactly as the full query does
+  // across horizon growth and across begin_run with another seed, which
+  // must forget every window of the previous run.
+  // Without timer ticks (tick_duration 0, a tickless kernel) a window is
+  // bounded by the next event alone, or by the horizon when no later event
+  // exists yet; with ticks, it rarely reaches that far.
+  const topo::Machine vera = topo::Machine::vera();
+  for (const double tick : {NoiseConfig::vera().tick_duration, 0.0}) {
+    for (const double rate : {0.0, 0.5, 40.0, 3000.0}) {
+      NoiseConfig cfg = NoiseConfig::vera();
+      cfg.kworker_rate_per_cpu = rate;
+      cfg.tick_duration = tick;
+      NoiseModel model(vera, cfg);
+      for (const std::uint64_t seed : {7u, 8u}) {
+        model.begin_run(seed, vera.primary_threads());
+        expect_team_traffic_exact(model, vera, 99, 0.6);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+  // Dardel's sparse streams, with idle SMT siblings absorbing events.
+  const topo::Machine dardel = topo::Machine::dardel();
+  NoiseModel model(dardel, NoiseConfig::dardel());
+  for (const std::uint64_t seed : {11u, 12u}) {
+    model.begin_run(seed, dardel.primary_threads());
+    expect_team_traffic_exact(model, dardel, 5, 0.3);
+    if (HasFatalFailure()) return;
   }
 }
 

@@ -495,6 +495,33 @@ TEST(ScenarioText, ParserRejectsOversizedGeometry) {
   EXPECT_THROW((void)past.build(), std::invalid_argument);
 }
 
+TEST(ScenarioText, ParserRejectsNegativeOrNonFiniteCosts) {
+  // A negative barrier cost would drive every team clock below zero after
+  // the first barrier; nan or inf would turn clocks into NaN. Each is a
+  // diagnosed load error naming the origin, the line and the key.
+  const char* const values[] = {"-1", "-1e-9", "nan", "-nan", "inf", "-inf"};
+  for (const char* key : {"costs.barrier_base", "costs.work_scale",
+                          "costs.oversub_stall_sigma"}) {
+    for (const char* v : values) {
+      const std::string text =
+          std::string("name = x\n") + key + " = " + v + "\n";
+      try {
+        (void)parse_text(text, "conf/cost.scn");
+        ADD_FAILURE() << "accepted:\n" << text;
+      } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("conf/cost.scn:2"), std::string::npos) << what;
+        EXPECT_NE(what.find(key), std::string::npos) << what;
+        EXPECT_NE(what.find("finite and >= 0"), std::string::npos) << what;
+      }
+    }
+  }
+  // Zero is a valid cost.
+  const ScenarioSpec s =
+      parse_text("name = x\ncosts.barrier_base = 0\n", "conf/cost.scn");
+  EXPECT_EQ(s.sim.costs.barrier_base, 0.0);
+}
+
 TEST(ScenarioText, ErrorsNameOriginAndLine) {
   try {
     (void)parse_text("name = x\n\nnoise.bogus = 1\n", "conf/box.scn");

@@ -32,6 +32,15 @@ TEST(Simulator, ZeroWorkIsInstant) {
   EXPECT_DOUBLE_EQ(s.exec(0, 3.0, 0.0), 3.0);
 }
 
+TEST(Simulator, ExecRejectsHwThreadOutsideMachine) {
+  Simulator s(topo::Machine::vera(), SimConfig::ideal());
+  s.begin_run(1, topo::CpuSet::range(0, 4));
+  const std::size_t outside = s.machine().n_threads();
+  EXPECT_THROW((void)s.exec(outside, 0.0, 1e-3), std::out_of_range);
+  EXPECT_THROW((void)s.exec_scaled(outside, 0.0, 1e-3, 1.0),
+               std::out_of_range);
+}
+
 TEST(Simulator, WorkScaleApplied) {
   auto cfg = SimConfig::ideal();
   cfg.costs.work_scale = 1.07;

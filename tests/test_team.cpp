@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <stdexcept>
 
 namespace omv::ompsim {
@@ -210,6 +211,62 @@ TEST(SimTeam, SmtCoscheduleDetectedOnDardelMt) {
   cfg.places_spec = "{0}:16:1,{128}:16:1";  // both siblings of cores 0-15
   SimTeam team(s, cfg);
   EXPECT_TRUE(team.any_smt_coscheduled());
+}
+
+TEST(SimTeam, PlacementSummariesFollowMigrations) {
+  // Every thread moves to a uniformly random HW thread at every rep, so
+  // threads stack on one HW thread, pair up on SMT siblings and change the
+  // team's NUMA and socket spans. The placement's team-wide summary, which
+  // barrier_cost, any_smt_coscheduled and sync_episode read, must follow
+  // each move.
+  auto s = sim::Simulator(topo::Machine::dardel(), sim::SimConfig::ideal());
+  const auto& machine = s.machine();
+  const auto& c = s.costs();
+  TeamConfig cfg;
+  cfg.n_threads = 12;
+  cfg.bind = topo::ProcBind::none;
+  cfg.placement.migrate_prob = 1.0;
+  cfg.placement.bad_migration_prob = 1.0;
+  SimTeam team(s, cfg);
+  team.begin_run(3);
+
+  std::set<double> costs_seen;
+  std::set<bool> smt_seen;
+  std::set<bool> oversub_seen;
+  for (int rep = 0; rep < 200; ++rep) {
+    team.begin_rep();
+    const auto& pl = team.placement();
+    std::set<std::size_t> numas;
+    std::set<std::size_t> sockets;
+    bool smt = false;
+    bool oversub = false;
+    for (std::size_t i = 0; i < pl.hw.size(); ++i) {
+      numas.insert(machine.thread(pl.hw[i]).numa);
+      sockets.insert(machine.thread(pl.hw[i]).socket);
+      smt = smt || pl.smt_coscheduled[i];
+      oversub = oversub || pl.share[i] > 1;
+    }
+    const double expect =
+        c.barrier_base +
+        c.barrier_per_level * static_cast<double>(sim::ceil_log2(12)) +
+        c.barrier_numa_step * static_cast<double>(numas.size() - 1) +
+        c.barrier_socket_step * static_cast<double>(sockets.size() - 1);
+    ASSERT_EQ(team.barrier_cost(), expect) << "rep " << rep;
+    ASSERT_EQ(team.any_smt_coscheduled(), smt) << "rep " << rep;
+    // With aligned clocks, a zero-cost episode moves the frontier only
+    // through the stalls of oversubscribed threads.
+    team.align_clocks(team.now());
+    const double before = team.now();
+    team.sync_episode(0.0, 1);
+    ASSERT_EQ(team.now() > before, oversub) << "rep " << rep;
+    costs_seen.insert(expect);
+    smt_seen.insert(smt);
+    oversub_seen.insert(oversub);
+  }
+  // The reps covered changing spans and both states of each flag.
+  EXPECT_GE(costs_seen.size(), 3u);
+  EXPECT_EQ(smt_seen.size(), 2u);
+  EXPECT_EQ(oversub_seen.size(), 2u);
 }
 
 }  // namespace
