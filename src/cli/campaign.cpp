@@ -16,7 +16,6 @@
 #include "core/atomic_file.hpp"
 #include "core/faultinject.hpp"
 #include "core/json_writer.hpp"
-#include "core/lockfile.hpp"
 #include "core/trace_io.hpp"
 #include "scenario/registry.hpp"
 
@@ -144,9 +143,7 @@ RunMatrix RunContext::protocol(const std::string& label,
 
   // Attempts a validated cache load. Returns nullopt on a miss OR a
   // degraded entry (torn/truncated/corrupt data behind a valid .key):
-  // the cache can never make a campaign wrong, only faster. Invoked twice
-  // on the concurrent path — once up front, once after waiting out another
-  // campaign's lease (which usually committed exactly this entry).
+  // the cache can never make a campaign wrong, only faster.
   const auto load_cached = [&]() -> std::optional<RunMatrix> {
     std::string stored_key;
     if (!core::read_file(stem + ".key", stored_key) ||
@@ -179,36 +176,10 @@ RunMatrix RunContext::protocol(const std::string& label,
 
   if (caching()) {
     if (auto m = load_cached()) {
-      // A hit never takes the lease, so it clears the one a process killed
-      // right after committing this entry left behind.
-      core::FileLease::remove_if_orphaned(stem + ".lock");
       ++hits_;
       rec.cached = true;
       cells_.push_back(std::move(rec));
       return *m;
-    }
-  }
-
-  // Cold cell. Take the per-cell advisory lease so a concurrent campaign
-  // sharing this --out computes each cell once, not twice. If we had to
-  // wait for another holder, it very likely committed this entry — re-check
-  // before computing. A nullopt lease (wait expired on a live-but-stuck
-  // holder) is NOT an error: commits are atomic and deterministic, so an
-  // un-leased duplicate compute produces identical bytes and the last
-  // rename wins.
-  std::optional<core::FileLease> lease;
-  if (caching()) {
-    bool waited = false;
-    lease = core::FileLease::acquire(stem + ".lock",
-                                     std::chrono::milliseconds(60000),
-                                     &waited);
-    if (waited) {
-      if (auto m = load_cached()) {
-        ++hits_;
-        rec.cached = true;
-        cells_.push_back(std::move(rec));
-        return *m;
-      }
     }
   }
 

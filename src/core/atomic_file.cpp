@@ -21,7 +21,9 @@ namespace {
 std::string process_unique_tmp(const std::string& path) {
   // Per-process temp names keep two concurrent writers of the same target
   // from clobbering each other's in-flight temp file; the final rename is
-  // then a last-writer-wins commit of a complete payload either way.
+  // then a last-writer-wins commit of a complete payload either way. Two
+  // threads of one process share the name, so they must never commit one
+  // target at once (the campaign gives each spec hash to one unit).
 #if defined(__unix__) || defined(__APPLE__)
   return path + ".tmp." + std::to_string(::getpid());
 #else

@@ -659,10 +659,11 @@ ScenarioSpec parse_text(const std::string& text, const std::string& origin) {
                  "malformed value '" + std::string(value) + "' for '" + key +
                      "'");
     }
-    // Every runtime cost is a duration, a factor or a spread: a negative or
-    // non-finite one would run team clocks backwards or into NaN.
-    if (key.rfind("costs.", 0) == 0 &&
-        !(std::isfinite(number) && number >= 0.0)) {
+    // Every numeric key is a count, a rate, a duration, a frequency, a
+    // bandwidth, a factor or a spread: a negative or non-finite one would
+    // run team clocks backwards or into NaN, and an infinite event rate
+    // draws zero gaps, so episode generation never reaches its horizon.
+    if (!(std::isfinite(number) && number >= 0.0)) {
       parse_fail(origin, line_no,
                  "'" + key + "' must be finite and >= 0, not '" +
                      std::string(value) + "'");

@@ -1,6 +1,5 @@
 // Unit tests for the crash-safe file helpers: atomic tmp+rename commits,
-// fault-injected torn/failed writes, the sweep of dead writers' temps, and
-// the advisory cache lease.
+// fault-injected torn/failed writes and the sweep of dead writers' temps.
 
 #include "core/atomic_file.hpp"
 
@@ -11,10 +10,8 @@
 
 #include <filesystem>
 #include <string>
-#include <thread>
 
 #include "core/faultinject.hpp"
-#include "core/lockfile.hpp"
 
 namespace omv::core {
 namespace {
@@ -141,91 +138,6 @@ TEST_F(AtomicFileTest, OnlyTempsOfDeadWritersAreRemoved) {
     EXPECT_TRUE(std::filesystem::exists(dir_ + "/" + names[i])) << names[i];
   }
   EXPECT_EQ(remove_dead_writer_temps(dir_ + "/absent"), 0u);
-}
-
-// ------------------------------------------------------------------ lease
-
-class FileLeaseTest : public AtomicFileTest {};
-
-TEST_F(FileLeaseTest, AcquireReleaseReacquire) {
-  const std::string path = dir_ + "/cell.lock";
-  auto l1 = FileLease::acquire(path, std::chrono::milliseconds(0));
-  ASSERT_TRUE(l1.has_value());
-  EXPECT_TRUE(std::filesystem::exists(path));
-
-  l1->release();
-  EXPECT_FALSE(std::filesystem::exists(path));
-
-  auto l2 = FileLease::acquire(path, std::chrono::milliseconds(0));
-  ASSERT_TRUE(l2.has_value());  // released leases can be retaken
-}
-
-TEST_F(FileLeaseTest, ReleaseOnDestruction) {
-  const std::string path = dir_ + "/cell.lock";
-  {
-    auto l = FileLease::acquire(path, std::chrono::milliseconds(0));
-    ASSERT_TRUE(l.has_value());
-  }
-  EXPECT_FALSE(std::filesystem::exists(path));
-}
-
-TEST_F(FileLeaseTest, SecondAcquireTimesOutWhileHeld) {
-  const std::string path = dir_ + "/cell.lock";
-  auto held = FileLease::acquire(path, std::chrono::milliseconds(0));
-  ASSERT_TRUE(held.has_value());
-
-  // flock state is per-open-file-description, so a second acquire in the
-  // same process genuinely contends (it opens the file separately).
-  bool waited = false;
-  auto blocked =
-      FileLease::acquire(path, std::chrono::milliseconds(50), &waited);
-  EXPECT_FALSE(blocked.has_value());
-  EXPECT_TRUE(waited);
-
-  // Once the holder releases, the next acquire succeeds within its wait.
-  held->release();
-  auto next = FileLease::acquire(path, std::chrono::milliseconds(500));
-  EXPECT_TRUE(next.has_value());
-}
-
-TEST_F(FileLeaseTest, StaleLockFileOfDeadProcessIsTakenOver) {
-  const std::string path = dir_ + "/cell.lock";
-  // Forge a lock file naming a PID that cannot be alive (PID_MAX on Linux
-  // is < 2^22 by default; 999999999 exceeds any configurable max), with no
-  // flock held — exactly what a crashed holder leaves on filesystems where
-  // the unlink in release() never ran.
-  atomic_write_file(path, "pid 999999999\nsince 0\n");
-  bool waited = false;
-  auto l = FileLease::acquire(path, std::chrono::milliseconds(200), &waited);
-  ASSERT_TRUE(l.has_value());  // dead holder detected, file removed, retaken
-}
-
-TEST_F(FileLeaseTest, OnlyAnUnheldLeaseFileIsRemovedAsOrphaned) {
-  const std::string path = dir_ + "/cell.lock";
-  FileLease::remove_if_orphaned(path);  // absent: nothing to do
-  EXPECT_FALSE(std::filesystem::exists(path));
-
-  // What a holder killed before its release leaves: a file nobody locks.
-  atomic_write_file(path, "pid 999999999\nsince 0\n");
-  FileLease::remove_if_orphaned(path);
-  EXPECT_FALSE(std::filesystem::exists(path));
-
-  // A live holder keeps its lease.
-  auto held = FileLease::acquire(path, std::chrono::milliseconds(0));
-  ASSERT_TRUE(held.has_value());
-  FileLease::remove_if_orphaned(path);
-  EXPECT_TRUE(std::filesystem::exists(path));
-}
-
-TEST_F(FileLeaseTest, MoveTransfersOwnership) {
-  const std::string path = dir_ + "/cell.lock";
-  auto l1 = FileLease::acquire(path, std::chrono::milliseconds(0));
-  ASSERT_TRUE(l1.has_value());
-  FileLease l2 = std::move(*l1);
-  l1.reset();  // destroying the moved-from lease must not release
-  EXPECT_TRUE(std::filesystem::exists(path));
-  l2.release();
-  EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 }  // namespace

@@ -219,33 +219,6 @@ TEST_F(CampaignCacheTest, SecondInvocationIsServedFromCache) {
   }
 }
 
-// A process killed between committing a cell and releasing its lease
-// leaves "<hash>.lock" behind. A hit serves the cell without taking the
-// lease, so the hit is what clears the leftover.
-TEST_F(CampaignCacheTest, HitClearsTheLeaseOfAKilledCommitter) {
-  SpecKey key;
-  key.add("bench", "fake");
-  {
-    RunContext ctx("testh", serial(), dir_);
-    (void)ctx.protocol("cell", small_spec(), key, make_matrix);
-  }
-  std::string lock;
-  for (const auto& e :
-       std::filesystem::directory_iterator(dir_ + "/cache")) {
-    if (e.path().extension() == ".key") {
-      lock = e.path().string();
-      lock.replace(lock.size() - 4, 4, ".lock");
-    }
-  }
-  ASSERT_FALSE(lock.empty());
-  std::ofstream(lock) << "pid 999999999\nsince 0\n";
-
-  RunContext ctx("testh", serial(), dir_);
-  (void)ctx.protocol("cell", small_spec(), key, make_matrix);
-  EXPECT_EQ(ctx.cache_hits(), 1u);
-  EXPECT_FALSE(std::filesystem::exists(lock));
-}
-
 TEST_F(CampaignCacheTest, DifferentKeyOrHarnessOrSpecMisses) {
   int computes = 0;
   const auto compute = [&] {
@@ -764,7 +737,6 @@ TEST_F(CampaignFaultTest, SurvivingCellsAreByteIdenticalAfterAFaultRun) {
   std::size_t compared = 0;
   for (const auto& e :
        std::filesystem::directory_iterator(dir_ + "/cache")) {
-    if (e.path().extension() == ".lock") continue;
     const auto healthy =
         std::filesystem::path(dir_healthy) / "cache" / e.path().filename();
     ASSERT_TRUE(std::filesystem::exists(healthy)) << e.path();

@@ -14,7 +14,9 @@
 //     the .panel summaries), while a deleted summary recomputes just its
 //     cell;
 //   * enumeration matches execution: the --plan listing's spec hashes are
-//     exactly the cells a serial campaign commits to the cache;
+//     exactly the cells a serial campaign commits to the cache, and no
+//     hash of the selection's, the default campaign's or a wide
+//     multi-scenario plan belongs to two (harness, scenario) units;
 //   * two scenario selections that would write the same artifact file are
 //     a usage error naming both selectors;
 //   * a --jobs width past the executor ceiling is reported and ignored
@@ -191,6 +193,44 @@ std::size_t committed_cells(const fs::path& out) {
     if (it->path().extension() == ".key") ++n;
   }
   return n;
+}
+
+/// Reads a --plan listing, one cell per line
+/// (harness<TAB>scenario<TAB>label<TAB>hash<TAB>cost), into hash -> the
+/// "harness @ scenario" units that list it.
+std::map<std::string, std::set<std::string>> plan_units(
+    const std::string& tsv) {
+  std::map<std::string, std::set<std::string>> units;
+  std::istringstream in(tsv);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty()) continue;
+    std::vector<std::string> cols;
+    std::istringstream ls(line);
+    std::string col;
+    while (std::getline(ls, col, '\t')) cols.push_back(col);
+    if (cols.size() != 5) {
+      ADD_FAILURE() << "malformed plan line: " << line;
+      continue;
+    }
+    units[cols[3]].insert(cols[0] + " @ " + cols[1]);
+  }
+  return units;
+}
+
+/// Expects each planned hash to belong to one unit. Units run concurrently
+/// in one process, and a cell commits under its hash's cache stem through
+/// temps named after the process, so two units sharing a hash could
+/// interleave writes to one temp. A hash repeated inside one unit is fine:
+/// a unit runs its cells in order.
+void expect_one_unit_per_hash(
+    const std::map<std::string, std::set<std::string>>& units) {
+  EXPECT_FALSE(units.empty());
+  for (const auto& [hash, in] : units) {
+    std::string names;
+    for (const auto& u : in) names += " [" + u + "]";
+    EXPECT_EQ(in.size(), 1u) << hash << " is planned in" << names;
+  }
 }
 
 class CampaignSchedTest : public ::testing::Test {
@@ -373,21 +413,26 @@ TEST_F(CampaignSchedTest, EnumerationMatchesExecution) {
   const pid_t plan = spawn_campaign(bin, {"--plan"},
                                     (dir_ / "plan.tsv").string());
   ASSERT_EQ(wait_exit_code(plan), 0);
+  const auto units = plan_units(slurp(dir_ / "plan.tsv"));
+  expect_one_unit_per_hash(units);
   std::set<std::string> planned;
-  {
-    std::istringstream in(slurp(dir_ / "plan.tsv"));
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      std::vector<std::string> cols;
-      std::istringstream ls(line);
-      std::string col;
-      while (std::getline(ls, col, '\t')) cols.push_back(col);
-      ASSERT_EQ(cols.size(), 5u) << "malformed plan line: " << line;
-      planned.insert(cols[3]);
-    }
-  }
+  for (const auto& [hash, in] : units) planned.insert(hash);
   ASSERT_FALSE(planned.empty());
+
+  // The same holds for the default paper campaign and for every harness
+  // over several scenarios, the committed degenerate machine included.
+  const std::vector<std::vector<std::string>> wider = {
+      {"--plan"},
+      {"--plan", "--scenario", "vera", "--scenario", "epyc-like",
+       "--scenario", OMNIVAR_SCENARIO_DIR "/degenerate-pe.scenario"}};
+  for (std::size_t i = 0; i < wider.size(); ++i) {
+    const fs::path tsv = dir_ / ("wider" + std::to_string(i) + ".tsv");
+    ASSERT_EQ(wait_exit_code(spawn_omnivar(bin, wider[i], tsv.string())), 0)
+        << i;
+    const auto wide_units = plan_units(slurp(tsv));
+    EXPECT_GT(wide_units.size(), units.size()) << i;
+    expect_one_unit_per_hash(wide_units);
+  }
 
   // Serial execution commits exactly the enumerated cells: the cache's
   // .key marker set is the planned hash set.
@@ -498,7 +543,7 @@ TEST_F(CampaignSchedTest, EnvironmentDoesNotChangeACampaign) {
 // after the kill is a complete entry the re-run serves, and a cell without
 // one is recomputed from scratch; commits are tmp + rename, so the kill can
 // leave nothing torn behind, only "<file>.tmp.<pid>" orphans, which the
-// re-run removes along with the leases of the dead process.
+// re-run removes before it computes.
 TEST_F(CampaignSchedTest, KilledCampaignResumesCellByCell) {
   const std::string bin = omnivar_bin();
   const auto campaign = [&](const fs::path& out, const std::string& tag) {
@@ -549,9 +594,7 @@ TEST_F(CampaignSchedTest, KilledCampaignResumesCellByCell) {
         << " cells were committed when the kill landed";
 
     // The re-run leaves exactly the clean tree: it removes the killed
-    // process's temp files before computing, a recomputed cell retakes and
-    // releases its lease, and a hit clears the lease of a cell committed
-    // just before the kill.
+    // process's temp files before computing.
     SCOPED_TRACE(tag);
     expect_same_contents(expected, artifact_contents(out));
   }

@@ -497,11 +497,16 @@ TEST(ScenarioText, ParserRejectsOversizedGeometry) {
 
 TEST(ScenarioText, ParserRejectsNegativeOrNonFiniteCosts) {
   // A negative barrier cost would drive every team clock below zero after
-  // the first barrier; nan or inf would turn clocks into NaN. Each is a
-  // diagnosed load error naming the origin, the line and the key.
+  // the first barrier; nan or inf would turn clocks into NaN, and an
+  // infinite episode rate would generate episodes without end. The same
+  // domain holds for every global numeric key, not only the costs. Each
+  // violation is a diagnosed load error naming the origin, the line and
+  // the key. Parse only: nothing here may simulate an accepted value.
   const char* const values[] = {"-1", "-1e-9", "nan", "-nan", "inf", "-inf"};
-  for (const char* key : {"costs.barrier_base", "costs.work_scale",
-                          "costs.oversub_stall_sigma"}) {
+  for (const char* key :
+       {"costs.barrier_base", "costs.work_scale", "costs.oversub_stall_sigma",
+        "freq.episode_rate", "freq_session.episode_rate", "noise.daemon_rate",
+        "noise.kworker_mean", "mem.domain_gbps"}) {
     for (const char* v : values) {
       const std::string text =
           std::string("name = x\n") + key + " = " + v + "\n";
