@@ -22,7 +22,8 @@ using namespace omv;
 namespace {
 
 void run_platform(cli::RunContext& ctx, const harness::Platform& p,
-                  std::size_t threads, std::uint64_t seed) {
+                  const harness::Team& cell) {
+  const std::size_t threads = cell.threads;
   sim::Simulator s(p.machine, p.config);
   ctx.print("-- %s, %zu threads --\n", p.name.c_str(), threads);
   report::Table t({"schedule", "chunk", "mean rep (us)", "pooled CV"});
@@ -36,7 +37,7 @@ void run_platform(cli::RunContext& ctx, const harness::Platform& p,
       const auto team = harness::pinned_team(threads);
       bench::SimSchedBench sb(s, team, bench::EpccParams::schedbench(),
                               10000);
-      const auto spec = harness::paper_spec(seed + chunk, 5, 10);
+      const auto spec = harness::paper_spec(cell.seed + chunk, 5, 10);
       const auto m = ctx.protocol(
           p.name + "/" + ompsim::schedule_name(kind) + "_" +
               std::to_string(chunk),
@@ -75,12 +76,11 @@ int run_chunk_sweep(cli::RunContext& ctx) {
       ctx, "Extension — schedbench schedule x chunk sweep (paper §4.2)",
       "the paper ran static/dynamic/guided with various chunk sizes and "
       "reported chunk=1; this regenerates the full sweep");
-  const auto ps = harness::platforms(ctx);
-  if (harness::scenario_mode(ctx)) {
-    run_platform(ctx, ps[0], harness::full_team(ps[0].machine), 9101);
-  } else {
-    run_platform(ctx, ps[0], 128, 9101);
-    run_platform(ctx, ps[1], 30, 9201);
+  for (const auto& p : harness::platforms(ctx)) {
+    run_platform(ctx, p,
+                 harness::paper_cells<harness::Team>(
+                     p, {128, 9101}, {30, 9201},
+                     {harness::full_team(p.machine), 9101}));
   }
   return 0;
 }

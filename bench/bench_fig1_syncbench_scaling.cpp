@@ -17,8 +17,8 @@ using namespace omv;
 namespace {
 
 void run_platform(cli::RunContext& ctx, const harness::Platform& p,
-                  const std::vector<std::size_t>& counts,
-                  std::uint64_t seed) {
+                  const harness::Ladder& ladder) {
+  const auto& counts = ladder.threads;
   sim::Simulator s(p.machine, p.config);
   ctx.print("-- %s --\n", p.name.c_str());
   report::Series series("threads", {"reduction_us", "barrier_us"});
@@ -27,7 +27,7 @@ void run_platform(cli::RunContext& ctx, const harness::Platform& p,
   for (std::size_t t : counts) {
     const auto team = harness::pinned_team(t);
     bench::SimSyncBench sb(s, team);
-    const auto spec = harness::paper_spec(seed + t);
+    const auto spec = harness::paper_spec(ladder.seed + t);
     const std::string cell = p.name + "/t" + std::to_string(t) + "/";
     const auto red = ctx.protocol(
         cell + "reduction", spec,
@@ -68,12 +68,12 @@ int run_fig1(cli::RunContext& ctx) {
       "time-consuming synchronization micro-benchmark");
 
   const auto ps = harness::platforms(ctx);
-  if (harness::scenario_mode(ctx)) {
-    run_platform(ctx, ps[0], harness::thread_ladder(ps[0].machine), 2001);
-  } else {
-    run_platform(ctx, ps[0], {4, 8, 16, 32, 64, 96, 128, 160, 192, 254},
-                 2001);
-    run_platform(ctx, ps[1], {2, 4, 8, 12, 16, 20, 24, 28, 30}, 2002);
+  for (const auto& p : ps) {
+    run_platform(ctx, p,
+                 harness::paper_cells<harness::Ladder>(
+                     p, {{4, 8, 16, 32, 64, 96, 128, 160, 192, 254}, 2001},
+                     {{2, 4, 8, 12, 16, 20, 24, 28, 30}, 2002},
+                     {harness::thread_ladder(p.machine), 2001}));
   }
 
   // Reduction vs the other constructs at full scale (Dardel by default).

@@ -15,8 +15,8 @@ using namespace omv;
 namespace {
 
 void run_platform(cli::RunContext& ctx, const harness::Platform& p,
-                  const std::vector<std::size_t>& counts,
-                  std::uint64_t seed) {
+                  const harness::Ladder& ladder) {
+  const auto& counts = ladder.threads;
   sim::Simulator s(p.machine, p.config);
   ctx.print("-- %s (array 2^25 doubles) --\n", p.name.c_str());
   std::vector<std::string> names;
@@ -32,7 +32,7 @@ void run_platform(cli::RunContext& ctx, const harness::Platform& p,
     for (auto k : bench::all_stream_kernels()) {
       const auto team = harness::pinned_team(t);
       bench::SimStream st(s, team);
-      const auto spec = harness::paper_spec(seed + t, 10, 50);
+      const auto spec = harness::paper_spec(ladder.seed + t, 10, 50);
       const auto m = ctx.protocol(
           p.name + "/t" + std::to_string(t) + "/" +
               bench::stream_kernel_name(k),
@@ -61,12 +61,12 @@ int run_fig2(cli::RunContext& ctx) {
       ctx, "Figure 2 — BabelStream execution time (ms) vs HW threads",
       "execution time reduces when launching more parallel threads, on "
       "both Dardel and Vera");
-  const auto ps = harness::platforms(ctx);
-  if (harness::scenario_mode(ctx)) {
-    run_platform(ctx, ps[0], harness::thread_ladder(ps[0].machine), 3001);
-  } else {
-    run_platform(ctx, ps[0], {2, 4, 8, 16, 32, 64, 128, 254}, 3001);
-    run_platform(ctx, ps[1], {2, 4, 8, 16, 24, 30}, 3002);
+  for (const auto& p : harness::platforms(ctx)) {
+    run_platform(ctx, p,
+                 harness::paper_cells<harness::Ladder>(
+                     p, {{2, 4, 8, 16, 32, 64, 128, 254}, 3001},
+                     {{2, 4, 8, 16, 24, 30}, 3002},
+                     {harness::thread_ladder(p.machine), 3001}));
   }
   return 0;
 }

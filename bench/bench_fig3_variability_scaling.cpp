@@ -33,8 +33,8 @@ SpreadRow spread(const RunMatrix& m) {
 }
 
 void run_platform(cli::RunContext& ctx, const harness::Platform& p,
-                  const std::vector<std::size_t>& counts,
-                  std::uint64_t seed) {
+                  const harness::Ladder& ladder) {
+  const auto& counts = ladder.threads;
   sim::Simulator s(p.machine, p.config);
   ctx.print("-- %s --\n", p.name.c_str());
   report::Series series(
@@ -52,7 +52,7 @@ void run_platform(cli::RunContext& ctx, const harness::Platform& p,
 
     bench::SimSchedBench sched(s, team, bench::EpccParams::schedbench(),
                                10000);
-    const auto spec_sched = harness::paper_spec(seed + t, 10, 30);
+    const auto spec_sched = harness::paper_spec(ladder.seed + t, 10, 30);
     const auto m_sched = ctx.protocol(
         cell + "schedbench", spec_sched,
         harness::cell_key("schedbench", p, team)
@@ -64,7 +64,7 @@ void run_platform(cli::RunContext& ctx, const harness::Platform& p,
         });
 
     bench::SimSyncBench sync(s, team);
-    const auto spec_sync = harness::paper_spec(seed + t);
+    const auto spec_sync = harness::paper_spec(ladder.seed + t);
     const auto m_sync = ctx.protocol(
         cell + "syncbench", spec_sync,
         harness::cell_key("syncbench", p, team)
@@ -75,7 +75,7 @@ void run_platform(cli::RunContext& ctx, const harness::Platform& p,
         });
 
     bench::SimStream stream(s, team);
-    const auto spec_stream = harness::paper_spec(seed + t, 10, 50);
+    const auto spec_stream = harness::paper_spec(ladder.seed + t, 10, 50);
     const auto m_stream = ctx.protocol(
         cell + "stream", spec_stream,
         harness::cell_key("babelstream", p, team)
@@ -114,12 +114,12 @@ int run_fig3(cli::RunContext& ctx) {
       "variability grows with thread count for syncbench and BabelStream "
       "(>=128 HW threads on Dardel, >=30 on Vera); schedbench is least "
       "affected");
-  const auto ps = harness::platforms(ctx);
-  if (harness::scenario_mode(ctx)) {
-    run_platform(ctx, ps[0], harness::thread_ladder(ps[0].machine), 4001);
-  } else {
-    run_platform(ctx, ps[0], {4, 16, 64, 128, 254}, 4001);
-    run_platform(ctx, ps[1], {2, 8, 16, 24, 30}, 4064);
+  for (const auto& p : harness::platforms(ctx)) {
+    run_platform(ctx, p,
+                 harness::paper_cells<harness::Ladder>(
+                     p, {{4, 16, 64, 128, 254}, 4001},
+                     {{2, 8, 16, 24, 30}, 4064},
+                     {harness::thread_ladder(p.machine), 4001}));
   }
   return 0;
 }

@@ -24,52 +24,35 @@ int run_table2(cli::RunContext& ctx) {
       "~168,800us; Vera: ~136,500us @4thr, ~164,700us @30thr — tight "
       "columns except one full-node outlier run");
 
-  struct Column {
-    harness::Platform platform;
-    std::size_t threads;
-    std::uint64_t seed;
-  };
-  std::vector<Column> cols;
-  if (harness::scenario_mode(ctx)) {
-    // One platform, two columns: a small team and the full-node team,
-    // sharing a seed so a run-scoped cap draw lines up across columns
-    // (load-gated away at 4 threads, surfacing at full scale).
-    const auto p = harness::platforms(ctx).front();
-    cols.push_back({p, std::min<std::size_t>(4, p.machine.n_threads()),
-                    1072});
-    cols.push_back({p, harness::spare2_team(p.machine), 1072});
-  } else {
-    // Both Dardel columns share a seed so the run that draws the
-    // run-scoped frequency cap is the same: at 4 threads the cap is
-    // load-gated away (tight column), at 254 threads it surfaces as the
-    // paper's run-9-style outlier.
-    cols.push_back({harness::dardel(), 4, 1072});
-    cols.push_back({harness::dardel(), 254, 1072});
-    cols.push_back({harness::vera(), 4, 1009});
-    cols.push_back({harness::vera(), 30, 1004});
-    (void)harness::platforms(ctx);  // records the pair into the artifact
-  }
-
   std::vector<RunMatrix> results;
   std::vector<std::string> headers{"run #"};
-  for (auto& c : cols) {
-    sim::Simulator s(c.platform.machine, c.platform.config);
-    const auto team = harness::pinned_team(c.threads);
-    bench::SimSchedBench sb(s, team, bench::EpccParams::schedbench(),
-                            /*max_grabs_per_rep=*/10000);
-    const auto spec = harness::paper_spec(c.seed);
-    results.push_back(ctx.protocol(
-        c.platform.name + "/t" + std::to_string(c.threads),
-        spec,
-        harness::cell_key("schedbench", c.platform, team)
-            .add("schedule", "dynamic")
-            .add("chunk", std::uint64_t{1}),
-        [&] {
-          return sb.run_protocol(ompsim::Schedule::dynamic, 1, spec,
-                                 ctx.executor());
-        }));
-    headers.push_back(c.platform.name + " " +
-                      std::to_string(c.threads) + " thr");
+  for (const auto& p : harness::platforms(ctx)) {
+    // Two columns per platform: a small team and the full-node team.
+    // Except on Vera the pair shares a seed, so the run that draws the
+    // run-scoped frequency cap is the same in both: at 4 threads the cap
+    // is load-gated away (tight column), at full scale it surfaces as the
+    // paper's run-9-style outlier.
+    const auto columns = harness::paper_cells<std::vector<harness::Team>>(
+        p, {{4, 1072}, {254, 1072}}, {{4, 1009}, {30, 1004}},
+        {{std::min<std::size_t>(4, p.machine.n_threads()), 1072},
+         {harness::spare2_team(p.machine), 1072}});
+    for (const auto& c : columns) {
+      sim::Simulator s(p.machine, p.config);
+      const auto team = harness::pinned_team(c.threads);
+      bench::SimSchedBench sb(s, team, bench::EpccParams::schedbench(),
+                              /*max_grabs_per_rep=*/10000);
+      const auto spec = harness::paper_spec(c.seed);
+      results.push_back(ctx.protocol(
+          p.name + "/t" + std::to_string(c.threads), spec,
+          harness::cell_key("schedbench", p, team)
+              .add("schedule", "dynamic")
+              .add("chunk", std::uint64_t{1}),
+          [&] {
+            return sb.run_protocol(ompsim::Schedule::dynamic, 1, spec,
+                                   ctx.executor());
+          }));
+      headers.push_back(p.name + " " + std::to_string(c.threads) + " thr");
+    }
   }
 
   report::Table t(headers);
@@ -93,8 +76,7 @@ int run_table2(cli::RunContext& ctx) {
   }
   ctx.table("column_stats", stats);
 
-  // Scenario mode has one platform pair of columns; the paper default has
-  // two platforms' pairs. Verdicts check every small/full column pair.
+  // Verdicts check every platform's small/full column pair.
   bool grows = true;
   bool tight4 = true;
   bool outlier_somewhere = false;

@@ -84,12 +84,14 @@ struct Platform {
   /// paper's Figs. 6/7 regime); see freq_session_platform().
   sim::FreqConfig freq_session;
   std::string fingerprint;  ///< ScenarioSpec fingerprint (16-hex).
+  /// The label and geometry `machine` was built from (see paper_cells).
+  scenario::MachineSpec spec;
 };
 
 /// Materializes a scenario into a runnable platform.
 inline Platform to_platform(const scenario::ScenarioSpec& s) {
   return {s.display, s.machine.build(), s.sim, s.freq_session,
-          s.fingerprint()};
+          s.fingerprint(), s.machine};
 }
 
 /// The two platforms of the paper — thin wrappers over the scenario
@@ -105,7 +107,8 @@ inline Platform vera() {
 
 /// The platforms this invocation contrasts: the paper's Dardel+Vera pair
 /// by default, the single selected scenario under --scenario. Each is
-/// recorded into the artifact's provenance.
+/// recorded into the artifact's provenance. The contrast harnesses run
+/// every platform the same way, with the cells paper_cells picks for it.
 inline std::vector<Platform> platforms(cli::RunContext& ctx) {
   std::vector<Platform> out;
   if (const auto* s = ctx.scenario()) {
@@ -135,17 +138,43 @@ inline Platform freq_session_platform(cli::RunContext& ctx) {
   return p;
 }
 
-/// True when a --scenario selection replaced the paper defaults
-/// (harnesses derive generic team sizes instead of the paper's hand-picked
-/// ladders).
-inline bool scenario_mode(const cli::RunContext& ctx) {
-  return ctx.scenario() != nullptr;
+/// One protocol team of a contrast harness: its size and its base seed.
+struct Team {
+  std::size_t threads = 0;
+  std::uint64_t seed = 0;
+};
+
+/// A thread ladder swept under one base seed.
+struct Ladder {
+  std::vector<std::size_t> threads;
+  std::uint64_t seed = 0;
+};
+
+/// The cells a contrast harness runs on `p`: the paper's hand-picked team
+/// sizes and seeds when `p` is the paper's Dardel or Vera, else `derived`,
+/// the cells the harness works out from the machine (thread_ladder,
+/// full_team, spare2_team under the Dardel seeds).
+///
+/// `p` is a paper machine when its MachineSpec, label and geometry both,
+/// equals that preset's. Neither half alone will do: README's `my-box`
+/// (`base = dardel` on 96 HW threads) keeps the label "dardel" but has no
+/// room for Dardel's 254-thread teams, and dvfs-dippy has Vera's geometry
+/// under its own label. So the default campaign, `--scenario dardel`,
+/// `--scenario vera` and a `base = vera` file that only changes the
+/// calibration all run the paper's cells.
+template <class Cells>
+Cells paper_cells(const Platform& p, Cells dardel, Cells vera,
+                  Cells derived) {
+  const auto& catalog = scenario::ScenarioRegistry::instance();
+  if (p.spec == catalog.get("dardel").machine) return dardel;
+  if (p.spec == catalog.get("vera").machine) return vera;
+  return derived;
 }
 
 /// Near-geometric thread ladder for an arbitrary machine: 2, 4, 8, ...
-/// capped at the paper's spare-2-CPUs protocol size. Used by the scaling
-/// harnesses in scenario mode (the paper platforms keep the publication's
-/// hand-picked ladders).
+/// capped at the paper's spare-2-CPUs protocol size. The scaling
+/// harnesses sweep it on every machine but the paper's two, which keep
+/// the publication's hand-picked ladders (paper_cells).
 inline std::vector<std::size_t> thread_ladder(const topo::Machine& m) {
   const std::size_t cap =
       m.n_threads() > 4 ? m.n_threads() - 2 : m.n_threads();
@@ -269,9 +298,9 @@ inline SpecKey cell_key(std::string_view bench_kind, const Platform& p,
   return k;
 }
 
-/// Prints the standard harness header; in scenario mode a "Scenario:"
+/// Prints the standard harness header; under --scenario a "Scenario:"
 /// line (name, fingerprint, geometry) makes the report self-describing.
-/// The default paper mode prints exactly the historical header. Routed
+/// The default campaign prints exactly the historical header. Routed
 /// through ctx.print so the campaign cell scheduler can capture and
 /// replay the harness's stdout in order.
 inline void header(cli::RunContext& ctx, const std::string& experiment,

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <initializer_list>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -105,6 +106,36 @@ void for_each_field(SpecT& s, F&& f) {
   f(std::string("costs.smt_jitter"), s.sim.costs.smt_jitter);
   f(std::string("costs.smt_sync_overhead"), s.sim.costs.smt_sync_overhead);
   f(std::string("costs.smt_sync_jitter"), s.sim.costs.smt_sync_jitter);
+}
+
+/// The value domain of a global numeric key: `text` names it in a load
+/// diagnostic.
+struct Domain {
+  bool zero_ok;
+  double max;
+  const char* text;
+};
+
+/// Every numeric key is a count, a rate, a duration, a frequency, a
+/// bandwidth, a factor or a spread: a negative or non-finite one would run
+/// team clocks backwards or into NaN, and an infinite event rate draws
+/// zero gaps, so episode generation never reaches its horizon. Two kinds
+/// are narrower. A probability lies in [0, 1]. A depth is the fraction of
+/// the boost clock that a frequency dip or a run cap leaves, so it lies in
+/// (0, 1]: at 0 a capped run's clock stops.
+Domain domain_of(const std::string& key) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const char* k : {"noise.degrade_prob", "freq.run_cap_prob",
+                        "freq_session.run_cap_prob"}) {
+    if (key == k) return {true, 1.0, "in [0, 1]"};
+  }
+  for (const char* k :
+       {"freq.depth_lo", "freq.depth_hi", "freq.run_cap_depth",
+        "freq_session.depth_lo", "freq_session.depth_hi",
+        "freq_session.run_cap_depth"}) {
+    if (key == k) return {false, 1.0, "in (0, 1]"};
+  }
+  return {true, kInf, ">= 0"};
 }
 
 /// The per-group fields of the v2 [group <name>] stanza, minus the two
@@ -659,14 +690,12 @@ ScenarioSpec parse_text(const std::string& text, const std::string& origin) {
                  "malformed value '" + std::string(value) + "' for '" + key +
                      "'");
     }
-    // Every numeric key is a count, a rate, a duration, a frequency, a
-    // bandwidth, a factor or a spread: a negative or non-finite one would
-    // run team clocks backwards or into NaN, and an infinite event rate
-    // draws zero gaps, so episode generation never reaches its horizon.
-    if (!(std::isfinite(number) && number >= 0.0)) {
+    const Domain domain = domain_of(key);
+    if (!(std::isfinite(number) && number >= 0.0 && number <= domain.max &&
+          (number > 0.0 || domain.zero_ok))) {
       parse_fail(origin, line_no,
-                 "'" + key + "' must be finite and >= 0, not '" +
-                     std::string(value) + "'");
+                 "'" + key + "' must be finite and " + domain.text +
+                     ", not '" + std::string(value) + "'");
     }
     if (is_uniform_geometry_key(key)) uniform_geom_in_file = true;
     any_field = true;

@@ -68,6 +68,8 @@ struct NodeGroupSpec {
   [[nodiscard]] std::size_t n_threads() const noexcept {
     return n_cores() * smt;
   }
+
+  bool operator==(const NodeGroupSpec&) const = default;
 };
 
 /// Machine geometry as data. With `groups` empty this is exactly the
@@ -118,6 +120,9 @@ struct MachineSpec {
     for (const auto& g : groups) n += g.n_threads();
     return n;
   }
+
+  /// Field-wise: the same label and the same geometry.
+  bool operator==(const MachineSpec&) const = default;
 };
 
 /// One named platform scenario: geometry + the full simulator calibration.
@@ -177,9 +182,12 @@ struct ScenarioSpec {
 ///   cores = 4
 ///   ...
 ///
-/// Unknown keys, malformed numbers, duplicate assignments and a `costs.*`
-/// value that is negative or not finite throw std::runtime_error naming
-/// `origin` and the line. `base` must appear
+/// Unknown keys, malformed numbers, duplicate assignments and a global
+/// numeric value outside its domain throw std::runtime_error naming
+/// `origin`, the line and the key. Every such value must be finite and
+/// >= 0; `noise.degrade_prob` and `freq{,_session}.run_cap_prob` lie in
+/// [0, 1], and `freq{,_session}.depth_lo`, `.depth_hi` and
+/// `.run_cap_depth` in (0, 1]. `base` must appear
 /// before any overridden field. Group stanzas must follow every global
 /// key; the first stanza replaces any machine geometry inherited via
 /// `base`, and mixing explicit machine.* geometry keys with stanzas in

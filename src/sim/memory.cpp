@@ -29,13 +29,9 @@ double MemoryModel::thread_gbps(std::size_t hw, std::size_t data_domain,
   double bw = std::min(cfg_.per_core_gbps, share);
   const auto& t = machine_.thread(hw);
   if (t.numa != data_domain) {
-    const std::size_t data_socket =
-        machine_.numa_threads(data_domain).empty()
-            ? 0
-            : machine_.thread(machine_.numa_threads(data_domain).first())
-                  .socket;
-    bw *= (t.socket == data_socket) ? cfg_.remote_numa_factor
-                                    : cfg_.remote_socket_factor;
+    bw *= (t.socket == machine_.numa_socket(data_domain))
+              ? cfg_.remote_numa_factor
+              : cfg_.remote_socket_factor;
   }
   return bw;
 }

@@ -45,7 +45,8 @@ class MemoryModel {
       const std::vector<double>& jitter) const;
 
   /// Effective bandwidth of a single thread at `hw` accessing `data_domain`
-  /// with `sharers` threads streaming from that domain.
+  /// with `sharers` threads streaming from that domain. Throws
+  /// std::out_of_range for a `hw` or `data_domain` the machine lacks.
   [[nodiscard]] double thread_gbps(std::size_t hw, std::size_t data_domain,
                                    std::size_t sharers) const;
 

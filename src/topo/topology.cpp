@@ -147,19 +147,19 @@ void Machine::validate_and_index() {
   }
 
   // NUMA domains nest inside sockets; both id spaces must be dense.
-  std::vector<std::size_t> numa_socket(n_numa_, kNone);
+  numa_socket_.assign(n_numa_, kNone);
   std::vector<bool> socket_seen(n_sockets_, false);
   for (const HwThread& t : threads_) {
-    if (numa_socket[t.numa] == kNone) {
-      numa_socket[t.numa] = t.socket;
-    } else if (numa_socket[t.numa] != t.socket) {
+    if (numa_socket_[t.numa] == kNone) {
+      numa_socket_[t.numa] = t.socket;
+    } else if (numa_socket_[t.numa] != t.socket) {
       fail("NUMA domain " + id_str(t.numa) + " spans sockets " +
-           id_str(numa_socket[t.numa]) + " and " + id_str(t.socket));
+           id_str(numa_socket_[t.numa]) + " and " + id_str(t.socket));
     }
     socket_seen[t.socket] = true;
   }
   for (std::size_t d = 0; d < n_numa_; ++d) {
-    if (numa_socket[d] == kNone) {
+    if (numa_socket_[d] == kNone) {
       fail("NUMA ids must be dense from 0 (domain " + id_str(d) +
            " has no hardware threads)");
     }

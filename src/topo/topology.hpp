@@ -130,6 +130,11 @@ class Machine {
   [[nodiscard]] CpuSet core_threads(std::size_t core) const;
   /// All HW threads of NUMA domain `numa`.
   [[nodiscard]] CpuSet numa_threads(std::size_t numa) const;
+  /// Socket of NUMA domain `numa` (a domain never spans two sockets).
+  /// Throws std::out_of_range for ids >= n_numa().
+  [[nodiscard]] std::size_t numa_socket(std::size_t numa) const {
+    return numa_socket_.at(numa);
+  }
   /// All HW threads of socket `socket`.
   [[nodiscard]] CpuSet socket_threads(std::size_t socket) const;
   /// All HW threads.
@@ -166,6 +171,7 @@ class Machine {
   std::size_t max_smt_ = 0;
   std::vector<std::size_t> smt_of_core_;  ///< per-core HW-thread count.
   std::vector<std::size_t> core_class_;   ///< per-core class index.
+  std::vector<std::size_t> numa_socket_;  ///< per-domain socket id.
   static constexpr std::size_t kNoSibling = static_cast<std::size_t>(-1);
   std::vector<std::size_t> sibling_;  ///< per-HW-thread sibling() answer.
   double base_ghz_;

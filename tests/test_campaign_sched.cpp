@@ -17,6 +17,8 @@
 //     exactly the cells a serial campaign commits to the cache, and no
 //     hash of the selection's, the default campaign's or a wide
 //     multi-scenario plan belongs to two (harness, scenario) units;
+//   * the paper's machines plan the paper's cells however they are
+//     selected, and every other machine its machine-derived cells;
 //   * two scenario selections that would write the same artifact file are
 //     a usage error naming both selectors;
 //   * a --jobs width past the executor ceiling is reported and ignored
@@ -449,6 +451,79 @@ TEST_F(CampaignSchedTest, EnumerationMatchesExecution) {
     }
   }
   EXPECT_EQ(computed, planned);
+}
+
+/// The team sizes of the fig1 cells in a --plan listing (labels
+/// "<platform>/t<threads>/<construct>").
+std::set<std::size_t> fig1_team_sizes(const std::string& tsv) {
+  std::set<std::size_t> sizes;
+  std::istringstream in(tsv);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("fig1\t", 0) != 0) continue;
+    const std::string label = line.substr(line.find('\t', 5) + 1);
+    sizes.insert(std::stoul(label.substr(label.find("/t") + 2)));
+  }
+  return sizes;
+}
+
+// The paper's machines run the paper's cells however they are selected:
+// every cell of the default campaign is planned by --scenario dardel or
+// --scenario vera, and a `base = vera` file that overrides nothing plans
+// exactly what --scenario vera does. Every other machine derives its cells
+// from its geometry, even one that shares a paper machine's label or
+// geometry: README's my-box (`base = dardel` on 96 HW threads) and
+// dvfs-dippy (Vera's geometry under its own label) sweep thread_ladder's
+// sizes, not the paper's ladders.
+TEST_F(CampaignSchedTest, PaperMachinesRunThePaperCells) {
+  const std::string bin = omnivar_bin();
+  const auto plan = [&](const std::vector<std::string>& args,
+                        const std::string& tag) {
+    std::vector<std::string> argv{"--plan"};
+    argv.insert(argv.end(), args.begin(), args.end());
+    const fs::path tsv = dir_ / (tag + ".tsv");
+    EXPECT_EQ(wait_exit_code(spawn_omnivar(bin, argv, tsv.string())), 0)
+        << tag;
+    return slurp(tsv);
+  };
+
+  const auto defaults = plan_units(plan({}, "default"));
+  const auto dardel = plan_units(plan({"--scenario", "dardel"}, "dardel"));
+  const std::string vera_plan = plan({"--scenario", "vera"}, "vera");
+  const auto vera = plan_units(vera_plan);
+  ASSERT_FALSE(defaults.empty());
+  std::size_t missing = 0;
+  std::string named;
+  for (const auto& [hash, units] : defaults) {
+    if (dardel.count(hash) + vera.count(hash) == 0) {
+      ++missing;
+      named += " [" + *units.begin() + " " + hash + "]";
+    }
+  }
+  EXPECT_EQ(missing, 0u) << "of " << defaults.size()
+                         << " default cells, planned by neither paper "
+                            "scenario:"
+                         << named;
+
+  const fs::path base_vera = dir_ / "base-vera.scenario";
+  std::ofstream(base_vera) << "base = vera\n";
+  EXPECT_EQ(plan({"--scenario", base_vera.string()}, "base-vera"),
+            vera_plan);
+  EXPECT_EQ(fig1_team_sizes(vera_plan),
+            (std::set<std::size_t>{2, 4, 8, 12, 16, 20, 24, 28, 30}));
+
+  const fs::path my_box = dir_ / "my_box.scenario";
+  std::ofstream(my_box) << "name = my-box\nbase = dardel\n"
+                           "machine.sockets = 1\n"
+                           "machine.cores_per_numa = 12\n"
+                           "noise.daemon_rate = 200\n"
+                           "freq.episode_rate = 0.2\n";
+  EXPECT_EQ(fig1_team_sizes(plan(
+                {"--only", "fig1", "--scenario", my_box.string()}, "my-box")),
+            (std::set<std::size_t>{2, 4, 8, 16, 32, 64, 94}));
+  EXPECT_EQ(fig1_team_sizes(plan(
+                {"--only", "fig1", "--scenario", "dvfs-dippy"}, "dippy")),
+            (std::set<std::size_t>{2, 4, 8, 16, 30}));
 }
 
 // Two scenario files inheriting one catalog name would write the same

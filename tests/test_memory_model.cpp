@@ -45,6 +45,13 @@ TEST_F(MemoryModelTest, RemoteNumaSameSocketOnDardel) {
   EXPECT_LT(far_remote, near_remote);
 }
 
+TEST_F(MemoryModelTest, DataDomainOutOfRangeThrows) {
+  // Vera has two domains; a third names no socket, so it cannot be priced
+  // as local, same-socket or remote.
+  EXPECT_THROW((void)model_.thread_gbps(0, 2, 1), std::out_of_range);
+  EXPECT_THROW((void)model_.thread_gbps(16, 99, 1), std::out_of_range);
+}
+
 TEST_F(MemoryModelTest, PhaseTimesBasic) {
   const std::vector<std::size_t> hw{0, 1};
   const std::vector<std::size_t> dom{0, 0};

@@ -9,6 +9,8 @@
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "sim/simulator.hpp"
 #include "topo/topology.hpp"
@@ -499,32 +501,66 @@ TEST(ScenarioText, ParserRejectsNegativeOrNonFiniteCosts) {
   // A negative barrier cost would drive every team clock below zero after
   // the first barrier; nan or inf would turn clocks into NaN, and an
   // infinite episode rate would generate episodes without end. The same
-  // domain holds for every global numeric key, not only the costs. Each
-  // violation is a diagnosed load error naming the origin, the line and
-  // the key. Parse only: nothing here may simulate an accepted value.
-  const char* const values[] = {"-1", "-1e-9", "nan", "-nan", "inf", "-inf"};
-  for (const char* key :
-       {"costs.barrier_base", "costs.work_scale", "costs.oversub_stall_sigma",
-        "freq.episode_rate", "freq_session.episode_rate", "noise.daemon_rate",
-        "noise.kworker_mean", "mem.domain_gbps"}) {
-    for (const char* v : values) {
-      const std::string text =
-          std::string("name = x\n") + key + " = " + v + "\n";
-      try {
-        (void)parse_text(text, "conf/cost.scn");
-        ADD_FAILURE() << "accepted:\n" << text;
-      } catch (const std::runtime_error& e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("conf/cost.scn:2"), std::string::npos) << what;
-        EXPECT_NE(what.find(key), std::string::npos) << what;
-        EXPECT_NE(what.find("finite and >= 0"), std::string::npos) << what;
+  // domain holds for every global numeric key, not only the costs, and
+  // probabilities and frequency depths are narrower still: a depth of 0
+  // stops a capped run's clock. Each violation is a diagnosed load error
+  // naming the origin, the line, the key and its domain. Parse only:
+  // nothing here may simulate an accepted value.
+  const std::vector<std::string> non_finite = {"-1", "-1e-9", "nan",
+                                               "-nan", "inf", "-inf"};
+  struct Case {
+    std::vector<std::string> keys;
+    std::string domain;
+    std::vector<std::string> also_bad;
+  };
+  const std::vector<Case> cases = {
+      {{"costs.barrier_base", "costs.work_scale",
+        "costs.oversub_stall_sigma", "freq.episode_rate",
+        "freq_session.episode_rate", "noise.daemon_rate",
+        "noise.kworker_mean", "mem.domain_gbps"},
+       "finite and >= 0",
+       {}},
+      {{"noise.degrade_prob", "freq.run_cap_prob",
+        "freq_session.run_cap_prob"},
+       "finite and in [0, 1]",
+       {"1.0000001", "2"}},
+      {{"freq.depth_lo", "freq.depth_hi", "freq.run_cap_depth",
+        "freq_session.depth_lo", "freq_session.depth_hi",
+        "freq_session.run_cap_depth"},
+       "finite and in (0, 1]",
+       {"0", "-0", "1.5"}},
+  };
+  for (const Case& c : cases) {
+    std::vector<std::string> bad = non_finite;
+    bad.insert(bad.end(), c.also_bad.begin(), c.also_bad.end());
+    for (const std::string& key : c.keys) {
+      for (const std::string& v : bad) {
+        const std::string text = "name = x\n" + key + " = " + v + "\n";
+        try {
+          (void)parse_text(text, "conf/cost.scn");
+          ADD_FAILURE() << "accepted:\n" << text;
+        } catch (const std::runtime_error& e) {
+          const std::string what = e.what();
+          EXPECT_NE(what.find("conf/cost.scn:2"), std::string::npos) << what;
+          EXPECT_NE(what.find("'" + key + "'"), std::string::npos) << what;
+          EXPECT_NE(what.find(c.domain), std::string::npos) << what;
+        }
       }
     }
   }
-  // Zero is a valid cost.
-  const ScenarioSpec s =
-      parse_text("name = x\ncosts.barrier_base = 0\n", "conf/cost.scn");
+  // Each domain's edges are valid: a zero cost, a certain event, a cap
+  // that leaves the full clock, and a depth just above zero.
+  const ScenarioSpec s = parse_text(
+      "name = x\ncosts.barrier_base = 0\nnoise.degrade_prob = 1\n"
+      "freq.run_cap_prob = 0\nfreq_session.run_cap_prob = 1\n"
+      "freq.run_cap_depth = 1\nfreq_session.depth_lo = 1e-300\n",
+      "conf/cost.scn");
   EXPECT_EQ(s.sim.costs.barrier_base, 0.0);
+  EXPECT_EQ(s.sim.noise.degrade_prob, 1.0);
+  EXPECT_EQ(s.sim.freq.run_cap_prob, 0.0);
+  EXPECT_EQ(s.freq_session.run_cap_prob, 1.0);
+  EXPECT_EQ(s.sim.freq.run_cap_depth, 1.0);
+  EXPECT_GT(s.freq_session.depth_lo, 0.0);
 }
 
 TEST(ScenarioText, ErrorsNameOriginAndLine) {

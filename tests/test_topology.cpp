@@ -59,6 +59,17 @@ TEST(Machine, DardelNumaLayout) {
   EXPECT_EQ(m.thread(63).socket, 0u);
 }
 
+TEST(Machine, NumaSocketMatchesEveryThread) {
+  for (const auto& s : scenario::ScenarioRegistry::instance().all()) {
+    const Machine m = s.machine.build();
+    for (const auto& t : m.threads()) {
+      EXPECT_EQ(m.numa_socket(t.numa), t.socket) << s.name;
+    }
+    EXPECT_THROW((void)m.numa_socket(m.n_numa()), std::out_of_range)
+        << s.name;
+  }
+}
+
 /// sibling()'s contract spelled out as a scan: the first other HW thread
 /// of the same core, in os_id order.
 std::optional<std::size_t> scanned_sibling(const Machine& m,
