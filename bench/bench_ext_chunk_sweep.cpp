@@ -34,20 +34,11 @@ void run_platform(cli::RunContext& ctx, const harness::Platform& p,
   for (auto kind : {ompsim::Schedule::static_, ompsim::Schedule::dynamic,
                     ompsim::Schedule::guided}) {
     for (std::size_t chunk : {1ul, 8ul, 128ul}) {
-      const auto team = harness::pinned_team(threads);
-      bench::SimSchedBench sb(s, team, bench::EpccParams::schedbench(),
-                              10000);
-      const auto spec = harness::paper_spec(cell.seed + chunk, 5, 10);
-      const auto m = ctx.protocol(
+      const auto m = harness::sched_cell(
+          ctx, p, s, harness::pinned_team(threads), kind, chunk,
           p.name + "/" + ompsim::schedule_name(kind) + "_" +
               std::to_string(chunk),
-          spec,
-          harness::cell_key("schedbench", p, team)
-              .add("schedule", ompsim::schedule_name(kind))
-              .add("chunk", chunk),
-          [&] {
-            return sb.run_protocol(kind, chunk, spec, ctx.executor());
-          });
+          harness::paper_spec(cell.seed + chunk, 5, 10));
       const double mean = m.grand_mean();
       t.add_row({ompsim::schedule_name(kind), std::to_string(chunk),
                  report::fmt_fixed(mean, 1),

@@ -26,25 +26,15 @@ void run_platform(cli::RunContext& ctx, const harness::Platform& p,
   double last = 0.0;
   for (std::size_t t : counts) {
     const auto team = harness::pinned_team(t);
-    bench::SimSyncBench sb(s, team);
+    const bench::SimSyncBench sb(s, team);
     const auto spec = harness::paper_spec(ladder.seed + t);
     const std::string cell = p.name + "/t" + std::to_string(t) + "/";
-    const auto red = ctx.protocol(
-        cell + "reduction", spec,
-        harness::cell_key("syncbench", p, team)
-            .add("construct", "reduction"),
-        [&] {
-          return sb.run_protocol(bench::SyncConstruct::reduction, spec,
-                                 ctx.executor());
-        });
-    const auto bar = ctx.protocol(
-        cell + "barrier", spec,
-        harness::cell_key("syncbench", p, team)
-            .add("construct", "barrier"),
-        [&] {
-          return sb.run_protocol(bench::SyncConstruct::barrier, spec,
-                                 ctx.executor());
-        });
+    const auto red =
+        harness::sync_cell(ctx, p, s, team, bench::SyncConstruct::reduction,
+                           cell + "reduction", spec);
+    const auto bar =
+        harness::sync_cell(ctx, p, s, team, bench::SyncConstruct::barrier,
+                           cell + "barrier", spec);
     const double red_per =
         red.grand_mean() /
         static_cast<double>(sb.innerreps(bench::SyncConstruct::reduction));

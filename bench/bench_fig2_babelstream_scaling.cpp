@@ -30,18 +30,11 @@ void run_platform(cli::RunContext& ctx, const harness::Platform& p,
   for (std::size_t t : counts) {
     std::vector<double> row;
     for (auto k : bench::all_stream_kernels()) {
-      const auto team = harness::pinned_team(t);
-      bench::SimStream st(s, team);
-      const auto spec = harness::paper_spec(ladder.seed + t, 10, 50);
-      const auto m = ctx.protocol(
+      const auto m = harness::stream_cell(
+          ctx, p, s, harness::pinned_team(t), k,
           p.name + "/t" + std::to_string(t) + "/" +
               bench::stream_kernel_name(k),
-          spec,
-          harness::cell_key("babelstream", p, team)
-              .add("kernel", bench::stream_kernel_name(k)),
-          [&] {
-            return st.run_protocol(k, spec, ctx.executor());
-          });
+          harness::paper_spec(ladder.seed + t, 10, 50));
       row.push_back(m.grand_mean());
       if (k == bench::StreamKernel::triad) {
         if (t == counts.front()) first_triad = m.grand_mean();

@@ -50,40 +50,15 @@ void run_platform(cli::RunContext& ctx, const harness::Platform& p,
     const auto team = harness::pinned_team(t);
     const std::string cell = p.name + "/t" + std::to_string(t) + "/";
 
-    bench::SimSchedBench sched(s, team, bench::EpccParams::schedbench(),
-                               10000);
-    const auto spec_sched = harness::paper_spec(ladder.seed + t, 10, 30);
-    const auto m_sched = ctx.protocol(
-        cell + "schedbench", spec_sched,
-        harness::cell_key("schedbench", p, team)
-            .add("schedule", "dynamic")
-            .add("chunk", std::uint64_t{1}),
-        [&] {
-          return sched.run_protocol(ompsim::Schedule::dynamic, 1,
-                                    spec_sched, ctx.executor());
-        });
-
-    bench::SimSyncBench sync(s, team);
-    const auto spec_sync = harness::paper_spec(ladder.seed + t);
-    const auto m_sync = ctx.protocol(
-        cell + "syncbench", spec_sync,
-        harness::cell_key("syncbench", p, team)
-            .add("construct", "reduction"),
-        [&] {
-          return sync.run_protocol(bench::SyncConstruct::reduction,
-                                   spec_sync, ctx.executor());
-        });
-
-    bench::SimStream stream(s, team);
-    const auto spec_stream = harness::paper_spec(ladder.seed + t, 10, 50);
-    const auto m_stream = ctx.protocol(
-        cell + "stream", spec_stream,
-        harness::cell_key("babelstream", p, team)
-            .add("kernel", "triad"),
-        [&] {
-          return stream.run_protocol(bench::StreamKernel::triad,
-                                     spec_stream, ctx.executor());
-        });
+    const auto m_sched = harness::sched_cell(
+        ctx, p, s, team, ompsim::Schedule::dynamic, 1, cell + "schedbench",
+        harness::paper_spec(ladder.seed + t, 10, 30));
+    const auto m_sync = harness::sync_cell(
+        ctx, p, s, team, bench::SyncConstruct::reduction, cell + "syncbench",
+        harness::paper_spec(ladder.seed + t));
+    const auto m_stream = harness::stream_cell(
+        ctx, p, s, team, bench::StreamKernel::triad, cell + "stream",
+        harness::paper_spec(ladder.seed + t, 10, 50));
 
     const auto a = spread(m_sched);
     const auto b = spread(m_sync);

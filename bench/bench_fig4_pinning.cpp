@@ -57,30 +57,12 @@ int run_fig4(cli::RunContext& ctx) {
   {
     const auto unpinned = harness::unpinned_team(t_sched);
     const auto pinned = harness::pinned_team(t_sched);
-    bench::SimSchedBench before(s, unpinned,
-                                bench::EpccParams::schedbench(), 10000);
-    const auto spec_b = harness::paper_spec(5001, 10, 20);
-    const auto mb = ctx.protocol(
-        "sched" + ss + "/unpinned", spec_b,
-        harness::cell_key("schedbench", p, unpinned)
-            .add("schedule", "dynamic")
-            .add("chunk", std::uint64_t{1}),
-        [&] {
-          return before.run_protocol(ompsim::Schedule::dynamic, 1, spec_b,
-                                     ctx.executor());
-        });
-    bench::SimSchedBench after(s, pinned,
-                               bench::EpccParams::schedbench(), 10000);
-    const auto spec_a = harness::paper_spec(5002, 10, 20);
-    const auto ma = ctx.protocol(
-        "sched" + ss + "/pinned", spec_a,
-        harness::cell_key("schedbench", p, pinned)
-            .add("schedule", "dynamic")
-            .add("chunk", std::uint64_t{1}),
-        [&] {
-          return after.run_protocol(ompsim::Schedule::dynamic, 1, spec_a,
-                                    ctx.executor());
-        });
+    const auto mb = harness::sched_cell(
+        ctx, p, s, unpinned, ompsim::Schedule::dynamic, 1,
+        "sched" + ss + "/unpinned", harness::paper_spec(5001, 10, 20));
+    const auto ma = harness::sched_cell(
+        ctx, p, s, pinned, ompsim::Schedule::dynamic, 1,
+        "sched" + ss + "/pinned", harness::paper_spec(5002, 10, 20));
     per_run_table(ctx, "sched" + ss + "_unpinned",
                   ("(a) schedbench " + ss + " thr, BEFORE pinning (us):").c_str(), mb);
     per_run_table(ctx, "sched" + ss + "_pinned",
@@ -93,26 +75,12 @@ int run_fig4(cli::RunContext& ctx) {
   {
     const auto unpinned = harness::unpinned_team(t_full);
     const auto pinned = harness::pinned_team(t_full);
-    bench::SimSyncBench before(s, unpinned);
-    const auto spec_b = harness::paper_spec(5003);
-    const auto mb = ctx.protocol(
-        "sync" + fs + "/unpinned", spec_b,
-        harness::cell_key("syncbench", p, unpinned)
-            .add("construct", "reduction"),
-        [&] {
-          return before.run_protocol(bench::SyncConstruct::reduction,
-                                     spec_b, ctx.executor());
-        });
-    bench::SimSyncBench after(s, pinned);
-    const auto spec_a = harness::paper_spec(5004);
-    const auto ma = ctx.protocol(
-        "sync" + fs + "/pinned", spec_a,
-        harness::cell_key("syncbench", p, pinned)
-            .add("construct", "reduction"),
-        [&] {
-          return after.run_protocol(bench::SyncConstruct::reduction,
-                                    spec_a, ctx.executor());
-        });
+    const auto mb = harness::sync_cell(
+        ctx, p, s, unpinned, bench::SyncConstruct::reduction,
+        "sync" + fs + "/unpinned", harness::paper_spec(5003));
+    const auto ma = harness::sync_cell(
+        ctx, p, s, pinned, bench::SyncConstruct::reduction,
+        "sync" + fs + "/pinned", harness::paper_spec(5004));
     per_run_table(ctx, "sync" + fs + "_unpinned",
                   ("(b) syncbench reduction " + fs +
                    " thr, BEFORE pinning (us):").c_str(),
@@ -151,26 +119,13 @@ int run_fig4(cli::RunContext& ctx) {
     const auto unpinned = harness::unpinned_team(t_full);
     const auto pinned = harness::pinned_team(t_full);
     for (auto k : bench::all_stream_kernels()) {
-      bench::SimStream before(s, unpinned);
-      const auto spec_b = harness::paper_spec(5005, 10, 50);
-      const auto mb = ctx.protocol(
-          "stream" + fs + "/unpinned/" + bench::stream_kernel_name(k),
-          spec_b,
-          harness::cell_key("babelstream", p, unpinned)
-              .add("kernel", bench::stream_kernel_name(k)),
-          [&] {
-            return before.run_protocol(k, spec_b, ctx.executor());
-          });
-      bench::SimStream after(s, pinned);
-      const auto spec_a = harness::paper_spec(5006, 10, 50);
-      const auto ma = ctx.protocol(
-          "stream" + fs + "/pinned/" + bench::stream_kernel_name(k),
-          spec_a,
-          harness::cell_key("babelstream", p, pinned)
-              .add("kernel", bench::stream_kernel_name(k)),
-          [&] {
-            return after.run_protocol(k, spec_a, ctx.executor());
-          });
+      const std::string kernel = bench::stream_kernel_name(k);
+      const auto mb = harness::stream_cell(
+          ctx, p, s, unpinned, k, "stream" + fs + "/unpinned/" + kernel,
+          harness::paper_spec(5005, 10, 50));
+      const auto ma = harness::stream_cell(
+          ctx, p, s, pinned, k, "stream" + fs + "/pinned/" + kernel,
+          harness::paper_spec(5006, 10, 50));
       double ub_min = 1.0;
       double ub_max = 0.0;
       double pb_min = 1.0;
@@ -183,7 +138,7 @@ int run_fig4(cli::RunContext& ctx) {
       }
       worst_unpinned_ratio = std::max(worst_unpinned_ratio, ub_max / ub_min);
       all_tighter &= (pb_max - pb_min) <= (ub_max - ub_min);
-      t.add_row({bench::stream_kernel_name(k), report::fmt_fixed(ub_min, 3),
+      t.add_row({kernel, report::fmt_fixed(ub_min, 3),
                  report::fmt_fixed(ub_max, 3), report::fmt_fixed(pb_min, 3),
                  report::fmt_fixed(pb_max, 3)});
     }

@@ -98,43 +98,16 @@ int run_fig5(cli::RunContext& ctx) {
   const std::string syn = std::to_string(t_sync);
   const std::string smn = std::to_string(t_small);
 
-  const auto sched_cell = [&](const char* label,
-                              const ompsim::TeamConfig& team,
-                              const ExperimentSpec& spec) {
-    bench::SimSchedBench sb(s, team, bench::EpccParams::schedbench(),
-                            10000);
-    return ctx.protocol(
-        label, spec,
-        harness::cell_key("schedbench", p, team)
-            .add("schedule", "dynamic")
-            .add("chunk", std::uint64_t{1}),
-        [&] {
-          return sb.run_protocol(ompsim::Schedule::dynamic, 1, spec,
-                                 ctx.executor());
-        });
-  };
-  const auto stream_cell = [&](const std::string& label,
-                               const ompsim::TeamConfig& team,
-                               const ExperimentSpec& spec) {
-    bench::SimStream st(s, team);
-    return ctx.protocol(
-        label, spec,
-        harness::cell_key("babelstream", p, team)
-            .add("kernel", "triad"),
-        [&] {
-          return st.run_protocol(bench::StreamKernel::triad, spec,
-                                 ctx.executor());
-        });
-  };
-
   // (a)/(d) schedbench, 128 threads.
   {
-    const auto ms = sched_cell(("sched" + fsn + "/st").c_str(),
-                               st_team(p.machine, eligible, t_full),
-                               harness::paper_spec(6001, 10, 20));
-    const auto mm = sched_cell(("sched" + fsn + "/mt").c_str(),
-                               mt_team(p.machine, eligible, t_full),
-                               harness::paper_spec(6002, 10, 20));
+    const auto ms = harness::sched_cell(
+        ctx, p, s, st_team(p.machine, eligible, t_full),
+        ompsim::Schedule::dynamic, 1, "sched" + fsn + "/st",
+        harness::paper_spec(6001, 10, 20));
+    const auto mm = harness::sched_cell(
+        ctx, p, s, mt_team(p.machine, eligible, t_full),
+        ompsim::Schedule::dynamic, 1, "sched" + fsn + "/mt",
+        harness::paper_spec(6002, 10, 20));
     report::Table t({"config", "grand mean (us)", "pooled CV",
                      "worst run CV"});
     auto worst_cv = [](const RunMatrix& m) {
@@ -163,28 +136,16 @@ int run_fig5(cli::RunContext& ctx) {
                      "ST worst CV", "MT worst CV"});
     bool mt_noisier_everywhere = true;
     for (auto c : bench::all_sync_constructs()) {
-      const auto run_sync = [&](const char* mode,
-                                const ompsim::TeamConfig& team,
-                                const ExperimentSpec& spec) {
-        bench::SimSyncBench sb(s, team);
-        return ctx.protocol(
-            "sync" + syn + "/" + mode + "/" +
-                bench::sync_construct_name(c),
-            spec,
-            harness::cell_key("syncbench", p, team)
-                .add("construct", bench::sync_construct_name(c)),
-            [&] {
-              return sb.run_protocol(c, spec, ctx.executor());
-            });
-      };
-      const auto ms =
-          run_sync("st", st_team(p.machine, eligible, t_sync), harness::paper_spec(6003));
-      const auto mm = run_sync("mt", mt_team(p.machine, eligible, t_sync),
-                               harness::paper_spec(6004));
+      const std::string name = bench::sync_construct_name(c);
+      const auto ms = harness::sync_cell(
+          ctx, p, s, st_team(p.machine, eligible, t_sync), c,
+          "sync" + syn + "/st/" + name, harness::paper_spec(6003));
+      const auto mm = harness::sync_cell(
+          ctx, p, s, mt_team(p.machine, eligible, t_sync), c,
+          "sync" + syn + "/mt/" + name, harness::paper_spec(6004));
       const auto cv_stats_s = stats::summarize(ms.run_cvs());
       const auto cv_stats_m = stats::summarize(mm.run_cvs());
-      t.add_row({bench::sync_construct_name(c),
-                 report::fmt_fixed(cv_stats_s.mean, 5),
+      t.add_row({name, report::fmt_fixed(cv_stats_s.mean, 5),
                  report::fmt_fixed(cv_stats_m.mean, 5),
                  report::fmt_fixed(cv_stats_s.max, 5),
                  report::fmt_fixed(cv_stats_m.max, 5)});
@@ -205,11 +166,14 @@ int run_fig5(cli::RunContext& ctx) {
 
   // (c)/(f) BabelStream, 128 threads and the small-scale comparison.
   {
-    const auto ms = stream_cell("stream" + fsn + "/st", st_team(p.machine, eligible, t_full),
-                                harness::paper_spec(6005, 10, 50));
-    const auto mm =
-        stream_cell("stream" + fsn + "/mt", mt_team(p.machine, eligible, t_full),
-                    harness::paper_spec(6006, 10, 50));
+    const auto ms = harness::stream_cell(
+        ctx, p, s, st_team(p.machine, eligible, t_full),
+        bench::StreamKernel::triad, "stream" + fsn + "/st",
+        harness::paper_spec(6005, 10, 50));
+    const auto mm = harness::stream_cell(
+        ctx, p, s, mt_team(p.machine, eligible, t_full),
+        bench::StreamKernel::triad, "stream" + fsn + "/mt",
+        harness::paper_spec(6006, 10, 50));
     ctx.print(
         "(c)/(f) BabelStream triad %s threads: ST %.3f ms (CV %.4f) vs "
         "MT %.3f ms (CV %.4f)\n",
@@ -220,11 +184,14 @@ int run_fig5(cli::RunContext& ctx) {
     ctx.verdict(mm.grand_mean() >= ms.grand_mean() * 0.95,
                 "BabelStream does not benefit from using SMT");
 
-    const auto ms8 = stream_cell("stream" + smn + "/st", st_team(p.machine, eligible, t_small),
-                                 harness::paper_spec(6007, 10, 50));
-    const auto mm8 =
-        stream_cell("stream" + smn + "/mt", mt_team(p.machine, eligible, t_small),
-                    harness::paper_spec(6008, 10, 50));
+    const auto ms8 = harness::stream_cell(
+        ctx, p, s, st_team(p.machine, eligible, t_small),
+        bench::StreamKernel::triad, "stream" + smn + "/st",
+        harness::paper_spec(6007, 10, 50));
+    const auto mm8 = harness::stream_cell(
+        ctx, p, s, mt_team(p.machine, eligible, t_small),
+        bench::StreamKernel::triad, "stream" + smn + "/mt",
+        harness::paper_spec(6008, 10, 50));
     ctx.print("BabelStream triad %s threads: ST %.3f ms vs MT %.3f ms\n",
               smn.c_str(), ms8.grand_mean(), mm8.grand_mean());
     ctx.verdict(mm8.grand_mean() / ms8.grand_mean() < 1.5,

@@ -32,8 +32,7 @@ PanelResult run_panel(cli::RunContext& ctx, const harness::Platform& p,
       ctx, label, std::move(key), s, places, threads,
       harness::paper_spec(seed, 10, 20),
       [](sim::Simulator& sim, const ompsim::TeamConfig& cfg) {
-        return bench::SimSchedBench(sim, cfg,
-                                    bench::EpccParams::schedbench(), 10000);
+        return bench::SimSchedBench(sim, cfg);
       },
       [](bench::SimSchedBench& sb, ompsim::SimTeam& team) {
         return sb.rep_time_us(team, ompsim::Schedule::static_, 1);

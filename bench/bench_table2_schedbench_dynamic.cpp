@@ -38,19 +38,11 @@ int run_table2(cli::RunContext& ctx) {
          {harness::spare2_team(p.machine), 1072}});
     for (const auto& c : columns) {
       sim::Simulator s(p.machine, p.config);
-      const auto team = harness::pinned_team(c.threads);
-      bench::SimSchedBench sb(s, team, bench::EpccParams::schedbench(),
-                              /*max_grabs_per_rep=*/10000);
-      const auto spec = harness::paper_spec(c.seed);
-      results.push_back(ctx.protocol(
-          p.name + "/t" + std::to_string(c.threads), spec,
-          harness::cell_key("schedbench", p, team)
-              .add("schedule", "dynamic")
-              .add("chunk", std::uint64_t{1}),
-          [&] {
-            return sb.run_protocol(ompsim::Schedule::dynamic, 1, spec,
-                                   ctx.executor());
-          }));
+      results.push_back(harness::sched_cell(
+          ctx, p, s, harness::pinned_team(c.threads),
+          ompsim::Schedule::dynamic, 1,
+          p.name + "/t" + std::to_string(c.threads),
+          harness::paper_spec(c.seed)));
       headers.push_back(p.name + " " + std::to_string(c.threads) + " thr");
     }
   }

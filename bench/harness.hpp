@@ -8,11 +8,12 @@
 // shrink the protocol for smoke runs, or OMNIVAR_RUNS / OMNIVAR_REPS to
 // override explicitly.
 //
-// Protocol runs are sharded onto the campaign's executor (ctx.executor(),
-// --jobs N). Results are bit-identical at every width because each run
-// derives its entire state from its run seed. With --out DIR, every
-// protocol cell persists through the spec-hash result cache and the
-// harness emits a JSON artifact (cli/campaign.hpp).
+// A syncbench, schedbench or BabelStream cell is one call to sync_cell,
+// sched_cell or stream_cell. Protocol runs are sharded onto the campaign's
+// executor (ctx.executor(), --jobs N). Results are bit-identical at every
+// width because each run derives its entire state from its run seed. With
+// --out DIR, every protocol cell persists through the spec-hash result
+// cache and the harness emits a JSON artifact (cli/campaign.hpp).
 
 #include <algorithm>
 #include <cstdio>
@@ -21,6 +22,9 @@
 #include <string>
 #include <vector>
 
+#include "bench_suite/schedbench_sim.hpp"
+#include "bench_suite/stream_sim.hpp"
+#include "bench_suite/syncbench_sim.hpp"
 #include "cli/campaign.hpp"
 #include "cli/options.hpp"
 #include "cli/registry.hpp"
@@ -285,9 +289,9 @@ inline SpecKey& add_team_key(SpecKey& k, const ompsim::TeamConfig& cfg) {
 /// Starts a cache key for one protocol cell: benchmark kind, platform and
 /// its scenario fingerprint, team. The fingerprint covers every machine /
 /// noise / freq / mem / cost parameter, so cells simulated under one
-/// scenario can never satisfy a lookup from another. Append benchmark-
-/// specific fields (construct, schedule, chunk, kernel, ...) before
-/// passing it to RunContext::protocol.
+/// scenario can never satisfy a lookup from another. The typed cells
+/// below append their axis; the few harnesses with hand-built keys
+/// append their own fields before passing it to RunContext::protocol.
 inline SpecKey cell_key(std::string_view bench_kind, const Platform& p,
                         const ompsim::TeamConfig& team) {
   SpecKey k;
@@ -296,6 +300,55 @@ inline SpecKey cell_key(std::string_view bench_kind, const Platform& p,
   k.add("scenario_fp", p.fingerprint);
   add_team_key(k, team);
   return k;
+}
+
+// The typed protocol cells. Each builds the bench object, the compute and
+// the cache key from the same arguments, so a cell's key names exactly
+// the inputs its matrix was computed from, and runs it through
+// RunContext::protocol (cache probe, supervised compute, commit).
+
+/// syncbench cell: construct `c` on `team`, keyed by the construct name.
+inline RunMatrix sync_cell(cli::RunContext& ctx, const Platform& p,
+                           sim::Simulator& s, const ompsim::TeamConfig& team,
+                           bench::SyncConstruct c, const std::string& label,
+                           const ExperimentSpec& spec) {
+  bench::SimSyncBench sb(s, team);
+  return ctx.protocol(
+      label, spec,
+      cell_key("syncbench", p, team)
+          .add("construct", bench::sync_construct_name(c)),
+      [&] { return sb.run_protocol(c, spec, ctx.executor()); });
+}
+
+/// schedbench cell: schedule(`kind`, `chunk`) on `team`, keyed by the
+/// schedule name and the chunk.
+inline RunMatrix sched_cell(cli::RunContext& ctx, const Platform& p,
+                            sim::Simulator& s,
+                            const ompsim::TeamConfig& team,
+                            ompsim::Schedule kind, std::size_t chunk,
+                            const std::string& label,
+                            const ExperimentSpec& spec) {
+  bench::SimSchedBench sb(s, team);
+  return ctx.protocol(
+      label, spec,
+      cell_key("schedbench", p, team)
+          .add("schedule", ompsim::schedule_name(kind))
+          .add("chunk", chunk),
+      [&] { return sb.run_protocol(kind, chunk, spec, ctx.executor()); });
+}
+
+/// BabelStream cell: kernel `k` on `team`, keyed by the kernel name.
+inline RunMatrix stream_cell(cli::RunContext& ctx, const Platform& p,
+                             sim::Simulator& s,
+                             const ompsim::TeamConfig& team,
+                             bench::StreamKernel k, const std::string& label,
+                             const ExperimentSpec& spec) {
+  bench::SimStream st(s, team);
+  return ctx.protocol(
+      label, spec,
+      cell_key("babelstream", p, team)
+          .add("kernel", bench::stream_kernel_name(k)),
+      [&] { return st.run_protocol(k, spec, ctx.executor()); });
 }
 
 /// Prints the standard harness header; under --scenario a "Scenario:"

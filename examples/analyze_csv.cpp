@@ -26,7 +26,7 @@ omv::RunMatrix demo_matrix() {
   // A synthetic "unpinned-looking" experiment: base 100 us, a slow run,
   // a periodic disturbance every 10 reps, rare heavy-tail spikes.
   omv::Rng rng(2024);
-  omv::RunMatrix m("demo");
+  omv::RunMatrix m;
   for (int r = 0; r < 10; ++r) {
     std::vector<double> reps;
     for (int k = 0; k < 100; ++k) {
@@ -46,8 +46,7 @@ omv::RunMatrix demo_matrix() {
 int main(int argc, char** argv) {
   using namespace omv;
 
-  RunMatrix m = argc > 1 ? io::load_run_matrix(argv[1], argv[1])
-                         : demo_matrix();
+  RunMatrix m = argc > 1 ? io::load_run_matrix(argv[1]) : demo_matrix();
   if (argc <= 1) {
     std::printf("(no input file — analyzing a generated demo matrix; pass "
                 "a 'run,rep,time' CSV to analyze your own)\n\n");

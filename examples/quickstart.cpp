@@ -38,7 +38,6 @@ int main() {
   bench::SimSchedBench sched(vera, team);
 
   ExperimentSpec spec;
-  spec.name = "quickstart";
   spec.runs = 5;
   spec.reps = 30;
   spec.warmup = 3;

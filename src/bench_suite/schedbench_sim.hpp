@@ -5,7 +5,10 @@
 // chunk)` region over n_threads * itersperthr iterations of delay(delay_us)
 // each (Table 1: 8192 iterations of 15 us per thread). Dynamic/guided
 // scheduling is simulated chunk-by-chunk through the central-queue engine,
-// with automatic coarsening to bound the event count at scale.
+// with automatic coarsening to bound the event count at scale: a rep grabs
+// its chunks in groups of max(1, total_chunks / max_grabs_per_rep)
+// (coarsen_for). The default budget, 10000 grabs, is the one every harness
+// runs, so a 4-thread dynamic_1 loop (32,768 chunks) runs coarsened by 3.
 
 #include <cstdint>
 
@@ -22,7 +25,7 @@ class SimSchedBench {
  public:
   SimSchedBench(sim::Simulator& simulator, ompsim::TeamConfig team_cfg,
                 EpccParams params = EpccParams::schedbench(),
-                std::size_t max_grabs_per_rep = 20000);
+                std::size_t max_grabs_per_rep = 10000);
 
   /// Simulates one repetition (one full scheduled loop), returning its
   /// duration in microseconds.

@@ -111,7 +111,7 @@ RunMatrix RunContext::protocol(const std::string& label,
     plan.cost = static_cast<double>(spec.runs) *
                 static_cast<double>(spec.warmup + spec.reps);
     plan_.push_back(std::move(plan));
-    RunMatrix placeholder(label);
+    RunMatrix placeholder;
     for (std::size_t r = 0; r < spec.runs; ++r) {
       std::vector<double> row(spec.reps);
       for (std::size_t k = 0; k < spec.reps; ++k) {
@@ -151,7 +151,7 @@ RunMatrix RunContext::protocol(const std::string& label,
       return std::nullopt;
     }
     try {
-      RunMatrix m = io::load_run_matrix(stem + ".csv", label);
+      RunMatrix m = io::load_run_matrix(stem + ".csv");
       // Shape must match the spec exactly: protocol cells are full
       // spec.runs x spec.reps rectangles, so a parseable-but-truncated
       // file (interrupted copy of a campaign dir) must degrade to a
@@ -193,10 +193,6 @@ RunMatrix RunContext::protocol(const std::string& label,
   const auto supervised = [&]() -> RunMatrix {
     return supervise_cell(supervision_, label, hash, [&] {
       RunMatrix computed = compute();
-      // Normalize to the cell label: the compute path labels matrices
-      // with spec.name while a cache load uses `label` — a cold/warm run
-      // must return indistinguishable objects.
-      computed.set_label(label);
       if (caching()) {
         core::atomic_write_file(stem + ".csv",
                                 io::run_matrix_to_csv(computed), "cache");
@@ -393,7 +389,7 @@ void print_usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--list] [--scenarios] [--version] "
                "[--only GLOB]... [--jobs N] [--scenario S]... "
-               "[--scenario-set FILE] [--plan] [--out DIR] "
+               "[--plan] [--out DIR] "
                "[--retry-cells N] [--cell-timeout MS] [--fault-spec SPEC]\n"
                "  --list       list registered harnesses\n"
                "  --scenarios  list the scenario catalog\n"
@@ -419,10 +415,6 @@ void print_usage(const char* argv0) {
                "               listed scenario; default: the paper's "
                "Dardel+Vera\n"
                "               pair)\n"
-               "  --scenario-set FILE\n"
-               "               append scenario selectors from FILE (one "
-               "per line,\n"
-               "               '#' comments) to the --scenario list\n"
                "  --plan       enumerate every protocol cell the selection "
                "would run\n"
                "               (harness, scenario, label, spec hash, cost) "
@@ -685,7 +677,7 @@ std::string artifact_tag(const scenario::ScenarioSpec& s) {
   return tag;
 }
 
-/// Resolves every effective scenario selector. Paper mode (no selection)
+/// Resolves every --scenario selector. Paper mode (no selection)
 /// yields one disengaged entry so the unit fan-out always has at least one
 /// scenario axis. Two selections with the same artifact tag are a usage
 /// error: their units would write — and race for — the same artifact
@@ -693,13 +685,7 @@ std::string artifact_tag(const scenario::ScenarioSpec& s) {
 bool resolve_scenario_list(
     const Options& o,
     std::vector<std::optional<scenario::ScenarioSpec>>& out) {
-  std::vector<std::string> sels;
-  try {
-    sels = effective_scenarios(o);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "[omnivar] %s\n", e.what());
-    return false;
-  }
+  const std::vector<std::string>& sels = o.scenarios;
   if (sels.empty()) {
     out.emplace_back(std::nullopt);
     return true;

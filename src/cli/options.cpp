@@ -4,8 +4,6 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <stdexcept>
 #include <string>
 
 #include "core/executor.hpp"
@@ -102,11 +100,6 @@ Options parse_options(int argc, char** argv) {
       }
       continue;
     }
-    if (const char* v =
-            flag_value("--scenario-set", argc, argv, i, o.errors)) {
-      o.scenario_set = v;
-      continue;
-    }
     if (const char* v = flag_value("--scenario", argc, argv, i, o.errors)) {
       o.scenarios.emplace_back(v);
       continue;
@@ -148,7 +141,6 @@ Options parse_options(int argc, char** argv) {
     if (std::strcmp(arg, "--only") != 0 && std::strcmp(arg, "--jobs") != 0 &&
         std::strcmp(arg, "--cell-jobs") != 0 &&
         std::strcmp(arg, "--scenario") != 0 &&
-        std::strcmp(arg, "--scenario-set") != 0 &&
         std::strcmp(arg, "--out") != 0 &&
         std::strcmp(arg, "--retry-cells") != 0 &&
         std::strcmp(arg, "--cell-timeout") != 0 &&
@@ -157,27 +149,6 @@ Options parse_options(int argc, char** argv) {
     }
   }
   return o;
-}
-
-std::vector<std::string> effective_scenarios(const Options& o) {
-  std::vector<std::string> out = o.scenarios;
-  if (!o.scenario_set.empty()) {
-    std::ifstream in(o.scenario_set);
-    if (!in) {
-      throw std::runtime_error("cannot read --scenario-set file '" +
-                               o.scenario_set + "'");
-    }
-    std::string line;
-    while (std::getline(in, line)) {
-      const std::size_t b = line.find_first_not_of(" \t\r");
-      if (b == std::string::npos) continue;
-      const std::size_t e = line.find_last_not_of(" \t\r");
-      line = line.substr(b, e - b + 1);
-      if (line.empty() || line[0] == '#') continue;
-      out.push_back(line);
-    }
-  }
-  return out;
 }
 
 std::size_t effective_width(const Options& o) {

@@ -40,7 +40,6 @@ struct Options {
   std::size_t jobs = 0;           ///< resolved worker count; 0 = unset.
   std::size_t cell_jobs = 0;      ///< deprecated --cell-jobs; 0 = unset.
   std::vector<std::string> scenarios;  ///< --scenario selectors, in order.
-  std::string scenario_set;       ///< --scenario-set file; empty = none.
   std::string out_dir;            ///< --out campaign dir; empty = none.
   std::size_t retry_cells = 0;     ///< --retry-cells; 0 = no retries.
   std::size_t cell_timeout_ms = 0;  ///< --cell-timeout; 0 = unlimited.
@@ -51,13 +50,6 @@ struct Options {
 /// Parses argv. Unknown arguments and malformed values are collected in
 /// `errors` (reported by the caller); parsing always completes.
 [[nodiscard]] Options parse_options(int argc, char** argv);
-
-/// Effective scenario selector list: the repeated --scenario values plus
-/// the lines of --scenario-set FILE, in order; empty = the paper's
-/// Dardel+Vera default. Throws std::runtime_error when the set file
-/// cannot be read (a typo'd file must not silently run the default
-/// scenario).
-[[nodiscard]] std::vector<std::string> effective_scenarios(const Options& o);
 
 /// The executor width: the larger of --jobs and the deprecated alias
 /// --cell-jobs, and 1 (serial, the paper's original execution model) when

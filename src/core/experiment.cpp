@@ -41,7 +41,7 @@ std::vector<double> execute_run(const ExperimentSpec& spec,
 
 RunMatrix run_experiment(const ExperimentSpec& spec,
                          const RepKernel& kernel) {
-  RunMatrix matrix(spec.name);
+  RunMatrix matrix;
   for (std::size_t r = 0; r < spec.runs; ++r) {
     matrix.add_run(execute_run(spec, kernel, r, derive_run_seed(spec.seed, r)));
   }
@@ -62,7 +62,7 @@ RunMatrix run_experiment_parallel(const ExperimentSpec& spec,
     });
   }
   runs.wait();
-  RunMatrix matrix(spec.name);
+  RunMatrix matrix;
   for (auto& row : rows) matrix.add_run(std::move(row));
   return matrix;
 }

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 
 #include "core/run_matrix.hpp"
 
@@ -23,7 +22,6 @@ namespace omv {
 
 /// Protocol parameters (defaults mirror the paper: 10 runs x 100 reps).
 struct ExperimentSpec {
-  std::string name = "experiment";
   std::size_t runs = 10;
   std::size_t reps = 100;
   std::size_t warmup = 1;  ///< discarded repetitions per run.

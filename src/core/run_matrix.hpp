@@ -12,7 +12,6 @@
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "core/descriptive.hpp"
@@ -26,9 +25,6 @@ class RunMatrix {
  public:
   RunMatrix() = default;
 
-  /// Creates an empty matrix labelled `label` (used by reports).
-  explicit RunMatrix(std::string label) : label_(std::move(label)) {}
-
   /// Appends a completed run. Runs may have different repetition counts.
   void add_run(std::vector<double> rep_times);
 
@@ -38,10 +34,6 @@ class RunMatrix {
   [[nodiscard]] std::span<const double> run(std::size_t r) const {
     return data_.at(r);
   }
-  [[nodiscard]] const std::string& label() const noexcept { return label_; }
-  /// Relabels the matrix (the result cache normalizes computed and
-  /// cache-loaded matrices to the same cell label).
-  void set_label(std::string label) { label_ = std::move(label); }
 
   /// Summary of run `r`.
   [[nodiscard]] stats::Summary run_summary(std::size_t r) const;
@@ -84,7 +76,6 @@ class RunMatrix {
   }
 
  private:
-  std::string label_;
   std::vector<std::vector<double>> data_;
 };
 

@@ -53,7 +53,7 @@ std::string run_matrix_to_csv(const RunMatrix& m) {
   return os.str();
 }
 
-RunMatrix read_run_matrix_csv(std::istream& is, std::string label) {
+RunMatrix read_run_matrix_csv(std::istream& is) {
   std::string line;
   if (!std::getline(is, line)) {
     throw std::invalid_argument("run-matrix CSV: empty input");
@@ -128,7 +128,7 @@ RunMatrix read_run_matrix_csv(std::istream& is, std::string label) {
   }
   const std::size_t n_runs =
       have_declared_runs ? declared_runs : max_seen_runs;
-  RunMatrix m(std::move(label));
+  RunMatrix m;
   for (std::size_t r = 0; r < n_runs; ++r) {
     std::vector<double> reps;
     const auto it = rows.find(r);
@@ -165,9 +165,9 @@ RunMatrix read_run_matrix_csv(std::istream& is, std::string label) {
   return m;
 }
 
-RunMatrix run_matrix_from_csv(const std::string& csv, std::string label) {
+RunMatrix run_matrix_from_csv(const std::string& csv) {
   std::istringstream is(csv);
-  return read_run_matrix_csv(is, std::move(label));
+  return read_run_matrix_csv(is);
 }
 
 void save_run_matrix(const std::string& path, const RunMatrix& m) {
@@ -177,10 +177,10 @@ void save_run_matrix(const std::string& path, const RunMatrix& m) {
   core::atomic_write_file(path, run_matrix_to_csv(m), "cache");
 }
 
-RunMatrix load_run_matrix(const std::string& path, std::string label) {
+RunMatrix load_run_matrix(const std::string& path) {
   std::ifstream f(path);
   if (!f) throw std::runtime_error("cannot open '" + path + "'");
-  return read_run_matrix_csv(f, std::move(label));
+  return read_run_matrix_csv(f);
 }
 
 }  // namespace omv::io

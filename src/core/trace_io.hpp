@@ -41,14 +41,11 @@ void write_run_matrix_csv(std::ostream& os, const RunMatrix& m);
 ///     with no rows is an intentionally empty run),
 ///   * a declared run count above kMaxRunMatrixRuns, or a run index at or
 ///     past it (rejected before anything is allocated for it).
-[[nodiscard]] RunMatrix read_run_matrix_csv(std::istream& is,
-                                            std::string label = "");
-[[nodiscard]] RunMatrix run_matrix_from_csv(const std::string& csv,
-                                            std::string label = "");
+[[nodiscard]] RunMatrix read_run_matrix_csv(std::istream& is);
+[[nodiscard]] RunMatrix run_matrix_from_csv(const std::string& csv);
 
 /// Writes / reads to a file path (throws std::runtime_error on IO failure).
 void save_run_matrix(const std::string& path, const RunMatrix& m);
-[[nodiscard]] RunMatrix load_run_matrix(const std::string& path,
-                                        std::string label = "");
+[[nodiscard]] RunMatrix load_run_matrix(const std::string& path);
 
 }  // namespace omv::io

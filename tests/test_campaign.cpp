@@ -61,8 +61,6 @@ TEST(Options, ScenarioEqualsForm) {
   const auto o = parse_options(static_cast<int>(argv.size()), argv.data());
   ASSERT_EQ(o.scenarios.size(), 1u);
   EXPECT_EQ(o.scenarios[0], "epyc-like");
-  EXPECT_EQ(effective_scenarios(o), std::vector<std::string>{"epyc-like"});
-  EXPECT_TRUE(effective_scenarios(Options{}).empty());  // the paper pair
 }
 
 TEST(Options, EqualsFormAndRepeatedOnly) {
@@ -183,7 +181,7 @@ class CampaignCacheTest : public ::testing::Test {
   }
 
   static RunMatrix make_matrix() {
-    RunMatrix m("cell");
+    RunMatrix m;
     m.add_run({1.0, 2.0, 3.0});
     m.add_run({4.0 / 3.0, 5.0, 6.0});
     return m;
@@ -366,19 +364,6 @@ TEST_F(CampaignCacheTest, ForgedRunCountInCacheCsvRecomputes) {
     }
   }
   EXPECT_EQ(slurp(), original);
-}
-
-TEST_F(CampaignCacheTest, ColdAndWarmMatricesHaveTheSameLabel) {
-  SpecKey key;
-  key.add("bench", "fake");
-  RunContext ctx1("testh", serial(), dir_);
-  const auto cold =
-      ctx1.protocol("cell", small_spec(), key, [] { return make_matrix(); });
-  EXPECT_EQ(cold.label(), "cell");  // not make_matrix's internal label
-  RunContext ctx2("testh", serial(), dir_);
-  const auto warm =
-      ctx2.protocol("cell", small_spec(), key, [] { return make_matrix(); });
-  EXPECT_EQ(warm.label(), cold.label());
 }
 
 TEST_F(CampaignCacheTest, SidecarVetoForcesRecompute) {

@@ -19,6 +19,9 @@
 //     multi-scenario plan belongs to two (harness, scenario) units;
 //   * the paper's machines plan the paper's cells however they are
 //     selected, and every other machine its machine-derived cells;
+//   * every cell key is pinned: the quick-mode --plan listings of the
+//     default campaign and of the six non-paper presets equal the
+//     committed files under tests/data byte for byte;
 //   * two scenario selections that would write the same artifact file are
 //     a usage error naming both selectors;
 //   * a --jobs width past the executor ceiling is reported and ignored
@@ -70,8 +73,9 @@ const std::vector<std::string> kScenarios = {"vera", "epyc-like",
 using Env = std::vector<std::pair<std::string, std::string>>;
 
 /// fork/execs the driver with `args`, stdout > `stdout_path` (and stderr >
-/// `stderr_path` when given). OMNIVAR_QUICK=1 keeps the workload CI-sized;
-/// `env` is exported in the child on top of that.
+/// `stderr_path` when given). OMNIVAR_QUICK=1 keeps the workload CI-sized,
+/// and a protocol size or engine stamp exported by the calling shell is
+/// dropped; `env` is exported in the child on top of that.
 pid_t spawn_omnivar(const std::string& bin,
                     const std::vector<std::string>& args,
                     const std::string& stdout_path, const Env& env = {},
@@ -83,6 +87,9 @@ pid_t spawn_omnivar(const std::string& bin,
     ::_exit(97);
   }
   ::setenv("OMNIVAR_QUICK", "1", 1);
+  ::unsetenv("OMNIVAR_RUNS");
+  ::unsetenv("OMNIVAR_REPS");
+  ::unsetenv("OMNIVAR_ENGINE_VERSION");
   for (const auto& [name, value] : env) {
     ::setenv(name.c_str(), value.c_str(), 1);
   }
@@ -524,6 +531,31 @@ TEST_F(CampaignSchedTest, PaperMachinesRunThePaperCells) {
   EXPECT_EQ(fig1_team_sizes(plan(
                 {"--only", "fig1", "--scenario", "dvfs-dippy"}, "dippy")),
             (std::set<std::size_t>{2, 4, 8, 16, 30}));
+}
+
+// Every cell's spec hash is pinned. A change that moves a cell key strands
+// every cache entry written under the old one, and no other tier-1 test
+// would notice. The quick-mode --plan listings (harness, scenario, label,
+// spec hash, cost) of the default campaign and of the six non-paper
+// presets must equal the committed files. Re-record them only with a
+// kEngineVersion bump or a stated reason.
+TEST_F(CampaignSchedTest, PlanIsPinned) {
+  const std::string bin = omnivar_bin();
+  const std::vector<std::pair<std::string, std::vector<std::string>>> plans =
+      {{"plan-quick-default.tsv", {"--plan"}},
+       {"plan-quick-presets.tsv",
+        {"--plan", "--scenario", "epyc-like", "--scenario", "noisy-cloud",
+         "--scenario", "quiet-hpc", "--scenario", "dvfs-dippy", "--scenario",
+         "biglittle", "--scenario", "lopsided-numa"}}};
+  for (const auto& [file, args] : plans) {
+    const fs::path tsv = dir_ / file;
+    ASSERT_EQ(wait_exit_code(spawn_omnivar(bin, args, tsv.string())), 0)
+        << file;
+    const std::string pinned =
+        slurp(fs::path(OMNIVAR_TEST_DATA_DIR) / file);
+    ASSERT_FALSE(pinned.empty()) << file;
+    EXPECT_EQ(slurp(tsv), pinned) << file;
+  }
 }
 
 // Two scenario files inheriting one catalog name would write the same

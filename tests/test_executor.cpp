@@ -57,7 +57,6 @@ RunKernelFactory pure_factory() {
 
 ExperimentSpec small_spec(std::uint64_t seed = 42) {
   ExperimentSpec spec;
-  spec.name = "parallel-test";
   spec.runs = 7;
   spec.reps = 11;
   spec.warmup = 2;
@@ -67,7 +66,6 @@ ExperimentSpec small_spec(std::uint64_t seed = 42) {
 
 void expect_bit_identical(const RunMatrix& a, const RunMatrix& b) {
   ASSERT_EQ(a.runs(), b.runs());
-  EXPECT_EQ(a.label(), b.label());
   for (std::size_t r = 0; r < a.runs(); ++r) {
     ASSERT_EQ(a.run(r).size(), b.run(r).size()) << "run " << r;
     for (std::size_t k = 0; k < a.run(r).size(); ++k) {

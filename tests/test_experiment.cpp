@@ -59,15 +59,5 @@ TEST(Experiment, KernelSeesDerivedRunSeed) {
   EXPECT_EQ(seen[1], derive_run_seed(9, 1));
 }
 
-TEST(Experiment, LabelPropagates) {
-  ExperimentSpec spec;
-  spec.name = "my-exp";
-  spec.runs = 1;
-  spec.reps = 1;
-  const auto m =
-      run_experiment(spec, [](const RepContext&) { return 1.0; });
-  EXPECT_EQ(m.label(), "my-exp");
-}
-
 }  // namespace
 }  // namespace omv

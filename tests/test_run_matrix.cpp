@@ -11,13 +11,11 @@ namespace omv {
 namespace {
 
 RunMatrix sample_matrix() {
-  RunMatrix m("test");
+  RunMatrix m;
   m.add_run({10.0, 12.0, 11.0});
   m.add_run({20.0, 22.0, 21.0});
   return m;
 }
-
-TEST(RunMatrix, Label) { EXPECT_EQ(sample_matrix().label(), "test"); }
 
 TEST(RunMatrix, RunsAndAccess) {
   const auto m = sample_matrix();

@@ -16,7 +16,7 @@ namespace omv::cli {
 namespace {
 
 RunMatrix tiny_matrix() {
-  RunMatrix m("cell");
+  RunMatrix m;
   m.add_run({1.0});
   return m;
 }

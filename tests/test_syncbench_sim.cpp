@@ -110,7 +110,6 @@ void expect_width_invariant(const scenario::ScenarioSpec& scn) {
   cfg.places_spec = "threads";
   cfg.bind = topo::ProcBind::close;
   ExperimentSpec spec;
-  spec.name = "width";
   spec.runs = 3;
   spec.reps = 6;
   spec.warmup = 1;

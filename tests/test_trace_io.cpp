@@ -16,7 +16,7 @@ namespace omv::io {
 namespace {
 
 RunMatrix sample() {
-  RunMatrix m("t2");
+  RunMatrix m;
   m.add_run({124020.18, 124062.15, 123989.57});
   m.add_run({154277.48, 154162.74});
   return m;
@@ -31,9 +31,8 @@ TEST(TraceIo, CsvHasHeaderAndRows) {
 
 TEST(TraceIo, RoundTripExact) {
   const auto m = sample();
-  const auto back = run_matrix_from_csv(run_matrix_to_csv(m), "t2");
+  const auto back = run_matrix_from_csv(run_matrix_to_csv(m));
   ASSERT_EQ(back.runs(), m.runs());
-  EXPECT_EQ(back.label(), "t2");
   for (std::size_t r = 0; r < m.runs(); ++r) {
     ASSERT_EQ(back.run(r).size(), m.run(r).size());
     for (std::size_t k = 0; k < m.run(r).size(); ++k) {
@@ -96,12 +95,12 @@ TEST(TraceIo, RejectsRunGapWithoutMetadata) {
 }
 
 TEST(TraceIo, MetadataPreservesEmptyRuns) {
-  RunMatrix m("holes");
+  RunMatrix m;
   m.add_run({1.0, 2.0});
   m.add_run({});       // empty middle run
   m.add_run({5.0});
   m.add_run({});       // empty trailing run
-  const auto back = run_matrix_from_csv(run_matrix_to_csv(m), "holes");
+  const auto back = run_matrix_from_csv(run_matrix_to_csv(m));
   ASSERT_EQ(back.runs(), 4u);
   EXPECT_EQ(back.run(0).size(), 2u);
   EXPECT_EQ(back.run(1).size(), 0u);
@@ -168,7 +167,7 @@ TEST(TraceIo, RoundTripExactForRaggedFullPrecisionMatrices) {
   // Property: write -> read is the identity for every representable
   // double, including adversarial precision and ragged/empty rows.
   omv::Rng rng(20260729);
-  RunMatrix m("precision");
+  RunMatrix m;
   for (std::size_t r = 0; r < 8; ++r) {
     std::vector<double> reps;
     const std::size_t k = r == 3 ? 0 : 1 + (r * 7) % 13;  // ragged + empty
@@ -180,7 +179,7 @@ TEST(TraceIo, RoundTripExactForRaggedFullPrecisionMatrices) {
     }
     m.add_run(std::move(reps));
   }
-  const auto back = run_matrix_from_csv(run_matrix_to_csv(m), "precision");
+  const auto back = run_matrix_from_csv(run_matrix_to_csv(m));
   ASSERT_EQ(back.runs(), m.runs());
   for (std::size_t r = 0; r < m.runs(); ++r) {
     ASSERT_EQ(back.run(r).size(), m.run(r).size());
@@ -198,9 +197,8 @@ TEST(TraceIo, RoundTripExactForRaggedFullPrecisionMatrices) {
 TEST(TraceIo, FileSaveLoad) {
   const std::string path = "/tmp/omnivar_trace_io_test.csv";
   save_run_matrix(path, sample());
-  const auto back = load_run_matrix(path, "from-file");
+  const auto back = load_run_matrix(path);
   EXPECT_EQ(back.runs(), 2u);
-  EXPECT_EQ(back.label(), "from-file");
   std::remove(path.c_str());
 }
 
